@@ -11,7 +11,7 @@ and shows where the infinite tails come from.
 import json
 
 from hecke2d import BasisIndex, chi, coefficient_at, element_to_json, iota, mul, phi
-from hecke2d.cli import format_element
+from hecke2d.text import format_element
 from hecke2d.coeff import Q
 
 

@@ -9,7 +9,7 @@ reproducible witnesses rather than hiding them.
 """
 
 from hecke2d import chi, mul, run_suite
-from hecke2d.cli import format_element
+from hecke2d.text import format_element
 
 for name in ("table_oracle", "bernstein", "center", "weyl"):
     report = run_suite(name, index_bound=1, cases=60, seed=0)

@@ -395,109 +395,10 @@ class Coeff:
 
     @staticmethod
     def parse(text: str) -> "Coeff":
-        return _ScalarParser(text).parse()
+        """Read a scalar written in the expression grammar of ``hecke2d.text``."""
+        from .text import parse_scalar
 
-
-# ---------------------------------------------------------------------------
-# scalar expression parser: integers, s, q (= s^2), + - * / ^ and parentheses
-
-
-class _ScalarParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def parse(self) -> Coeff:
-        v = self.expr()
-        self.skip()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected {self.text[self.pos]!r} at {self.pos}")
-        return v
-
-    def skip(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expr(self) -> Coeff:
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            t = self.term()
-            v = v + t if op == "+" else v - t
-        return v
-
-    def term(self) -> Coeff:
-        v = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.text[self.pos]
-            self.pos += 1
-            f = self.factor()
-            v = v * f if op == "*" else v / f
-        return v
-
-    def factor(self) -> Coeff:
-        c = self.peek()
-        if c == "-":
-            self.pos += 1
-            return -self.factor()
-        if c == "+":
-            self.pos += 1
-            return self.factor()
-        v = self.atom()
-        while self.peek() == "^":
-            self.pos += 1
-            v = v ** self.int_exponent()
-        return v
-
-    def atom(self) -> Coeff:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            v = self.expr()
-            if self.peek() != ")":
-                raise ParseError("missing ')'")
-            self.pos += 1
-            return v
-        if c == "s":
-            self.pos += 1
-            return S
-        if c == "q":
-            self.pos += 1
-            return Q
-        if c.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return Coeff.integer(int(self.text[start : self.pos]))
-        raise ParseError(f"unexpected {c!r} at {self.pos}" if c else "unexpected end")
-
-    def int_exponent(self) -> int:
-        c = self.peek()
-        paren = c == "("
-        if paren:
-            self.pos += 1
-            c = self.peek()
-        sign = 1
-        if c == "-":
-            sign = -1
-            self.pos += 1
-            c = self.peek()
-        if not c.isdigit():
-            raise ParseError("integer exponent expected after '^'")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        val = sign * int(self.text[start : self.pos])
-        if paren:
-            if self.peek() != ")":
-                raise ParseError("missing ')' in exponent")
-            self.pos += 1
-        return val
+        return parse_scalar(text)
 
 
 ZERO = Coeff()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .coeff import Coeff, ParseError
 
@@ -41,6 +41,7 @@ __all__ = [
     "canonicalize",
     "coefficient_at",
     "level_projection",
+    "values_at_q",
     "element_to_json",
     "element_from_json",
 ]
@@ -58,8 +59,13 @@ def _is_finite(b: Bound) -> bool:
     return isinstance(b, int)
 
 
+def _is_int(v: object) -> bool:
+    # bool is an int subclass, but True is not an index
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_bound(b: Bound) -> Bound:
-    if isinstance(b, int):
+    if _is_int(b):
         return b
     if b == NEG_INF or b == POS_INF:
         return b
@@ -533,6 +539,18 @@ def level_projection(x: HeckeElement, j: int) -> HeckeElement:
     return HeckeElement([(k, s.strips) for k, s in x.rows if k.j == j])
 
 
+def values_at_q(x: HeckeElement, q: int) -> dict[BasisIndex, Fraction]:
+    """The nonzero coefficients of x at a numeric q; x must have finite support."""
+    out: dict[BasisIndex, Fraction] = {}
+    for key, series in x.rows:
+        for st in series.strips:
+            for m in range(st.lo, st.hi + 1):
+                c = st.value_at(m)
+                if not c.is_zero():
+                    out[BasisIndex(key.a, m, key.j)] = c.eval_at_q(q)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON serialization
 
@@ -543,14 +561,23 @@ def _bound_to_json(b: Bound) -> Union[int, str]:
     return "-inf" if b == NEG_INF else "+inf"
 
 
-def _bound_from_json(v: Union[int, str]) -> Bound:
-    if isinstance(v, int) and not isinstance(v, bool):
+def _bound_from_json(v: object) -> Bound:
+    if _is_int(v):
         return v
     if v == "-inf":
         return NEG_INF
     if v == "+inf":
         return POS_INF
     raise ParseError(f"bad bound {v!r}")
+
+
+def _json_get(obj: object, key: str, kind: type = object) -> Any:
+    if not isinstance(obj, Mapping) or key not in obj:
+        raise ParseError(f"expected an object with a {key!r} field")
+    v = obj[key]
+    if not (_is_int(v) if kind is int else isinstance(v, kind)):
+        raise ParseError(f"{key!r} must be of type {kind.__name__}, got {v!r}")
+    return v
 
 
 def element_to_json(x: HeckeElement) -> dict:
@@ -576,22 +603,32 @@ def element_to_json(x: HeckeElement) -> dict:
     }
 
 
-def element_from_json(data: Mapping) -> HeckeElement:
-    if "rows" not in data:
-        raise ParseError("element object must have a 'rows' list")
-    rows = []
-    for row in data["rows"]:
-        key = (row["a"], row["j"])
-        strips = [
-            Strip(
-                _bound_from_json(s["lo"]),
-                _bound_from_json(s["hi"]),
-                tuple(
-                    ExpPolyTerm(t["e"], IndexPoly.parse_descending(t["poly"]))
-                    for t in s["terms"]
-                ),
-            )
-            for s in row["strips"]
-        ]
-        rows.append((key, strips))
-    return HeckeElement(rows)
+def _strip_from_json(s: object) -> Strip:
+    terms = []
+    for t in _json_get(s, "terms", list):
+        poly = _json_get(t, "poly", list)
+        if not all(isinstance(c, str) for c in poly):
+            raise ParseError(f"'poly' must be a list of strings, got {poly!r}")
+        terms.append(ExpPolyTerm(_json_get(t, "e", int), IndexPoly.parse_descending(poly)))
+    lo, hi = _json_get(s, "lo"), _json_get(s, "hi")
+    return Strip(_bound_from_json(lo), _bound_from_json(hi), tuple(terms))
+
+
+def element_from_json(data: object) -> HeckeElement:
+    """Rebuild an element from ``element_to_json`` output.
+
+    Every malformed document raises :class:`ParseError`: a missing field, a
+    field of the wrong type, an unparseable coefficient, or a bad row shape.
+    """
+    try:
+        return HeckeElement(
+            [
+                (
+                    (_json_get(row, "a", int), _json_get(row, "j", int)),
+                    [_strip_from_json(s) for s in _json_get(row, "strips", list)],
+                )
+                for row in _json_get(data, "rows", list)
+            ]
+        )
+    except ShapeError as err:
+        raise ParseError(str(err)) from err

@@ -4,6 +4,8 @@ Each suite re-derives a block of expected facts and compares them against
 the engines, exactly (coefficients in Q(s), no tolerances).  A Report keeps
 one line per failed comparison with a rendered expected/actual pair, so a
 red run points at the first concrete counterexample rather than a boolean.
+Elements are rendered by ``format_element``, so a witness can be pasted back
+into ``hecke2d mul``.
 
 The table_oracle suite is the independent cross-check: convolution
 coefficients recomputed by counting cosets at concrete q against the
@@ -25,7 +27,6 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .coeff import Coeff, ONE, Q, S, one_minus_qinv
@@ -37,6 +38,7 @@ from .element import (
     NEG_INF,
     POS_INF,
     Strip,
+    values_at_q,
     zero_element,
 )
 from .oracle import (
@@ -60,6 +62,7 @@ from .presets import (
     weyl_word,
 )
 from .product import coeff_of_product, mul, mul_basis
+from .text import format_element
 
 __all__ = ["Report", "SUITES", "run_suite"]
 
@@ -122,26 +125,12 @@ class Report:
 
 def _describe(x: object) -> str:
     if isinstance(x, HeckeElement):
-        if x.is_zero():
-            return "0"
-        parts = []
-        for key, series in sorted(x.rows):
-            for s in series.strips:
-                lo = "-inf" if s.lo == NEG_INF else str(int(s.lo))
-                hi = "+inf" if s.hi == POS_INF else str(int(s.hi))
-                terms = " + ".join(_term_text(t) for t in s.terms)
-                parts.append(f"(a={key.a},j={key.j})[{lo}..{hi}]: {terms}")
-        return "; ".join(parts)
+        return format_element(x)
     if isinstance(x, dict):
         return ", ".join(
             f"({a},{i},{j}): {v}" for (a, i, j), v in sorted(x.items())
         )
     return str(x)
-
-
-def _term_text(t: ExpPolyTerm) -> str:
-    base = str(t.poly)
-    return base if t.e == 0 else f"({base})*s^({t.e}m)"
 
 
 @dataclass
@@ -162,16 +151,6 @@ class _Params:
 
 # ---------------------------------------------------------------------------
 # table_oracle: counting cross-check plus dual-route coverage off level zero
-
-
-def _finite_values(x: HeckeElement, q: int) -> dict[BasisIndex, Fraction]:
-    out: dict[BasisIndex, Fraction] = {}
-    for key, series in sorted(x.rows):
-        for m in range(int(series.support_min), int(series.support_max) + 1):
-            c = x.coefficient_at(key, m)
-            if not c.is_zero():
-                out[BasisIndex(key.a, m, key.j)] = c.eval_at_q(q)
-    return out
 
 
 # one basis pair per multiplication branch that has no level-zero instance,
@@ -277,7 +256,7 @@ def _suite_table_oracle(report: Report, p: _Params) -> None:
         for a, b in itertools.product((1, 2), repeat=2):
             for i, k in itertools.product(range(-n, n + 1), repeat=2):
                 got = product_counts((a, i, 0), (b, k, 0), q)
-                want = _finite_values(
+                want = values_at_q(
                     mul_basis(
                         BasisIndex(a, i, 0),
                         BasisIndex(b, k, 0),

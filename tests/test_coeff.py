@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hecke2d import Coeff, CoeffDivisionError, PoleError, one_minus_qinv
+from hecke2d import Coeff, CoeffDivisionError, ParseError, PoleError, one_minus_qinv
 from hecke2d.coeff import ONE, Q, S, ZERO
 
 
@@ -59,6 +59,13 @@ def test_parse_expressions():
     assert Coeff.parse("(s - 1)*(s + 1)") == Q - ONE
     assert Coeff.parse("1 - q^-1") == one_minus_qinv()
     assert Coeff.parse("-3/2") == Coeff.rational(-3, 2)
+
+
+@pytest.mark.parametrize("text", ["1/0", "chi(1,0,0)", "m", "s^"])
+def test_parse_rejects_non_scalars_with_column(text):
+    # Coeff.parse reads the element grammar, so its errors are positioned too
+    with pytest.raises(ParseError, match="column"):
+        Coeff.parse(text)
 
 
 def test_division_by_zero():

@@ -99,6 +99,15 @@ def test_row_shape_constraints():
         _ray(1, 0, 0, POS_INF)
 
 
+def test_strip_rejects_bool_bounds():
+    # bool is an int subclass, but True is not an index
+    one = (ExpPolyTerm(0, IndexPoly.constant(ONE)),)
+    with pytest.raises(ShapeError):
+        Strip(True, 3, one)
+    with pytest.raises(ShapeError):
+        Strip(0, False, one)
+
+
 def test_element_linear_structure():
     x, y = chi(1, 2, -1), chi(2, 0, 3)
     assert add(x, y) == y + x
@@ -177,3 +186,32 @@ def test_json_rejects_malformed():
         element_from_json(
             {"rows": [{"a": 1, "j": 0, "strips": [{"lo": "oops", "hi": 0, "terms": []}]}]}
         )
+
+
+def _json_doc(row=(), strip=(), term=()):
+    # the JSON of chi(1,0,0), with some fields overridden
+    t = {"e": 0, "poly": ["1"], **dict(term)}
+    s = {"lo": 0, "hi": 0, "terms": [t], **dict(strip)}
+    return {"rows": [{"a": 1, "j": 0, "strips": [s], **dict(row)}]}
+
+
+_MALFORMED_JSON = {
+    "not an object": [],
+    "missing key": {"rows": [{"a": 1, "strips": []}]},
+    "rows not a list": {"rows": "x"},
+    "poly entry not a string": _json_doc(term={"poly": [1]}),
+    "poly is a string": _json_doc(term={"poly": "12"}),
+    "poly divides by zero": _json_doc(term={"poly": ["1/0"]}),
+    "sheet is a bool": _json_doc(row={"a": True}),
+    "sheet is a float": _json_doc(row={"a": 1.0}),
+    "step is a bool": _json_doc(term={"e": True}),
+    "bound is a bool": _json_doc(strip={"lo": True}),
+    "sheet out of range": _json_doc(row={"a": 3}),
+}
+
+
+@pytest.mark.parametrize("doc", list(_MALFORMED_JSON.values()), ids=list(_MALFORMED_JSON))
+def test_json_malformed_documents_raise_parse_error(doc):
+    assert element_from_json(_json_doc()) == chi(1, 0, 0)
+    with pytest.raises(ParseError):
+        element_from_json(doc)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from hecke2d import SUITES, run_suite
+from hecke2d import SUITES, mul, run_suite
 from hecke2d.suites import Report
+from hecke2d.text import parse_element
 
 
 def test_suite_names():
@@ -68,6 +69,17 @@ def test_identity_assoc_reports_genuine_failures():
     assert "assoc [chi(2,-1,1)]*[chi(1,-1,0)]*[chi(2,-1,1)]" in failing
     # every recorded failure is an association triple; the identity half is clean
     assert all(case.startswith("assoc ") for case in failing)
+
+
+def test_identity_assoc_failure_lines_reparse():
+    # each rendered witness is valid input and denotes the element compared
+    report = run_suite("identity_assoc")
+    assert report.failures
+    for case, expected, actual in report.failures:
+        names = case.removeprefix("assoc [").removesuffix("]").split("]*[")
+        x, y, z = (parse_element(name) for name in names)
+        assert parse_element(expected) == mul(mul(x, y), z), case
+        assert parse_element(actual) == mul(x, mul(y, z)), case
 
 
 def test_negative_control_catches_perturbation():
