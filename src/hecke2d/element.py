@@ -374,8 +374,10 @@ class RowSeries:
 
 def _check_row_shape(key: RowKey, strips: tuple[Strip, ...]) -> None:
     a, j = key
-    if a not in (1, 2):
-        raise ShapeError(f"sheet must be 1 or 2, got {a}")
+    if not _is_int(a) or a not in (1, 2):
+        raise ShapeError(f"sheet must be 1 or 2, got {a!r}")
+    if not _is_int(j):
+        raise ShapeError(f"level must be an integer, got {j!r}")
     for s in strips:
         if j > 0 and not _is_finite(s.hi):
             raise ShapeError(f"level {j} > 0 row must be bounded above")

@@ -5,15 +5,17 @@ symbolic product tables.  Field elements are Laurent polynomials in t1, t2
 with coefficients mod q; every matrix this module touches stays inside that
 dense subring, so valuations, coset classification, and convolution counts
 are all exact.  Structure coefficients at level zero come out of
-product_counts by literally enumerating coset representatives, inverting by
-adjugate, and classifying; the suites compare them against the symbolic
-engine evaluated at the same q.
+product_counts by enumerating coset representatives, tallying them by their
+four entry valuations, and applying classify's chamber rule to those
+valuations shifted by each target's monomial representative; the suites
+compare them against the symbolic engine evaluated at the same q.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 from random import Random
 from typing import Iterator, Mapping, Union
@@ -38,6 +40,9 @@ __all__ = [
 ]
 
 _PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17))
+
+#: Most coset representatives enumerate_reps builds in one call.
+_MAX_REPS = 200_000
 
 #: Valuation of the zero element; compares above every finite pair.
 INFINITE = float("inf")
@@ -245,20 +250,26 @@ def in_iwahori(x: LocalFieldMatrix) -> bool:
 
 def classify(x: LocalFieldMatrix) -> BasisIndex:
     """The double-coset label of x, by comparing entry valuations."""
-    va, vb, vc, vd = (_val_key(valuation(e)) for e in x.entries())
-    if va <= vb and va < vc:
-        v1, v2 = valuation(x.a)
-        return BasisIndex(1, v1, v2)
-    if vb < va and vb < vd:
-        v1, v2 = valuation(x.b)
-        return BasisIndex(2, v1, v2)
-    if vc <= va and vc <= vd:
-        v1, v2 = valuation(x.c)
-        return BasisIndex(2, -v1, -v2)
-    if vd <= vb and vd < vc:
-        v1, v2 = valuation(x.d)
-        return BasisIndex(1, -v1, -v2)
+    return _chamber(*(valuation(e) for e in x.entries()))
+
+
+def _chamber(va: Valuation, vb: Valuation, vc: Valuation, vd: Valuation) -> BasisIndex:
+    # the chamber rule: the label read off the valuations of a, b, c, d
+    ka, kb, kc, kd = _val_key(va), _val_key(vb), _val_key(vc), _val_key(vd)
+    if ka <= kb and ka < kc:
+        return BasisIndex(1, *va)
+    if kb < ka and kb < kd:
+        return BasisIndex(2, *vb)
+    if kc <= ka and kc <= kd:
+        return BasisIndex(2, -vc[0], -vc[1])
+    if kd <= kb and kd < kc:
+        return BasisIndex(1, -vd[0], -vd[1])
     raise ValueError("no chamber matched; determinant invariant violated")
+
+
+def _shift(v: Valuation, e1: int) -> Valuation:
+    # the valuation of t1^e1 * x, given v = valuation(x)
+    return v if v == INFINITE else (v[0] + e1, v[1])
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +292,18 @@ def enumerate_reps(a: int, i: int, q: int, *, limit: int = 4) -> list[LocalField
 
     The list always starts with the standard representative; the rest are
     its one-parameter perturbations, one per unit lift.  Only level zero is
-    enumerable (elsewhere the coset space is not even countable), and the
-    index is capped because the list grows like q^{2|i|}.
+    enumerable (elsewhere the coset space is not even countable).  The list
+    has q^{2|i|} entries on sheet 1 and q^{|2i+1|} on sheet 2, so the index
+    is capped, and so is that count, before anything is built.
     """
     _check_q(q)
-    if a not in (1, 2):
-        raise EnumerationError(f"sheet must be 1 or 2, got {a}")
+    if isinstance(a, bool) or isinstance(i, bool) or a not in (1, 2):
+        raise EnumerationError(f"sheet must be 1 or 2 and index an integer, got ({a!r}, {i!r})")
     if abs(i) > limit:
         raise EnumerationError(f"|i| = {abs(i)} exceeds the enumeration limit {limit}")
+    count = q ** (2 * abs(i) if a == 1 else abs(2 * i + 1))
+    if count > _MAX_REPS:
+        raise EnumerationError(f"({a},{i}) has {count} cosets at q={q}, over the cap {_MAX_REPS}")
     zero = FieldElem2.zero(q)
     reps = [eta_matrix(a, i, 0, q)]
     if a == 1 and i >= 0:
@@ -329,23 +344,35 @@ def product_counts(
 
     The coefficient at a target label is 1/q times the number of
     representatives z of the right factor whose adjusted product
-    eta(target) * z^{-1} classifies into the left factor's coset.  Keys are
-    emitted in sorted label order and zero coefficients are dropped.
+    eta(target) * z^{-1} classifies into the left factor's coset.  As
+    eta(c, m, 0) is monomial, each entry of that product is an entry of z
+    times +-t1^{+-m}, so the chamber rule runs on shifted entry valuations of
+    z, once per distinct valuation tuple, and no matrix product is built.
+    Keys are emitted in sorted label order and zero coefficients are dropped.
     """
+    if any(isinstance(v, bool) for v in (*x, *y)):
+        raise EnumerationError(f"labels must be integers, got {tuple(x)} and {tuple(y)}")
     a, i, j = BasisIndex(*x)
     b, k, l = BasisIndex(*y)
     if j != 0 or l != 0:
         raise EnumerationError("counting products requires both levels zero")
     if abs(i) > limit:
         raise EnumerationError(f"|i| = {abs(i)} exceeds the enumeration limit {limit}")
-    inverses = [z.inverse() for z in enumerate_reps(b, k, q, limit=limit)]
+    tally = Counter(
+        tuple(valuation(e) for e in z.entries()) for z in enumerate_reps(b, k, q, limit=limit)
+    )
     left = (a, i, 0)
     out: dict[BasisIndex, Fraction] = {}
     span = abs(i) + abs(k) + 1
     for c in (1, 2):
         for m in range(-span, span + 1):
-            eta = eta_matrix(c, m, 0, q)
-            n = sum(1 for zi in inverses if classify(eta * zi) == left)
+            n = 0
+            for (va, vb, vc, vd), count in tally.items():
+                # z^{-1} = [[d, -b], [-c, a]]; eta(c, m, 0) scales its rows by
+                # t1^m and t1^-m, and for c = 2 also swaps them
+                entries = (vd, vb, vc, va) if c == 1 else (vc, va, vd, vb)
+                if _chamber(*map(_shift, entries, (m, m, -m, -m))) == left:
+                    n += count
             if n:
                 out[BasisIndex(c, m, 0)] = Fraction(n, q)
     return out

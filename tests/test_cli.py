@@ -1,6 +1,7 @@
 """Expression language and command-line behavior."""
 
 import json
+import time
 
 import pytest
 
@@ -156,3 +157,20 @@ def test_cli_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["mul", "iota"])  # missing operand
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reps", "1", "4", "--q", "17", "--count-only"],
+        ["reps", "2", "3", "--q", "7", "--count-only"],
+        ["oracle", "1,3", "2,3", "--q", "7"],
+        ["verify", "table_oracle", "--range", "4", "--q", "17"],
+    ],
+)
+def test_cli_refuses_oversized_enumerations_quickly(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -11,8 +11,11 @@ from hecke2d import (
     EnumerationError,
     FieldElem2,
     LocalFieldMatrix,
+    ShapeError,
+    chi,
     classify,
     enumerate_reps,
+    oracle,
     product_counts,
     valuation,
 )
@@ -201,3 +204,75 @@ def test_classification_is_coset_invariant():
         a, i, j = rng.choice((1, 2)), rng.randint(-2, 2), rng.randint(-1, 1)
         g, h = iwahori_sample(rng, q), iwahori_sample(rng, q)
         assert classify(g * eta_matrix(a, i, j, q) * h) == BasisIndex(a, i, j)
+
+
+def _literal_counts(x, y, q):
+    # the counting rule with every matrix built: classify(eta(c,m,0) * z^{-1})
+    (a, i, _), (b, k, _) = x, y
+    inverses = [z.inverse() for z in enumerate_reps(b, k, q)]
+    out = {}
+    span = abs(i) + abs(k) + 1
+    for c in (1, 2):
+        for m in range(-span, span + 1):
+            eta = eta_matrix(c, m, 0, q)
+            n = sum(1 for zi in inverses if classify(eta * zi) == (a, i, 0))
+            if n:
+                out[BasisIndex(c, m, 0)] = Fraction(n, q)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_product_counts_match_literal_matrix_counts(q):
+    for a in (1, 2):
+        for b in (1, 2):
+            for i in range(-2, 3):
+                for k in range(-2, 3):
+                    x, y = (a, i, 0), (b, k, 0)
+                    got = product_counts(x, y, q)
+                    want = _literal_counts(x, y, q)
+                    assert list(got.items()) == list(want.items()), (x, y, q)
+
+
+def test_product_counts_builds_no_matrix_products(monkeypatch):
+    calls = {"mul": 0, "inverse": 0, "classify": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    M = oracle.LocalFieldMatrix
+    monkeypatch.setattr(M, "__mul__", counted("mul", M.__mul__))
+    monkeypatch.setattr(M, "inverse", counted("inverse", M.inverse))
+    monkeypatch.setattr(oracle, "classify", counted("classify", oracle.classify))
+    assert product_counts((1, 2, 0), (2, -2, 0), 3)
+    assert calls == {"mul": 0, "inverse": 0, "classify": 0}
+    # the wrappers are live: the literal route goes through all three
+    oracle.classify(eta_matrix(1, 0, 0, 3) * identity_matrix(3).inverse())
+    assert min(calls.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: chi(True, 0, 0), ShapeError),
+        (lambda: chi(1, 0, True), ShapeError),
+        (lambda: enumerate_reps(True, 0, 2), EnumerationError),
+        (lambda: enumerate_reps(1, True, 2), EnumerationError),
+        (lambda: product_counts((True, 0, 0), (1, 0, 0), 2), EnumerationError),
+        (lambda: product_counts((1, 0, 0), (1, False, 0), 2), EnumerationError),
+    ],
+    ids=["chi-sheet", "chi-level", "reps-sheet", "reps-index", "counts-left", "counts-right"],
+)
+def test_bool_sheets_and_indices_rejected(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_enumeration_refuses_more_than_the_rep_cap():
+    # q^(2|i|) on sheet 1 and q^|2i+1| on sheet 2, each over 200 000
+    for a, i, q in [(1, 4, 17), (2, 3, 7), (2, -4, 7), (1, -4, 7)]:
+        with pytest.raises(EnumerationError, match="cosets"):
+            enumerate_reps(a, i, q)

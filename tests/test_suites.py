@@ -48,6 +48,12 @@ def test_table_oracle_small_run():
     assert report.passed, report.text()
 
 
+@pytest.mark.parametrize("bound, qs", [(3, (2, 3)), (2, (5,)), (1, (7,))])
+def test_table_oracle_wider_coverage(bound, qs):
+    report = run_suite("table_oracle", index_bound=bound, qs=qs)
+    assert report.cases and not report.failures, report.text()
+
+
 def test_weyl_suite():
     report = run_suite("weyl", qs=(2,), cases=20, seed=3)
     assert report.passed, report.text()
