@@ -26,24 +26,15 @@ __all__ = ["ExprError", "format_element", "main", "parse_element"]
 # subcommands
 
 
-def _parse_pair(text: str, what: str) -> tuple[int, int]:
-    parts = text.split(",")
+def _parse_ints(text: str, count: int, message: str) -> tuple[int, ...]:
+    """Exactly count comma-separated integers, else ValueError(message)."""
     try:
-        a, i = (int(p) for p in parts)
+        values = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"{what} must be a pair of integers 'a,i'") from None
-    return a, i
-
-
-def _parse_triple(text: str) -> BasisIndex:
-    parts = text.split(",")
-    try:
-        a, i, j = (int(p) for p in parts)
-    except ValueError:
-        raise ValueError("--at must be a triple of integers 'a,i,j'") from None
-    if a not in (1, 2):
-        raise ValueError("sheet must be 1 or 2")
-    return BasisIndex(a, i, j)
+        values = ()
+    if len(values) != count:
+        raise ValueError(message)
+    return values
 
 
 def _cmd_mul(args: argparse.Namespace) -> int:
@@ -54,8 +45,10 @@ def _cmd_mul(args: argparse.Namespace) -> int:
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
     x = parse_element(args.expr)
-    target = _parse_triple(args.at)
-    print(x.coefficient_at(target.key, target.i))
+    a, i, j = _parse_ints(args.at, 3, "--at must be a triple of integers 'a,i,j'")
+    if a not in (1, 2):
+        raise ValueError("sheet must be 1 or 2")
+    print(x.coefficient_at((a, j), i))
     return 0
 
 
@@ -76,8 +69,8 @@ def _cmd_reps(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    a, i = _parse_pair(args.left, "the left index")
-    b, k = _parse_pair(args.right, "the right index")
+    a, i = _parse_ints(args.left, 2, "the left index must be a pair of integers 'a,i'")
+    b, k = _parse_ints(args.right, 2, "the right index must be a pair of integers 'a,i'")
     x, y = BasisIndex(a, i, 0), BasisIndex(b, k, 0)
     counts = product_counts(x, y, args.q)
     table = values_at_q(mul_basis(x, y), args.q)
@@ -113,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mul", help="multiply two element expressions")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--json", action="store_true", help="print canonical JSON")
+    p.add_argument("--json", action="store_true", help="print the JSON form")
     p.set_defaults(func=_cmd_mul)
 
     p = sub.add_parser("coeff", help="print one basis coefficient of an expression")

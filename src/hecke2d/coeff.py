@@ -9,7 +9,7 @@ integer polynomials; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Union
 
 __all__ = [
@@ -70,10 +70,6 @@ def _pneg(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in a)
 
 
-def _psub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not a or not b:
         return _PZERO
@@ -92,17 +88,7 @@ def _pscale(a: tuple[int, ...], c: int) -> tuple[int, ...]:
 
 
 def _pcontent(a: tuple[int, ...]) -> int:
-    g = 0
-    for c in a:
-        g = _int_gcd(g, c)
-    return g
-
-
-def _int_gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+    return gcd(*a)
 
 
 def _pprim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -158,7 +144,7 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
                 a, b = b, a
                 continue
             a, b = b, _pprim(_ppseudo_rem(a, b))
-        g = _pscale(a, _int_gcd(ca, cb))
+        g = _pscale(a, gcd(ca, cb))
     if g and g[-1] < 0:
         g = _pneg(g)
     return g if g else _PZERO

@@ -267,10 +267,13 @@ def _pick_canonical_terms(a: Terms, b: Terms) -> Terms:
 
 
 def normalize_strips(pieces: Iterable[Strip]) -> tuple[Strip, ...]:
-    """Refine possibly overlapping strips into a canonical disjoint row.
+    """Refine possibly overlapping strips into a disjoint row.
 
     Overlaps are summed, zero-valued stretches dropped, and adjacent strips
-    merged whenever one term list represents the function on the union.
+    merged whenever one term list represents the function on the union.  The
+    result is deterministic for given input strips, but it is not a normal
+    form: equal rows built from different strip partitions can come out
+    partitioned differently, so rows are compared by value.
     """
     pieces = [p for p in pieces if p.terms]
     if not pieces:
@@ -372,12 +375,15 @@ class RowSeries:
         return self.strips[-1].hi if self.strips else NEG_INF
 
 
-def _check_row_shape(key: RowKey, strips: tuple[Strip, ...]) -> None:
+def _check_key(key: RowKey) -> None:
     a, j = key
     if not _is_int(a) or a not in (1, 2):
         raise ShapeError(f"sheet must be 1 or 2, got {a!r}")
     if not _is_int(j):
         raise ShapeError(f"level must be an integer, got {j!r}")
+
+
+def _check_row_shape(j: int, strips: tuple[Strip, ...]) -> None:
     for s in strips:
         if j > 0 and not _is_finite(s.hi):
             raise ShapeError(f"level {j} > 0 row must be bounded above")
@@ -404,14 +410,16 @@ class HeckeElement:
         items = rows.items() if isinstance(rows, Mapping) else rows
         acc: dict[RowKey, list[Strip]] = {}
         for raw_key, strips in items:
+            # checked before merging: True == 1 would otherwise join row (1, j)
             key = RowKey(*raw_key)
+            _check_key(key)
             acc.setdefault(key, []).extend(strips)
         built: list[tuple[RowKey, RowSeries]] = []
         for key in sorted(acc, key=lambda k: (k.j, k.a)):
             strips = normalize_strips(acc[key])
             if not strips:
                 continue
-            _check_row_shape(key, strips)
+            _check_row_shape(key.j, strips)
             built.append((key, RowSeries(strips)))
         object.__setattr__(self, "rows", tuple(built))
         object.__setattr__(self, "_lookup", dict(built))
@@ -554,7 +562,8 @@ def values_at_q(x: HeckeElement, q: int) -> dict[BasisIndex, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON serialization
+# JSON serialization: deterministic for a given strip partition, and
+# element_from_json(element_to_json(x)) == x
 
 
 def _bound_to_json(b: Bound) -> Union[int, str]:

@@ -354,6 +354,8 @@ def product_counts(
         raise EnumerationError(f"labels must be integers, got {tuple(x)} and {tuple(y)}")
     a, i, j = BasisIndex(*x)
     b, k, l = BasisIndex(*y)
+    if a not in (1, 2):
+        raise EnumerationError(f"sheet must be 1 or 2, got {a!r}")
     if j != 0 or l != 0:
         raise EnumerationError("counting products requires both levels zero")
     if abs(i) > limit:

@@ -11,13 +11,17 @@ one another:
 * ``mul`` extends the table bilinearly to whole strip rows.  Each table
   branch becomes a kernel piece: either a point mass on the anti-diagonal
   n = i + k (or diagonal n = i - k) or a span cut out by affine inequalities
-  in (i, k, n).  Summing a strip pair against a piece is done in closed form:
-  the inner index is eliminated with a discrete antiderivative (for ratio
+  in (i, k, n).  Summing a strip pair against a piece is done in closed form,
+  first over the inner index k (spans only), then over the outer index i.
+  Each sum eliminates its index with a discrete antiderivative (for ratio
   s^alpha != 1 solve R(v) - s^{-alpha} R(v-1) = P(v) of equal degree; for
-  ratio 1 the antiderivative has degree one higher), bounds are affine with
-  small slopes, and the output index line is split at the finitely many
-  integer crossovers of competing bounds.  Active-bound selection is exact
-  because all pairwise order relations are constant between crossovers.
+  ratio 1 the antiderivative has degree one higher) and runs from the
+  greatest of several affine lower bounds to the least of several upper
+  bounds.  One rule picks the active pair of bounds for both sums: for each
+  (lower, upper) pair, linear conditions say where that pair is active, with
+  ties going to the bound listed first.  For the inner sum the conditions
+  become bounds on i and a window in n; for the outer sum, whose bounds
+  depend on n only, they become a window in n, which is one output strip.
 
 * ``coeff_of_product`` computes one output coefficient by enumerating the
   finitely many contributing (i, k) pairs from support windows and summing
@@ -30,7 +34,6 @@ output levels add; both facts are baked into the dispatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Optional, Union
@@ -220,15 +223,19 @@ MPoly = dict[tuple[int, int, int], Coeff]
 ETerm = tuple[tuple[int, int, int], MPoly]
 
 
+def _mp_acc(out: MPoly, key: tuple[int, int, int], v: Coeff) -> None:
+    """Add v at key, dropping the key when the sum vanishes."""
+    cur = out.get(key)
+    new = v if cur is None else cur + v
+    if new.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = new
+
+
 def _mp_add_into(acc: MPoly, p: MPoly, factor: Optional[Coeff] = None) -> None:
     for key, c in p.items():
-        v = c if factor is None else c * factor
-        cur = acc.get(key)
-        new = v if cur is None else cur + v
-        if new.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = new
+        _mp_acc(acc, key, c if factor is None else c * factor)
 
 
 def _mp_scale(p: MPoly, c: Coeff) -> MPoly:
@@ -241,14 +248,7 @@ def _mp_mul(a: MPoly, b: MPoly) -> MPoly:
     out: MPoly = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-            v = ca * cb
-            cur = out.get(key)
-            new = v if cur is None else cur + v
-            if new.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = new
+            _mp_acc(out, (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2]), ca * cb)
     return out
 
 
@@ -284,14 +284,7 @@ def _mp_subst(p: MPoly, var: int, lin: dict[int, int], const: int) -> MPoly:
         rest = list(key)
         rest[var] = 0
         for k2, c2 in pows[d].items():
-            kk = (rest[0] + k2[0], rest[1] + k2[1], rest[2] + k2[2])
-            v = c * c2
-            cur = out.get(kk)
-            new = v if cur is None else cur + v
-            if new.is_zero():
-                out.pop(kk, None)
-            else:
-                out[kk] = new
+            _mp_acc(out, (rest[0] + k2[0], rest[1] + k2[1], rest[2] + k2[2]), c * c2)
     return out
 
 
@@ -327,7 +320,7 @@ def _antiderivative(term: ETerm, var: int) -> MPoly:
         rest = list(key)
         d = rest[var]
         rest[var] = 0
-        _mp_add_into(bydeg.setdefault(d, {}), {tuple(rest): c})
+        _mp_acc(bydeg.setdefault(d, {}), tuple(rest), c)
     deg = max(bydeg) if bydeg else 0
     pc = [bydeg.get(d, {}) for d in range(deg + 1)]
     rho: list[MPoly]
@@ -357,77 +350,6 @@ def _antiderivative(term: ETerm, var: int) -> MPoly:
             kk = list(key)
             kk[var] = d
             out[tuple(kk)] = c
-    return out
-
-
-# bounds on the outer index are affine in n: (slope, offset)
-
-_NBound = tuple[int, int]
-
-
-def _nb_eval(b: _NBound, n: int) -> int:
-    return b[0] * n + b[1]
-
-
-def _atoms_from_cuts(cuts: set[int]) -> list[tuple[Bound, Bound]]:
-    cs = sorted(cuts)
-    if not cs:
-        return [(NEG_INF, POS_INF)]
-    out: list[tuple[Bound, Bound]] = [(NEG_INF, cs[0] - 1)]
-    for a, b in zip(cs, cs[1:]):
-        if a <= b - 1:
-            out.append((a, b - 1))
-    out.append((cs[-1], POS_INF))
-    return out
-
-
-def _closed_outer(
-    terms: list[ETerm],
-    lows: list[_NBound],
-    ups: list[_NBound],
-    window: tuple[Bound, Bound],
-) -> list[tuple[Bound, Bound, list[ETerm]]]:
-    """Sum the outer index between affine bounds, piecewise over n."""
-    terms = _merge_eterms(terms)
-    if not terms:
-        return []
-    lows = list(dict.fromkeys(lows))
-    ups = list(dict.fromkeys(ups))
-    if not lows or not ups:
-        raise InfiniteSupportError("sum over the outer index has no finite bound")
-    ants = [(t[0], _antiderivative(t, _I)) for t in terms]
-    cuts: set[int] = set()
-    allb = lows + ups
-    for p in range(len(allb)):
-        g1, d1 = allb[p]
-        for r in range(p + 1, len(allb)):
-            g2, d2 = allb[r]
-            if g1 != g2:
-                x = Fraction(d2 - d1, g1 - g2)
-                f = x.numerator // x.denominator
-                cuts.add(f)
-                cuts.add(f + 1)
-    out: list[tuple[Bound, Bound, list[ETerm]]] = []
-    wlo, whi = window
-    for alo, ahi in _atoms_from_cuts(cuts):
-        lo = max(alo, wlo)
-        hi = min(ahi, whi)
-        if lo > hi:
-            continue
-        sample = int(lo) if lo != NEG_INF else int(hi) if hi != POS_INF else 0
-        lb = max(lows, key=lambda b: _nb_eval(b, sample))
-        ub = min(ups, key=lambda b: _nb_eval(b, sample))
-        if _nb_eval(lb, sample) > _nb_eval(ub, sample):
-            continue
-        piece_terms: list[ETerm] = []
-        for exps, R in ants:
-            hi_t = _term_subst((exps, R), _I, {_N: ub[0]}, ub[1])
-            lo_t = _term_subst((exps, R), _I, {_N: lb[0]}, lb[1] - 1)
-            piece_terms.append(hi_t)
-            piece_terms.append((lo_t[0], _mp_scale(lo_t[1], Coeff.integer(-1))))
-        merged = _merge_eterms(piece_terms)
-        if merged:
-            out.append((lo, hi, merged))
     return out
 
 
@@ -610,168 +532,167 @@ def _pieces(
     raise CaseTableError("no kernel for sheet-2 signature")
 
 
+# ---------------------------------------------------------------------------
+# summing between affine bounds
+#
+# Both sums, over the inner index k and then the outer index i, run from the
+# greatest of several lower bounds to the least of several upper bounds.  A
+# bound is one affine form (ci, cn, c0) = ci*i + cn*n + c0; bounds on i have
+# ci = 0.  One rule picks the active pair of bounds for both sums.
+
+Aff = tuple[int, int, int]
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _norm_cond(di: int, dn: int, d0: int):
-    """Turn di*i + dn*n + d0 >= 0 (di != 0) into an affine bound on i."""
+def _norm_cond(di: int, dn: int, d0: int) -> tuple[bool, Aff]:
+    """Turn di*i + dn*n + d0 >= 0 (di != 0) into (is_lower, bound on i)."""
     if abs(di) > 2 or (abs(di) == 2 and dn % 2):
         raise CaseTableError("bound comparison outside the supported geometry")
     if di > 0:
         if di == 1:
-            return ("ilo", (-dn, -d0))
-        return ("ilo", (-dn // 2, _ceil_div(-d0, 2)))
+            return True, (0, -dn, -d0)
+        return True, (0, -dn // 2, _ceil_div(-d0, 2))
     if di == -1:
-        return ("ihi", (dn, d0))
-    return ("ihi", (dn // 2, d0 // 2))
+        return False, (0, dn, d0)
+    return False, (0, dn // 2, d0 // 2)
 
 
-def _apply_conds(conds):
-    """Split branch conditions into i-bounds and an n-window; None if absurd."""
-    lows: list[_NBound] = []
-    ups: list[_NBound] = []
-    wlo: Bound = NEG_INF
-    whi: Bound = POS_INF
+def _apply_conds(conds: Iterable[Aff], window: tuple[Bound, Bound] = (NEG_INF, POS_INF)):
+    """Split conditions (forms that must be >= 0) into i-bounds and a
+    narrowed n-window; None if they cannot all hold."""
+    lows: list[Aff] = []
+    ups: list[Aff] = []
+    wlo, whi = window
     for di, dn, d0 in conds:
         if di == 0:
             if dn == 0:
                 if d0 < 0:
                     return None
-                continue
-            if dn > 0:
+            elif dn > 0:
                 wlo = max(wlo, _ceil_div(-d0, dn))
             else:
                 whi = min(whi, d0 // (-dn))
             continue
-        kind, val = _norm_cond(di, dn, d0)
-        if kind == "ilo":
-            lows.append(val)
-        else:
-            ups.append(val)
+        is_lower, bound = _norm_cond(di, dn, d0)
+        (lows if is_lower else ups).append(bound)
     if wlo > whi:
         return None
     return lows, ups, (wlo, whi)
 
 
-def _sum_point(
-    piece: _Pt, sx: Strip, sy: Strip, out: list
-) -> None:
+def _add_bounds(lows: list[Aff], ups: list[Aff], lo: Bound, hi: Bound, cn: int = 0) -> None:
+    """Record lo + cn*n <= index <= hi + cn*n; an infinite end bounds nothing."""
+    if isinstance(lo, int):
+        lows.append((0, cn, lo))
+    if isinstance(hi, int):
+        ups.append((0, cn, hi))
+
+
+def _diff(a: Aff, b: Aff, strict: bool = False) -> Aff:
+    # the form a - b, which is >= 0 exactly where a >= b (a > b if strict)
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2] - strict)
+
+
+def _active_pairs(lows: list[Aff], ups: list[Aff], index: str):
+    """Yield (lo, hi, conds) for each lower and upper bound.
+
+    Exactly where every form in conds is >= 0, lo is the greatest lower
+    bound, hi the least upper bound, and lo <= hi.  A bound must strictly
+    beat the ones listed before it, so a tie goes to the first listed and
+    no point is claimed by two pairs.
+    """
+    lows = list(dict.fromkeys(lows))
+    ups = list(dict.fromkeys(ups))
+    if not lows or not ups:
+        raise InfiniteSupportError(f"sum over the {index} index has no finite bound")
+    for p, lo in enumerate(lows):
+        for r, hi in enumerate(ups):
+            conds = [_diff(lo, b, t < p) for t, b in enumerate(lows) if t != p]
+            conds += [_diff(b, hi, t < r) for t, b in enumerate(ups) if t != r]
+            conds.append(_diff(hi, lo))
+            yield lo, hi, conds
+
+
+def _between(ants: list[ETerm], var: int, lo: Aff, hi: Aff) -> list[ETerm]:
+    """[R]_{lo-1}^{hi}: each antiderivative at var = hi minus at var = lo - 1."""
+    out: list[ETerm] = []
+    for ant in ants:
+        out.append(_term_subst(ant, var, {_I: hi[0], _N: hi[1]}, hi[2]))
+        exps, p = _term_subst(ant, var, {_I: lo[0], _N: lo[1]}, lo[2] - 1)
+        out.append((exps, _mp_scale(p, Coeff.integer(-1))))
+    return _merge_eterms(out)
+
+
+def _summand(piece: Union[_Pt, _Sp], sx: Strip, sy: Strip) -> list[ETerm]:
+    """The strip pair's terms times the piece's kernel, in (i, k, n)."""
     terms: list[ETerm] = []
     for ex, px in sx.terms:
         for ey, py in sy.terms:
-            exps = (ex + piece.ei, ey + piece.ek, piece.en)
             poly = _mp_mul(_mp_from_poly(px, _I), _mp_from_poly(py, _K))
-            poly = _mp_scale(poly, piece.scalar)
-            terms.append((exps, poly))
-    lin = {_I: -piece.tk, _N: piece.tk}
-    terms = [_term_subst(t, _K, lin, 0) for t in terms]
-    lows: list[_NBound] = []
-    ups: list[_NBound] = []
-    if isinstance(sx.lo, int):
-        lows.append((0, sx.lo))
-    if isinstance(sx.hi, int):
-        ups.append((0, sx.hi))
-    if piece.tk == 1:
-        # k = n - i in [ylo, yhi]  =>  n - yhi <= i <= n - ylo
-        if isinstance(sy.hi, int):
-            lows.append((1, -sy.hi))
-        if isinstance(sy.lo, int):
-            ups.append((1, -sy.lo))
-    else:
-        # k = i - n in [ylo, yhi]  =>  n + ylo <= i <= n + yhi
-        if isinstance(sy.lo, int):
-            lows.append((1, sy.lo))
-        if isinstance(sy.hi, int):
-            ups.append((1, sy.hi))
-    for lo, hi, ts in _closed_outer(terms, lows, ups, (piece.nlo, piece.nhi)):
-        st = _eterms_to_strip_terms(ts)
-        if st:
-            out.append((piece.sheet, lo, hi, st))
+            exps = (ex + piece.ei, ey + piece.ek, piece.en)
+            terms.append((exps, _mp_scale(poly, piece.scalar)))
+    return _merge_eterms(terms)
 
 
-def _sum_span(
-    piece: _Sp, sx: Strip, sy: Strip, out: list
+def _sum_outer(
+    terms: list[ETerm],
+    lows: list[Aff],
+    ups: list[Aff],
+    window: tuple[Bound, Bound],
+    sheet: int,
+    out: list,
 ) -> None:
-    base: list[ETerm] = []
-    for ex, px in sx.terms:
-        for ey, py in sy.terms:
-            exps = (ex + piece.ei, ey + piece.ek, piece.en)
-            poly = _mp_mul(_mp_from_poly(px, _I), _mp_from_poly(py, _K))
-            poly = _mp_scale(poly, piece.scalar)
-            base.append((exps, poly))
-    base = _merge_eterms(base)
+    """Sum the outer index between bounds affine in n, one strip per active pair."""
+    if not terms:
+        return
+    ants = [(t[0], _antiderivative(t, _I)) for t in terms]
+    for lo, hi, conds in _active_pairs(lows, ups, "outer"):
+        applied = _apply_conds(conds, window)  # ci = 0: only the window narrows
+        if applied is None:
+            continue
+        st = _eterms_to_strip_terms(_between(ants, _I, lo, hi))
+        if st:
+            out.append((sheet, *applied[2], st))
+
+
+def _sum_point(piece: _Pt, sx: Strip, sy: Strip, out: list) -> None:
+    # k = tk * (n - i) leaves only the outer sum
+    lin = {_I: -piece.tk, _N: piece.tk}
+    terms = _merge_eterms(_term_subst(t, _K, lin, 0) for t in _summand(piece, sx, sy))
+    lows: list[Aff] = []
+    ups: list[Aff] = []
+    _add_bounds(lows, ups, sx.lo, sx.hi)
+    if piece.tk == 1:  # k = n - i in [ylo, yhi]  =>  n - yhi <= i <= n - ylo
+        _add_bounds(lows, ups, -sy.hi, -sy.lo, 1)
+    else:  # k = i - n in [ylo, yhi]  =>  n + ylo <= i <= n + yhi
+        _add_bounds(lows, ups, sy.lo, sy.hi, 1)
+    _sum_outer(terms, lows, ups, (piece.nlo, piece.nhi), piece.sheet, out)
+
+
+def _sum_span(piece: _Sp, sx: Strip, sy: Strip, out: list) -> None:
+    base = _summand(piece, sx, sy)
     if not base:
         return
-    # bounds on k, affine in (i, n): stored as (ci, cn, c0)
-    klows: list[tuple[int, int, int]] = []
-    kups: list[tuple[int, int, int]] = []
-    if isinstance(sy.lo, int):
-        klows.append((0, 0, sy.lo))
-    if isinstance(sy.hi, int):
-        kups.append((0, 0, sy.hi))
+    klows: list[Aff] = []
+    kups: list[Aff] = []
+    _add_bounds(klows, kups, sy.lo, sy.hi)
     for sense, ci, ck, c0 in piece.cons:
-        if ck == 0:
-            raise CaseTableError("span constraint must involve the inner index")
-        if (sense, ck) in ((1, 1), (-1, -1)):
-            # k bounded above
-            if ck == 1:
-                kups.append((-ci, 1, -c0))
-            else:
-                kups.append((ci, -1, c0))
-        else:
-            if ck == 1:
-                klows.append((-ci, 1, -c0))
-            else:
-                klows.append((ci, -1, c0))
-    klows = list(dict.fromkeys(klows))
-    kups = list(dict.fromkeys(kups))
-    if not klows or not kups:
-        raise InfiniteSupportError("sum over the inner index has no finite bound")
+        if ck not in (1, -1):
+            raise CaseTableError("span constraint must have inner coefficient +-1")
+        # sense * (n - ci*i - ck*k - c0) >= 0 bounds k by ck * (n - ci*i - c0)
+        bound = (-ci, 1, -c0) if ck == 1 else (ci, -1, c0)
+        (kups if sense == ck else klows).append(bound)
     ants = [(t[0], _antiderivative(t, _K)) for t in base]
-    for p, la in enumerate(klows):
-        for r, ub in enumerate(kups):
-            conds: list[tuple[int, int, int]] = []
-            for t, other in enumerate(klows):
-                if t == p:
-                    continue
-                d = (la[0] - other[0], la[1] - other[1], la[2] - other[2])
-                if t < p:
-                    d = (d[0], d[1], d[2] - 1)  # strictly beat earlier lows
-                conds.append(d)
-            for t, other in enumerate(kups):
-                if t == r:
-                    continue
-                d = (other[0] - ub[0], other[1] - ub[1], other[2] - ub[2])
-                if t < r:
-                    d = (d[0], d[1], d[2] - 1)
-                conds.append(d)
-            conds.append((ub[0] - la[0], ub[1] - la[1], ub[2] - la[2]))
-            applied = _apply_conds(conds)
-            if applied is None:
-                continue
-            ilows, iups, window = applied
-            if isinstance(sx.lo, int):
-                ilows.append((0, sx.lo))
-            if isinstance(sx.hi, int):
-                iups.append((0, sx.hi))
-            branch_terms: list[ETerm] = []
-            for exps, R in ants:
-                hi_t = _term_subst(
-                    (exps, R), _K, {_I: ub[0], _N: ub[1]}, ub[2]
-                )
-                lo_t = _term_subst(
-                    (exps, R), _K, {_I: la[0], _N: la[1]}, la[2] - 1
-                )
-                branch_terms.append(hi_t)
-                branch_terms.append((lo_t[0], _mp_scale(lo_t[1], Coeff.integer(-1))))
-            branch_terms = _merge_eterms(branch_terms)
-            if not branch_terms:
-                continue
-            for lo, hi, ts in _closed_outer(branch_terms, ilows, iups, window):
-                st = _eterms_to_strip_terms(ts)
-                if st:
-                    out.append((piece.sheet, lo, hi, st))
+    for lo, hi, conds in _active_pairs(klows, kups, "inner"):
+        applied = _apply_conds(conds)
+        if applied is None:
+            continue
+        ilows, iups, window = applied
+        _add_bounds(ilows, iups, sx.lo, sx.hi)
+        _sum_outer(_between(ants, _K, lo, hi), ilows, iups, window, piece.sheet, out)
 
 
 def _sign_pieces_of_strip(s: Strip, split: bool):

@@ -478,7 +478,7 @@ def _strip_latex(a: int, j: int, st: Strip) -> str:
 
 
 def format_element(x: HeckeElement, mode: str = "text") -> str:
-    """Render an element as re-parseable text, canonical JSON, or LaTeX."""
+    """Render an element as re-parseable text, JSON, or LaTeX."""
     if mode == "json":
         return json.dumps(element_to_json(x), sort_keys=True)
     if mode not in ("text", "latex"):

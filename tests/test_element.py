@@ -97,6 +97,14 @@ def test_row_shape_constraints():
         _ray(1, -1, NEG_INF, 0)
     with pytest.raises(ShapeError):
         _ray(1, 0, 0, POS_INF)
+    # raw keys are checked before rows merge: True would join row (1, 0)
+    one = Strip(0, 0, (ExpPolyTerm(0, IndexPoly.constant(ONE)),))
+    with pytest.raises(ShapeError):
+        HeckeElement([((1, 0), [one]), ((True, 0), [one])])
+    with pytest.raises(ShapeError):
+        HeckeElement([((1, 0), [one]), ((1, False), [one])])
+    with pytest.raises(ShapeError):
+        HeckeElement([((3, 0), [])])
 
 
 def test_strip_rejects_bool_bounds():

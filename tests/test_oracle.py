@@ -170,6 +170,11 @@ def test_enumeration_domain_errors():
         enumerate_reps(1, 9, 2)
     with pytest.raises(EnumerationError):
         enumerate_reps(1, 0, 4)  # not a supported residue size
+    # the left factor's sheet is checked like the right one's
+    with pytest.raises(EnumerationError):
+        product_counts((3, 0, 0), (1, 0, 0), 2)
+    with pytest.raises(EnumerationError):
+        product_counts((0, 0, 0), (1, 1, 0), 2)
 
 
 def test_product_counts_frozen_example():

@@ -24,6 +24,7 @@ from hecke2d import (
     one_minus_qinv,
     phi,
     theta,
+    theta_monomial,
     zero_element,
 )
 from hecke2d.coeff import ONE, Q
@@ -168,3 +169,32 @@ def test_perturbation_negative_control():
 
 def test_infinite_support_error_exists():
     assert issubclass(InfiniteSupportError, ArithmeticError)
+
+
+def test_two_path_agreement_on_multi_strip_factors():
+    # factors with several strips, or several terms on one strip
+    factors = [
+        mul(theta(0, -1), theta(-1, 0)),
+        mul(phi(2), theta(0, -1)),
+        mul(theta(0, 1), theta(-1, 0)),
+        theta_monomial(-2, 1),
+        mul(phi(2), phi(2)),
+    ]
+    row = factors[0].row((2, -1))
+    assert len(row.strips) == 3 and max(len(s.terms) for s in row.strips) == 3
+    checked = 0
+    for x in factors:
+        for y in factors:
+            prod = mul(x, y)
+            targets = {
+                BasisIndex(key.a, m, key.j)
+                for key, row in prod.rows
+                for s in row.strips
+                for edge in (s.lo, s.hi)
+                if isinstance(edge, int)
+                for m in range(edge - 2, edge + 3)
+            }
+            for t in sorted(targets):
+                assert coeff_of_product(x, y, t) == prod.coefficient_at(t.key, t.i), (x, y, t)
+                checked += 1
+    assert checked >= 90  # 99 distinct targets over the 13 nonzero products
