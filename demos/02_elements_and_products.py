@@ -2,10 +2,10 @@
 ==================================================
 
 An element is a finite set of rows indexed by (sheet, level).  A row at
-level zero has finite support; away from level zero a row is a locally
-finite series, stored as strips whose coefficients are exponential
-polynomials in the row index m.  This script multiplies a few elements
-and shows where the infinite tails come from.
+level zero has finite support; away from level zero a row may also carry
+one ray, a series infinite in one direction whose coefficients are an
+exponential polynomial in the row index m.  This script multiplies a few
+elements and shows where the infinite tails come from.
 """
 
 import json
@@ -24,8 +24,8 @@ def show(label, x):
 show("iota()", iota())
 show("chi(1,1,0) * chi(1,-1,0)", mul(chi(1, 1, 0), chi(1, -1, 0)))
 
-# Sheet-two squares already leave the span of single cosets: the product
-# below carries a finite strip alongside its sheet-one head.
+# Sheet-two squares already spread over several cosets; the finite part of
+# a row prints as one chi term per nonzero coefficient.
 show("chi(2,1,0)^2", mul(chi(2, 1, 0), chi(2, 1, 0)))
 
 # Away from level zero, products grow infinite tails in one direction.
@@ -39,10 +39,10 @@ for m in (1, 2, 5):
     c = coefficient_at(t, BasisIndex(2, m, -2).key, m)
     print(f"  coefficient at (2,{m},-2): {c}")
 
-# Scalar combinations stay exact, and equality is semantic: assembling a
-# row from adjacent pieces gives the same element.
+# Scalar combinations stay exact.  Every row is kept in one normal form, so
+# equal elements have equal rows: equality is structural, and elements hash.
 x = chi(1, 0, 0).scale(Q) + chi(1, 1, 0) - chi(1, 1, 0)
-print("\nq*chi(1,0,0) == iota():", x == iota())
+print("\nq*chi(1,0,0) == iota():", x == iota(), hash(x) == hash(iota()))
 
 # Elements serialize to JSON and back; infinite bounds are spelled out.
 print("\nJSON of phi(2)^2:")

@@ -17,7 +17,6 @@ from .element import (
     ShapeError,
     Strip,
     add,
-    canonicalize,
     coefficient_at,
     element_from_json,
     element_to_json,
@@ -70,7 +69,6 @@ __all__ = [
     "ShapeError",
     "Strip",
     "add",
-    "canonicalize",
     "coefficient_at",
     "element_from_json",
     "element_to_json",

@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mul", help="multiply two element expressions")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--json", action="store_true", help="print the JSON form")
+    p.add_argument("--json", action="store_true", help="print the normal form as JSON")
     p.set_defaults(func=_cmd_mul)
 
     p = sub.add_parser("coeff", help="print one basis coefficient of an expression")

@@ -100,17 +100,15 @@ def _pprim(a: tuple[int, ...]) -> tuple[int, ...]:
 
 def _pdiv_exact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     # exact division in Z[s]; caller guarantees divisibility
-    if not a:
-        return _PZERO
     rem = list(a)
     out = [0] * (len(a) - len(b) + 1)
-    lb = b[-1]
+    lb, nonzero = b[-1], [(j, cb) for j, cb in enumerate(b) if cb]
     for k in range(len(out) - 1, -1, -1):
         c = rem[k + len(b) - 1]
         if c % lb != 0:
             raise CoeffError("inexact polynomial division")
         out[k] = c // lb
-        for j, cb in enumerate(b):
+        for j, cb in nonzero:
             rem[k + j] -= out[k] * cb
     if any(rem):
         raise CoeffError("inexact polynomial division")
@@ -136,6 +134,10 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         g = _pprim(b)
     elif not b:
         g = _pprim(a)
+    elif a.count(0) == len(a) - 1 or b.count(0) == len(b) - 1:
+        # a monomial c*s^k shares with the other only content and a power of s
+        low = min(next(i for i, c in enumerate(p) if c) for p in (a, b))
+        g = (0,) * low + (gcd(_pcontent(a), _pcontent(b)),)
     else:
         ca, cb = _pcontent(a), _pcontent(b)
         a, b = _pprim(a), _pprim(b)
@@ -304,8 +306,12 @@ class Coeff:
         else:
             base = self
         out = ONE
-        for _ in range(e):
-            out = out * base
+        while e:  # repeated squaring
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other: object) -> bool:

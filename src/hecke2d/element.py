@@ -7,11 +7,11 @@ level sign: bounded above for positive level, bounded below for negative,
 finite at level zero.  This class of rows contains every generator and is
 closed under convolution, which is what makes exact computation possible.
 
-Zero testing is exact: an exponential polynomial whose terms carry N = sum of
-(deg poly + 1) coefficients and which vanishes at N consecutive integers is
-identically zero (a confluent Vandermonde matrix over Q(s) in the distinct
-bases s^e is nonsingular), so vanishing on a strip is decidable from at most
-N point evaluations.
+Every row is kept in one normal form, which depends only on its values: a
+point mass chi(a, m, j) with a scalar for each nonzero value of the finite
+part, and at most one ray, whose terms are the unique ones of the row's tail.
+Equal elements therefore have equal rows, so equality is structural and
+elements are hashable.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "add",
     "scale",
     "equals",
-    "canonicalize",
     "coefficient_at",
     "level_projection",
     "values_at_q",
@@ -113,9 +112,6 @@ class IndexPoly:
 
     def __neg__(self) -> "IndexPoly":
         return IndexPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IndexPoly") -> "IndexPoly":
-        return self + (-other)
 
     def __mul__(self, other: Union["IndexPoly", Coeff, int, Fraction]) -> "IndexPoly":
         if not isinstance(other, IndexPoly):
@@ -206,27 +202,6 @@ def terms_value(terms: Terms, m: int) -> Coeff:
     return acc
 
 
-def _terms_dim(terms: Terms) -> int:
-    return sum(t.poly.degree + 1 for t in terms)
-
-
-def _terms_sub(a: Terms, b: Terms) -> Terms:
-    return merge_terms([(e, p) for e, p in a] + [(e, -p) for e, p in b])
-
-
-def _is_zero_on(lo: Bound, hi: Bound, terms: Terms) -> bool:
-    # vanishing at N consecutive points forces the exp-poly to vanish identically
-    if not terms:
-        return True
-    n = _terms_dim(terms)
-    if _is_finite(lo):
-        width = (hi - lo + 1) if _is_finite(hi) else n
-        pts = range(lo, lo + min(n, width))
-    else:
-        pts = range(hi - n + 1, hi + 1)
-    return all(terms_value(terms, m).is_zero() for m in pts)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -260,78 +235,90 @@ class Strip:
         return Coeff()
 
 
-def _pick_canonical_terms(a: Terms, b: Terms) -> Terms:
-    ka = (len(a), _terms_dim(a), tuple((t.e, t.poly.coeffs) for t in a))
-    kb = (len(b), _terms_dim(b), tuple((t.e, t.poly.coeffs) for t in b))
-    return a if ka <= kb else b
+#: Widest finite part a row may span, in indices: finite runs are stored as
+#: one point per value, so a wider row is refused instead of expanded.
+_MAX_POINTS = 1024
+
+
+def _atoms(pieces: list[Strip]) -> list[tuple[Bound, Bound, Terms]]:
+    """Cut the line at every finite strip end; (lo, hi, merged terms) per stretch.
+
+    The first and last stretch are unbounded; uncovered stretches have no terms.
+    """
+    ends = [p.lo for p in pieces] + [p.hi + 1 for p in pieces]
+    edges = [NEG_INF, *sorted({e for e in ends if _is_finite(e)}), POS_INF]
+    pending = sorted(pieces, key=lambda p: p.lo, reverse=True)
+    active: list[Strip] = []
+    out = []
+    for lo, nxt in zip(edges, edges[1:]):
+        at = lo if _is_finite(lo) else nxt - 1
+        while pending and pending[-1].lo <= at:
+            active.append(pending.pop())
+        active = [p for p in active if p.hi >= at]
+        out.append((lo, nxt - 1, merge_terms(t for p in active for t in p.terms)))
+    return out
+
+
+def _ray(atoms: list[tuple[Bound, Bound, Terms]]) -> Strip:
+    """The row's one unbounded strip, reaching inward while it agrees with the row.
+
+    Both walks are short: an exponential polynomial with N = sum of (deg poly
+    + 1) coefficients that vanishes at N consecutive integers is zero (a
+    confluent Vandermonde matrix over Q(s) in the bases s^e is nonsingular).
+    """
+    up = bool(atoms[-1][2])
+    seq = atoms[::-1] if up else atoms
+    step = -1 if up else 1  # inward
+    terms = seq[0][2]
+    k = 0
+    while seq[k + 1][2] == terms:  # stops at the other end, whose terms are empty
+        k += 1
+    m = seq[k][0 if up else 1] + step
+    for lo, hi, t in seq[k + 1 :]:
+        while lo <= m <= hi and terms_value(t, m) == terms_value(terms, m):
+            m += step
+        if lo <= m <= hi:
+            break
+    end = m - step
+    while terms_value(terms, end).is_zero():
+        end -= step
+    return Strip(end, POS_INF, terms) if up else Strip(NEG_INF, end, terms)
+
+
+def _points(atoms: list[tuple[Bound, Bound, Terms]], lo: Bound, hi: Bound) -> list[Strip]:
+    """One point mass per nonzero value in [lo, hi]."""
+    out: list[Strip] = []
+    for a_lo, a_hi, terms in atoms:
+        if not terms:
+            continue
+        for m in range(max(a_lo, lo), min(a_hi, hi) + 1):
+            c = terms_value(terms, m)
+            if c.is_zero():
+                continue
+            if out and m - out[0].lo >= _MAX_POINTS:
+                raise ShapeError(f"finite part of a row spans more than {_MAX_POINTS} indices")
+            out.append(Strip(m, m, (ExpPolyTerm(0, IndexPoly.constant(c)),)))
+    return out
 
 
 def normalize_strips(pieces: Iterable[Strip]) -> tuple[Strip, ...]:
-    """Refine possibly overlapping strips into a disjoint row.
+    """The normal form of the row that the (possibly overlapping) strips sum to.
 
-    Overlaps are summed, zero-valued stretches dropped, and adjacent strips
-    merged whenever one term list represents the function on the union.  The
-    result is deterministic for given input strips, but it is not a normal
-    form: equal rows built from different strip partitions can come out
-    partitioned differently, so rows are compared by value.
+    It depends only on the row's values: a point mass Strip(m, m, c) per
+    nonzero value of the finite part, and at most one ray, carrying the
+    unique terms of the row's tail, that reaches inward as far as it agrees
+    with the row and starts on a nonzero value.  Raises ShapeError for a row
+    infinite on both sides or a finite part wider than _MAX_POINTS indices.
     """
-    pieces = [p for p in pieces if p.terms]
-    if not pieces:
-        return ()
-    cuts: set[int] = set()
-    for p in pieces:
-        if _is_finite(p.lo):
-            cuts.add(p.lo)
-        if _is_finite(p.hi):
-            cuts.add(p.hi + 1)
-    csort = sorted(cuts)
-    atoms: list[tuple[Bound, Bound]] = []
-    if any(not _is_finite(p.lo) for p in pieces):
-        atoms.append((NEG_INF, csort[0] - 1))
-    for a, b in zip(csort, csort[1:]):
-        atoms.append((a, b - 1))
-    last = csort[-1]
-    if any(p.hi >= last for p in pieces):
-        atoms.append(
-            (last, POS_INF)
-            if any(not _is_finite(p.hi) for p in pieces)
-            else (last, max(p.hi for p in pieces if _is_finite(p.hi)))
-        )
-    out: list[Strip] = []
-    for lo, hi in atoms:
-        sample = lo if _is_finite(lo) else hi
-        covering = [p for p in pieces if p.lo <= sample <= p.hi]
-        if not covering:
-            continue
-        terms = merge_terms([t for p in covering for t in p.terms])
-        if not terms or _is_zero_on(lo, hi, terms):
-            continue
-        nxt = Strip(lo, hi, terms)
-        if out:
-            cur = out[-1]
-            if _is_finite(cur.hi):
-                # a term list merges across a gap only if it vanishes there
-                gap_lo, gap_hi = cur.hi + 1, nxt.lo - 1
-                diff = _terms_sub(cur.terms, nxt.terms)
-                cur_ok = _is_zero_on(nxt.lo, nxt.hi, diff) and (
-                    gap_lo > gap_hi or _is_zero_on(gap_lo, gap_hi, cur.terms)
-                )
-                nxt_ok = _is_zero_on(cur.lo, cur.hi, diff) and (
-                    gap_lo > gap_hi or _is_zero_on(gap_lo, gap_hi, nxt.terms)
-                )
-                if cur_ok and nxt_ok:
-                    out[-1] = Strip(
-                        cur.lo, nxt.hi, _pick_canonical_terms(cur.terms, nxt.terms)
-                    )
-                    continue
-                if cur_ok:
-                    out[-1] = Strip(cur.lo, nxt.hi, cur.terms)
-                    continue
-                if nxt_ok:
-                    out[-1] = Strip(cur.lo, nxt.hi, nxt.terms)
-                    continue
-        out.append(nxt)
-    return tuple(out)
+    atoms = _atoms(list(pieces))
+    if atoms[0][2] and atoms[-1][2]:
+        raise ShapeError("a row cannot be infinite on both sides")
+    if not atoms[0][2] and not atoms[-1][2]:
+        return tuple(_points(atoms, NEG_INF, POS_INF))
+    ray = _ray(atoms)
+    if _is_finite(ray.lo):
+        return (*_points(atoms, NEG_INF, ray.lo - 1), ray)
+    return (ray, *_points(atoms, ray.hi + 1, POS_INF))
 
 
 class RowKey(NamedTuple):
@@ -449,11 +436,7 @@ class HeckeElement:
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        merged: list[tuple[RowKey, list[Strip]]] = []
-        for src in (self, other):
-            for key, series in src.rows:
-                merged.append((key, list(series.strips)))
-        return HeckeElement(merged)
+        return HeckeElement([(k, r.strips) for src in (self, other) for k, r in src.rows])
 
     def __neg__(self) -> "HeckeElement":
         return self.scale(Coeff.integer(-1))
@@ -468,16 +451,8 @@ class HeckeElement:
         if c.is_zero():
             return HeckeElement()
         return HeckeElement(
-            [
-                (
-                    key,
-                    [
-                        Strip(s.lo, s.hi, tuple(ExpPolyTerm(e, p * c) for e, p in s.terms))
-                        for s in series.strips
-                    ],
-                )
-                for key, series in self.rows
-            ]
+            (key, [Strip(s.lo, s.hi, tuple((e, p * c) for e, p in s.terms)) for s in row.strips])
+            for key, row in self.rows
         )
 
     def __rmul__(self, c: Union[Coeff, int, Fraction]) -> "HeckeElement":
@@ -507,9 +482,10 @@ class HeckeElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.rows == other.rows
 
-    __hash__ = None  # type: ignore[assignment]
+    def __hash__(self) -> int:
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -534,11 +510,7 @@ def scale(c: Union[Coeff, int, Fraction], x: HeckeElement) -> HeckeElement:
 
 
 def equals(x: HeckeElement, y: HeckeElement) -> bool:
-    return (x - y).is_zero()
-
-
-def canonicalize(x: HeckeElement) -> HeckeElement:
-    return HeckeElement([(k, s.strips) for k, s in x.rows])
+    return x == y
 
 
 def coefficient_at(x: HeckeElement, key: tuple[int, int], m: int) -> Coeff:
@@ -551,19 +523,17 @@ def level_projection(x: HeckeElement, j: int) -> HeckeElement:
 
 def values_at_q(x: HeckeElement, q: int) -> dict[BasisIndex, Fraction]:
     """The nonzero coefficients of x at a numeric q; x must have finite support."""
-    out: dict[BasisIndex, Fraction] = {}
-    for key, series in x.rows:
-        for st in series.strips:
-            for m in range(st.lo, st.hi + 1):
-                c = st.value_at(m)
-                if not c.is_zero():
-                    out[BasisIndex(key.a, m, key.j)] = c.eval_at_q(q)
-    return out
+    return {
+        BasisIndex(key.a, m, key.j): st.value_at(m).eval_at_q(q)
+        for key, series in x.rows
+        for st in series.strips
+        for m in range(st.lo, st.hi + 1)  # a point: normal forms hold no zeros
+    }
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: deterministic for a given strip partition, and
-# element_from_json(element_to_json(x)) == x
+# JSON serialization of the normal form: equal elements give equal
+# documents, and element_from_json(element_to_json(x)) == x
 
 
 def _bound_to_json(b: Bound) -> Union[int, str]:

@@ -288,10 +288,12 @@ def _t1(q: int, e: int, c: int = 1) -> FieldElem2:
 
 
 def enumerate_reps(a: int, i: int, q: int, *, limit: int = 4) -> list[LocalFieldMatrix]:
-    """All left-coset representatives of the level-zero (a, i) double coset.
+    """One representative z of each coset I*z in the level-zero (a, i) double coset.
 
-    The list always starts with the standard representative; the rest are
-    its one-parameter perturbations, one per unit lift.  Only level zero is
+    For two representatives u, v, v*u^-1 is not in I, so their cosets I*z
+    differ, while u^-1*v is in I: all of them lie in eta*I.  The list
+    always starts with the standard representative eta; the rest are its
+    one-parameter perturbations, one per unit lift.  Only level zero is
     enumerable (elsewhere the coset space is not even countable).  The list
     has q^{2|i|} entries on sheet 1 and q^{|2i+1|} on sheet 2, so the index
     is capped, and so is that count, before anything is built.

@@ -10,7 +10,6 @@ produced by multiplying two antidiagonal matrices is dropped.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, NamedTuple
 
 from .coeff import Coeff, ONE
@@ -92,24 +91,15 @@ FIXED_PRESET_NAMES: tuple[str, ...] = (
     "phi2",
 )
 
-_CHI_RE = re.compile(r"chi\(\s*(\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\Z")
-_THETA_RE = re.compile(r"theta\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\Z")
-
-
 def preset(name: str) -> HeckeElement:
-    """Look up a named element: chi(a,i,j), iota, theta(i,j), phi0/phi1/phi2."""
-    text = name.strip()
-    if text == "iota":
-        return iota()
-    if text in ("phi0", "phi1", "phi2"):
-        return phi(int(text[3]))
-    m = _CHI_RE.match(text)
-    if m:
-        return chi(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    m = _THETA_RE.match(text)
-    if m:
-        return theta(int(m.group(1)), int(m.group(2)))
-    raise ValueError(f"unknown preset {name!r}")
+    """Look up a named element: chi(a,i,j), iota, theta(i,j), phi0/phi1/phi2.
+
+    Names are read by the expression grammar, so a bad name raises its
+    ``ExprError``, a ``ValueError``.
+    """
+    from .text import parse_element
+
+    return parse_element(name)
 
 
 def theta_monomial(i: int, j: int) -> HeckeElement:

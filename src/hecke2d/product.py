@@ -695,17 +695,6 @@ def _sum_span(piece: _Sp, sx: Strip, sy: Strip, out: list) -> None:
         _sum_outer(_between(ants, _K, lo, hi), ilows, iups, window, piece.sheet, out)
 
 
-def _sign_pieces_of_strip(s: Strip, split: bool):
-    """Yield (strip, sign) with sign +1 on [0, inf) and -1 on (-inf, -1]."""
-    if not split:
-        yield s, 0
-        return
-    if s.lo <= -1:
-        yield Strip(s.lo, min(s.hi, -1), s.terms), -1
-    if s.hi >= 0:
-        yield Strip(max(s.lo, 0), s.hi, s.terms), 1
-
-
 def _sgn(v: int) -> int:
     return (v > 0) - (v < 0)
 
@@ -721,23 +710,18 @@ def mul(
             j, l = kx.j, ky.j
             if j * l < 0:
                 continue
-            for sx0 in rx.strips:
-                for sx, isg in _sign_pieces_of_strip(sx0, j == 0):
-                    for sy0 in ry.strips:
-                        for sy, ksg in _sign_pieces_of_strip(sy0, l == 0):
-                            pieces = _pieces(
-                                kx.a, ky.a, _sgn(j), _sgn(l), isg, ksg, perturbation
-                            )
-                            emitted: list = []
-                            for piece in pieces:
-                                if isinstance(piece, _Pt):
-                                    _sum_point(piece, sx, sy, emitted)
-                                else:
-                                    _sum_span(piece, sx, sy, emitted)
-                            for sheet, lo, hi, st in emitted:
-                                contrib.setdefault((sheet, j + l), []).append(
-                                    Strip(lo, hi, st)
-                                )
+            for sx in rx.strips:
+                for sy in ry.strips:
+                    # level-0 strips are points; the table splits them by index sign
+                    signs = (1 if sx.lo >= 0 else -1, 1 if sy.lo >= 0 else -1)
+                    emitted: list = []
+                    for piece in _pieces(kx.a, ky.a, _sgn(j), _sgn(l), *signs, perturbation):
+                        if isinstance(piece, _Pt):
+                            _sum_point(piece, sx, sy, emitted)
+                        else:
+                            _sum_span(piece, sx, sy, emitted)
+                    for sheet, lo, hi, st in emitted:
+                        contrib.setdefault((sheet, j + l), []).append(Strip(lo, hi, st))
     return HeckeElement(contrib)
 
 
@@ -756,27 +740,27 @@ def _pair_windows(j: int, l: int, sx: Strip, sy: Strip, n: int):
     rays toward the level sign)."""
     if j > 0 and l > 0:
         ilo, ihi = max(sx.lo, n - sy.hi), sx.hi
-        for i in range(int(ilo), int(ihi) + 1):
+        for i in range(ilo, ihi + 1):
             klo, khi = max(sy.lo, n - sx.hi), sy.hi
-            for k in range(int(klo), int(khi) + 1):
+            for k in range(klo, khi + 1):
                 yield i, k
     elif j < 0 and l < 0:
         ilo, ihi = sx.lo, min(sx.hi, n - sy.lo)
-        for i in range(int(ilo), int(ihi) + 1):
+        for i in range(ilo, ihi + 1):
             klo, khi = sy.lo, min(sy.hi, n - sx.lo)
-            for k in range(int(klo), int(khi) + 1):
+            for k in range(klo, khi + 1):
                 yield i, k
     elif j == 0:
-        for i in range(int(sx.lo), int(sx.hi) + 1):
+        for i in range(sx.lo, sx.hi + 1):
             w = abs(i) + abs(n) + 2
             klo, khi = max(sy.lo, -w), min(sy.hi, w)
-            for k in range(int(klo), int(khi) + 1):
+            for k in range(klo, khi + 1):
                 yield i, k
     else:  # l == 0
-        for k in range(int(sy.lo), int(sy.hi) + 1):
+        for k in range(sy.lo, sy.hi + 1):
             w = abs(k) + abs(n) + 2
             ilo, ihi = max(sx.lo, -w), min(sx.hi, w)
-            for i in range(int(ilo), int(ihi) + 1):
+            for i in range(ilo, ihi + 1):
                 yield i, k
 
 

@@ -220,8 +220,8 @@ def _actual_shape(p: HeckeElement, level: int) -> str:
         return f"finite at level {level}"
     if len(rows) == 1:
         (key, series), = rows
-        lo = "-inf" if series.support_min == NEG_INF else str(int(series.support_min))
-        hi = "+inf" if series.support_max == POS_INF else str(int(series.support_max))
+        lo = "-inf" if series.support_min == NEG_INF else str(series.support_min)
+        hi = "+inf" if series.support_max == POS_INF else str(series.support_max)
         return f"sheet {key.a} level {key.j} support {lo}..{hi}"
     return "mixed rows with infinite support"
 
@@ -238,11 +238,11 @@ def _target_window(p: HeckeElement, x: tuple, y: tuple) -> list[BasisIndex]:
     for key, series in sorted(p.rows):
         lo, hi = series.support_min, series.support_max
         if lo == NEG_INF:
-            ms = range(int(hi) - 5, int(hi) + 3)
+            ms = range(hi - 5, hi + 3)
         elif hi == POS_INF:
-            ms = range(int(lo) - 2, int(lo) + 6)
+            ms = range(lo - 2, lo + 6)
         else:
-            ms = range(int(lo) - 1, int(hi) + 2)
+            ms = range(lo - 1, hi + 2)
         for m in ms:
             targets.append(BasisIndex(key.a, m, key.j))
     return targets

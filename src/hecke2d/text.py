@@ -465,20 +465,20 @@ def _strip_latex(a: int, j: int, st: Strip) -> str:
         c = st.value_at(st.lo)
         base = f"\\chi^{{({a})}}_{{{st.lo},{j}}}"
         return base if c == ONE else f"({_latex_scalar(c)}) {base}"
-    if st.lo == NEG_INF:
-        head = f"\\sum_{{m <= {st.hi}}}"
-    elif st.hi == POS_INF:
-        head = f"\\sum_{{m >= {st.lo}}}"
-    else:
-        head = f"\\sum_{{m={st.lo}}}^{{{st.hi}}}"
+    # in normal form every strip that is not a point is a ray
+    ray = f"m <= {st.hi}" if st.lo == NEG_INF else f"m >= {st.lo}"
     body = " + ".join(_term_latex(t) for t in st.terms)
     if len(st.terms) > 1:
         body = f"({body})"
-    return f"{head} {body} \\chi^{{({a})}}_{{m,{j}}}"
+    return f"\\sum_{{{ray}}} {body} \\chi^{{({a})}}_{{m,{j}}}"
 
 
 def format_element(x: HeckeElement, mode: str = "text") -> str:
-    """Render an element as re-parseable text, JSON, or LaTeX."""
+    """Render an element as re-parseable text, JSON, or LaTeX.
+
+    Rows are in normal form (``chi`` terms and at most one ray each), so
+    equal elements render identically in every mode.
+    """
     if mode == "json":
         return json.dumps(element_to_json(x), sort_keys=True)
     if mode not in ("text", "latex"):

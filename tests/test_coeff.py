@@ -1,5 +1,6 @@
 """Exact rational-function scalars: arithmetic, parsing, and evaluation."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -99,3 +100,10 @@ def test_pow_matches_repeated_product():
     assert x**0 == ONE
     assert x**3 == x * x * x
     assert x**-2 == ONE / (x * x)
+
+
+@pytest.mark.parametrize("text,e", [("s^4000", 4000), ("s^-4000", -4000), ("q^2000", 4000)])
+def test_large_powers_parse_quickly(text, e):
+    start = time.perf_counter()
+    assert Coeff.parse(text) == Coeff.s_power(e)
+    assert time.perf_counter() - start < 1.0

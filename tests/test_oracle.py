@@ -161,6 +161,8 @@ def test_reps_pairwise_inequivalent():
             for w in reps[n + 1 :]:
                 assert not in_iwahori(w * z.inverse())
                 assert not in_iwahori(z * w.inverse())
+                # distinct cosets I*z, all inside the one coset eta*I
+                assert in_iwahori(z.inverse() * w)
 
 
 def test_enumeration_domain_errors():

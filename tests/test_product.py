@@ -172,16 +172,18 @@ def test_infinite_support_error_exists():
 
 
 def test_two_path_agreement_on_multi_strip_factors():
-    # factors with several strips, or several terms on one strip
+    # factors with a point next to a ray, and rays with polynomial terms
     factors = [
         mul(theta(0, -1), theta(-1, 0)),
         mul(phi(2), theta(0, -1)),
         mul(theta(0, 1), theta(-1, 0)),
         theta_monomial(-2, 1),
         mul(phi(2), phi(2)),
+        theta_monomial(-2, -2),
     ]
-    row = factors[0].row((2, -1))
-    assert len(row.strips) == 3 and max(len(s.terms) for s in row.strips) == 3
+    # in normal form: a point mass, then a ray whose term has degree 1
+    point, ray = factors[-1].row((1, -2)).strips
+    assert point.lo == point.hi == -2 and ray.hi == POS_INF and ray.terms[0].poly.degree == 1
     checked = 0
     for x in factors:
         for y in factors:
@@ -197,4 +199,4 @@ def test_two_path_agreement_on_multi_strip_factors():
             for t in sorted(targets):
                 assert coeff_of_product(x, y, t) == prod.coefficient_at(t.key, t.i), (x, y, t)
                 checked += 1
-    assert checked >= 90  # 99 distinct targets over the 13 nonzero products
+    assert checked >= 90  # 164 distinct targets over the 20 nonzero products
