@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .coeff import Coeff, ParseError
+from .coeff import Coeff, CoeffError, ParseError
 
 __all__ = [
     "NEG_INF",
@@ -599,7 +599,7 @@ def element_from_json(data: object) -> HeckeElement:
     """Rebuild an element from ``element_to_json`` output.
 
     Every malformed document raises :class:`ParseError`: a missing field, a
-    field of the wrong type, an unparseable coefficient, or a bad row shape.
+    field of the wrong type, a bad or oversized coefficient, or a bad row shape.
     """
     try:
         return HeckeElement(
@@ -611,5 +611,5 @@ def element_from_json(data: object) -> HeckeElement:
                 for row in _json_get(data, "rows", list)
             ]
         )
-    except ShapeError as err:
+    except (ShapeError, CoeffError) as err:
         raise ParseError(str(err)) from err

@@ -33,6 +33,9 @@ from .presets import chi, iota, phi, theta
 
 __all__ = ["ExprError", "format_element", "parse_element", "parse_scalar"]
 
+# exponents on elements and on terms in m count repeated products
+_MAX_EXPONENT = 16
+
 # Intermediate parse values: a scalar, a finished element, or the body of a
 # strip literal as a map from s-exponent step e to a polynomial in m.
 _MTerms = dict[int, IndexPoly]
@@ -259,6 +262,8 @@ class _ElementParser:
                     return base**k
                 except CoeffError as err:
                     raise ExprError(str(err), pos) from err
+            if k > _MAX_EXPONENT:
+                raise ExprError(f"exponent {k} above {_MAX_EXPONENT} on a non-scalar", pos)
             if isinstance(base, HeckeElement):
                 if k < 0:
                     raise ExprError("negative powers of elements are not defined", pos)

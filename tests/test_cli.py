@@ -174,3 +174,28 @@ def test_cli_refuses_oversized_enumerations_quickly(argv, capsys):
     assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(s+1)^100000 * chi(1,0,0)",  # a dense power of degree 100000
+        "2^1000000000 * chi(1,0,0)",  # an integer of 10^9 bits
+        "(s^100000 + 1) * chi(1,0,0)",  # a dense sum of width 100000
+        "chi(1,1,0)^100000",  # 100000 convolutions
+        "strip(1,-1,0..inf: m^100000)",  # a polynomial in m of degree 100000
+    ],
+)
+def test_cli_refuses_oversized_powers_quickly(expr, capsys):
+    start = time.perf_counter()
+    assert main(["coeff", expr, "--at", "1,0,0"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_monomial_powers_stay_unbounded(capsys):
+    assert main(["coeff", "s^100000 * chi(1,0,0) + s^-100000 * chi(2,0,0)", "--at", "2,0,0"]) == 0
+    assert capsys.readouterr().out.strip() == "1/s^100000"
+    assert main(["coeff", "(s^60000 + 1)*chi(1,0,0)", "--at", "1,0,0"]) == 0
+    assert capsys.readouterr().out.strip() == "s^60000 + 1"

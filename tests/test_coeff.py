@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,3 +108,85 @@ def test_large_powers_parse_quickly(text, e):
     start = time.perf_counter()
     assert Coeff.parse(text) == Coeff.s_power(e)
     assert time.perf_counter() - start < 1.0
+
+
+# -- the stored form s^k * n/d ----------------------------------------------------
+
+
+def _laurent(k: int, nums: list[int], dens: list[int]) -> Coeff:
+    # s^k * nums/dens, where nums and dens may still share factors and powers of s
+    return Coeff((0,) * max(k, 0) + tuple(nums), (0,) * max(-k, 0) + tuple(dens))
+
+
+laurents = st.builds(_laurent, st.integers(-40, 40), small_polys, nonzero_polys)
+POINTS = (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4))
+
+
+def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _rational_gcd_degree(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Degree of gcd(a, b) in Q[s], by Euclid over Fractions."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            f, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _assert_canonical(x: Coeff) -> None:
+    k, n, d = x._v
+    if not n:
+        assert x._v == (0, (), (1,))
+        return
+    assert n[0] and n[-1] and d[0] and d[-1] > 0  # trimmed, prime to s, d[-1] > 0
+    assert gcd(*n, *d) == 1 and _rational_gcd_degree(n, d) == 0
+
+
+def _value_at(x: Coeff, s0: Fraction):
+    try:
+        return x.eval_at_s(s0)
+    except PoleError:
+        return None
+
+
+@given(laurents, laurents, st.integers(-3, 3))
+def test_laurent_arithmetic_matches_exact_evaluation(x, y, e):
+    got = {"+": x + y, "-": x - y, "*": x * y}
+    if y:
+        got["/"] = x / y
+    if x or e >= 0:
+        got["**"] = x**e
+    for r in got.values():
+        _assert_canonical(r)
+        assert Coeff(r.num, r.den) == r
+        assert Coeff.parse(str(r)) == r
+    for s0 in POINTS:
+        vx, vy = _value_at(x, s0), _value_at(y, s0)
+        if vx is None or vy is None:
+            continue
+        want = {"+": vx + vy, "-": vx - vy, "*": vx * vy}
+        if vy:
+            want["/"] = vx / vy
+        if vx or e >= 0:
+            want["**"] = vx**e
+        for op, v in want.items():
+            assert got[op].eval_at_s(s0) == v, (op, s0)
+
+
+@given(laurents, nonzero_polys, st.integers(0, 5), laurents.filter(bool))
+def test_equal_laurent_values_have_equal_hashes(x, f, j, z):
+    spread = (0,) * j + tuple(f)  # a common factor f * s^j on both sides
+    for y in (Coeff(_times(x.num, spread), _times(x.den, spread)), x * z / z, x + z - z):
+        _assert_canonical(y)
+        assert y == x and hash(y) == hash(x)

@@ -159,7 +159,7 @@ def test_power_rebuilds_from_identity():
         x**-1
 
 
-def test_equality_is_semantic_not_structural():
+def test_equality_is_structural_on_the_normal_form():
     split = _ray(2, -1, 0, 0) + _ray(2, -1, 1, POS_INF)
     whole = _ray(2, -1, 0, POS_INF)
     assert split == whole
@@ -345,3 +345,11 @@ def test_wide_level_zero_products_finish_quickly(n, status, budget, capsys):
     assert main(["mul", f"chi(1,{n},0)", f"chi(1,-{n},0)"]) == status
     assert time.perf_counter() - start < budget
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_wide_level_zero_product_is_refused_within_a_second(capsys):
+    start = time.perf_counter()
+    assert main(["mul", "chi(1,600,0)", "chi(1,-600,0)"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
