@@ -140,6 +140,8 @@ def _cancel(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ..
         if g == 1:
             return a, b
         return tuple(c // g for c in a), tuple(c // g for c in b)
+    if min(len(a), len(b)) > _MAX_GCD_DEGREE + 1:
+        raise CoeffError(f"gcd too large: degrees {len(a) - 1} and {len(b) - 1}")
     g = _pgcd(a, b)
     if g == _PONE:
         return a, b
@@ -196,9 +198,11 @@ def _pstr(a: tuple[int, ...], shift: int = 0) -> str:
 
 # Refused before they are built: a power whose exponent times its base's size
 # (deg n + deg d + bit length of the largest coefficient - 1, so 0 for +-s^k)
-# passes _MAX_POWER_SIZE, and a sum of terms more than _MAX_GAP powers of s apart.
+# passes _MAX_POWER_SIZE, a sum of terms more than _MAX_GAP powers of s apart,
+# and a gcd (worse than cubic) of two polynomials of degree over _MAX_GCD_DEGREE.
 _MAX_POWER_SIZE = 1024
 _MAX_GAP = 1 << 16
+_MAX_GCD_DEGREE = 64
 
 # ---------------------------------------------------------------------------
 

@@ -5,9 +5,9 @@ symbolic product tables.  Field elements are Laurent polynomials in t1, t2
 with coefficients mod q; every matrix this module touches stays inside that
 dense subring, so valuations, coset classification, and convolution counts
 are all exact.  Structure coefficients at level zero come out of
-product_counts by enumerating coset representatives, tallying them by their
-four entry valuations, and applying classify's chamber rule to those
-valuations shifted by each target's monomial representative; the suites
+product_counts, which reads the coset representatives' entry valuations and
+their multiplicities from a closed-form census and applies classify's chamber
+rule to them shifted by each target's monomial representative; the suites
 compare them against the symbolic engine evaluated at the same q.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from fractions import Fraction
 from random import Random
 from typing import Iterator, Mapping, Union
@@ -218,24 +217,20 @@ def identity_matrix(q: int) -> LocalFieldMatrix:
     return LocalFieldMatrix(one, zero, zero, one)
 
 
+def _eta(a: int, i: int, j: int) -> tuple:
+    # entries of eta(a, i, j): None for zero, (e1, e2, c) for c*t1^e1*t2^e2 (-1 is q - 1)
+    return ((i, j, 1), None, None, (-i, -j, 1)) if a == 1 else (None, (i, j, 1), (-i, -j, -1), None)
+
+
+def _fill(q: int, entries: tuple) -> list[FieldElem2]:
+    return [FieldElem2(q, {} if e is None else {e[:2]: e[2]}) for e in entries]
+
+
 def eta_matrix(a: int, i: int, j: int, q: int) -> LocalFieldMatrix:
     """The standard representative of the (a, i, j) double coset."""
-    zero = FieldElem2.zero(q)
-    if a == 1:
-        return LocalFieldMatrix(
-            FieldElem2.monomial(q, i, j),
-            zero,
-            zero,
-            FieldElem2.monomial(q, -i, -j),
-        )
-    if a == 2:
-        return LocalFieldMatrix(
-            zero,
-            FieldElem2.monomial(q, i, j),
-            FieldElem2.monomial(q, -i, -j, q - 1),
-            zero,
-        )
-    raise ValueError(f"sheet must be 1 or 2, got {a}")
+    if a not in (1, 2):
+        raise ValueError(f"sheet must be 1 or 2, got {a}")
+    return LocalFieldMatrix(*_fill(q, _eta(a, i, j)))
 
 
 def in_iwahori(x: LocalFieldMatrix) -> bool:
@@ -267,76 +262,86 @@ def _chamber(va: Valuation, vb: Valuation, vc: Valuation, vd: Valuation) -> Basi
     raise ValueError("no chamber matched; determinant invariant violated")
 
 
-def _shift(v: Valuation, e1: int) -> Valuation:
-    # the valuation of t1^e1 * x, given v = valuation(x)
-    return v if v == INFINITE else (v[0] + e1, v[1])
-
-
 # ---------------------------------------------------------------------------
 # coset representatives at level zero
 
 
+def _check_cell(a: int, i: int, q: int, limit: int) -> None:
+    _check_q(q)
+    if isinstance(a, bool) or isinstance(i, bool) or a not in (1, 2):
+        raise EnumerationError(f"sheet must be 1 or 2 and index an integer, got ({a!r}, {i!r})")
+    if abs(i) > limit:
+        raise EnumerationError(f"|i| = {abs(i)} exceeds the enumeration limit {limit}")
+    if (count := q ** (2 * abs(i) if a == 1 else abs(2 * i + 1))) > _MAX_REPS:
+        raise EnumerationError(f"({a},{i}) has {count} cosets at q={q}, over the cap {_MAX_REPS}")
+
+
+def _families(a: int, i: int) -> Iterator[tuple[tuple, int, int]]:
+    # The (a, i, 0) double coset as families (entries, slot, degree), entries as
+    # in _eta; the one in slot is multiplied by every unit lift of degree.  Eta
+    # comes first (degree 0); each other one fills a zero entry with sign*t1^e.
+    eta = _eta(a, i, 0)
+    yield eta, 0, 0
+    top = i if i >= 0 else -i - 1
+    slot, sign, lo = {(1, True): (2, 1, 1 - i), (1, False): (1, 1, i),
+                      (2, True): (3, -1, -i), (2, False): (0, 1, i + 1)}[a, i >= 0]
+    for e in range(lo, top + 1):
+        yield tuple((e, 0, sign) if n == slot else f for n, f in enumerate(eta)), slot, top + 1 - e
+
+
 def _unit_lifts(q: int, degree: int) -> Iterator[FieldElem2]:
-    # polynomials in t1 of degree < degree with nonzero constant term:
-    # exactly one lift per unit of the degree-truncated quotient ring
-    for coeffs in itertools.product(range(1, q), *[range(q)] * (degree - 1)):
-        yield FieldElem2(q, {(n, 0): c for n, c in enumerate(coeffs)})
-
-
-def _t1(q: int, e: int, c: int = 1) -> FieldElem2:
-    return FieldElem2.monomial(q, e, 0, c)
+    # polynomials in t1 of degree < degree with nonzero constant term: one lift
+    # per unit of the degree-truncated quotient ring (just 1 at degree 0)
+    lifts = itertools.product(range(1, q), *[range(q)] * (degree - 1)) if degree else [(1,)]
+    return (FieldElem2(q, {(n, 0): c for n, c in enumerate(cs)}) for cs in lifts)
 
 
 def enumerate_reps(a: int, i: int, q: int, *, limit: int = 4) -> list[LocalFieldMatrix]:
     """One representative z of each coset I*z in the level-zero (a, i) double coset.
 
     For two representatives u, v, v*u^-1 is not in I, so their cosets I*z
-    differ, while u^-1*v is in I: all of them lie in eta*I.  The list
-    always starts with the standard representative eta; the rest are its
-    one-parameter perturbations, one per unit lift.  Only level zero is
-    enumerable (elsewhere the coset space is not even countable).  The list
+    differ, while u^-1*v is in I: all of them lie in eta*I.  The list starts
+    with the standard representative eta; the rest expand each family of
+    _families by its unit lifts.  Only level zero is enumerable.  The list
     has q^{2|i|} entries on sheet 1 and q^{|2i+1|} on sheet 2, so the index
-    is capped, and so is that count, before anything is built.
+    and that count are capped before anything is built; counting products
+    reads the same families through _census and builds nothing.
     """
-    _check_q(q)
-    if isinstance(a, bool) or isinstance(i, bool) or a not in (1, 2):
-        raise EnumerationError(f"sheet must be 1 or 2 and index an integer, got ({a!r}, {i!r})")
-    if abs(i) > limit:
-        raise EnumerationError(f"|i| = {abs(i)} exceeds the enumeration limit {limit}")
-    count = q ** (2 * abs(i) if a == 1 else abs(2 * i + 1))
-    if count > _MAX_REPS:
-        raise EnumerationError(f"({a},{i}) has {count} cosets at q={q}, over the cap {_MAX_REPS}")
-    zero = FieldElem2.zero(q)
-    reps = [eta_matrix(a, i, 0, q)]
-    if a == 1 and i >= 0:
-        for k in range(1, 2 * i + 1):
-            for u in _unit_lifts(q, 2 * i - k + 1):
-                reps.append(
-                    LocalFieldMatrix(_t1(q, i), zero, _t1(q, -i + k) * u, _t1(q, -i))
-                )
-    elif a == 1:
-        for k in range(0, -2 * i):
-            for u in _unit_lifts(q, -2 * i - k):
-                reps.append(
-                    LocalFieldMatrix(_t1(q, i), _t1(q, i + k) * u, zero, _t1(q, -i))
-                )
-    elif i >= 0:
-        for k in range(0, 2 * i + 1):
-            for u in _unit_lifts(q, 2 * i - k + 1):
-                reps.append(
-                    LocalFieldMatrix(
-                        zero, _t1(q, i), _t1(q, -i, q - 1), _t1(q, -i + k, q - 1) * u
-                    )
-                )
-    else:
-        for k in range(1, -2 * i):
-            for u in _unit_lifts(q, -2 * i - k):
-                reps.append(
-                    LocalFieldMatrix(
-                        _t1(q, i + k) * u, _t1(q, i), _t1(q, -i, q - 1), zero
-                    )
-                )
+    _check_cell(a, i, q, limit)
+    reps = []
+    for entries, slot, degree in _families(a, i):
+        fixed = _fill(q, entries)
+        for u in _unit_lifts(q, degree):
+            reps.append(LocalFieldMatrix(*(f * u if n == slot else f for n, f in enumerate(fixed))))
     return reps
+
+
+def _census(b: int, k: int, q):
+    # {entry valuations: multiplicity} of enumerate_reps(b, k, q), uncapped; a
+    # family of degree d has (q-1)*q^(d-1) members. q may be Coeff.q_power(1).
+    return {
+        tuple(INFINITE if e is None else e[:2] for e in entries):
+            (q - 1) * q ** (degree - 1) if degree else 1
+        for entries, _, degree in _families(b, k)
+    }
+
+
+def _count(x: BasisIndex, y: BasisIndex, q) -> dict:
+    # q * product_counts(x, y, q), for any q that _census takes
+    out, span, census = {}, abs(x[1]) + abs(y[1]) + 1, _census(y[0], y[1], q)
+    for c in (1, 2):
+        for m in range(-span, span + 1):
+            n, shifts = 0, (m, m, -m, -m)
+            for (va, vb, vc, vd), count in census.items():
+                # z^{-1} = [[d, -b], [-c, a]]; eta(c, m, 0) scales its rows by
+                # t1^m and t1^-m, and for c = 2 also swaps them
+                vals = (vd, vb, vc, va) if c == 1 else (vc, va, vd, vb)
+                shifted = (v if v == INFINITE else (v[0] + e, v[1]) for v, e in zip(vals, shifts))
+                if _chamber(*shifted) == x:
+                    n += count
+            if n:
+                out[BasisIndex(c, m, 0)] = n
+    return out
 
 
 def product_counts(
@@ -347,39 +352,23 @@ def product_counts(
     The coefficient at a target label is 1/q times the number of
     representatives z of the right factor whose adjusted product
     eta(target) * z^{-1} classifies into the left factor's coset.  As
-    eta(c, m, 0) is monomial, each entry of that product is an entry of z
-    times +-t1^{+-m}, so the chamber rule runs on shifted entry valuations of
-    z, once per distinct valuation tuple, and no matrix product is built.
+    eta(c, m, 0) is monomial, the chamber rule runs on z's entry valuations,
+    shifted, taken with their multiplicities from the census: no
+    representative and no matrix is built.  The right factor must lie in
+    enumerate_reps's domain, whose cap bounds the domain, not the work.
     Keys are emitted in sorted label order and zero coefficients are dropped.
     """
     if any(isinstance(v, bool) for v in (*x, *y)):
         raise EnumerationError(f"labels must be integers, got {tuple(x)} and {tuple(y)}")
-    a, i, j = BasisIndex(*x)
-    b, k, l = BasisIndex(*y)
+    (a, i, j), (b, k, l) = BasisIndex(*x), BasisIndex(*y)
     if a not in (1, 2):
         raise EnumerationError(f"sheet must be 1 or 2, got {a!r}")
     if j != 0 or l != 0:
         raise EnumerationError("counting products requires both levels zero")
     if abs(i) > limit:
         raise EnumerationError(f"|i| = {abs(i)} exceeds the enumeration limit {limit}")
-    tally = Counter(
-        tuple(valuation(e) for e in z.entries()) for z in enumerate_reps(b, k, q, limit=limit)
-    )
-    left = (a, i, 0)
-    out: dict[BasisIndex, Fraction] = {}
-    span = abs(i) + abs(k) + 1
-    for c in (1, 2):
-        for m in range(-span, span + 1):
-            n = 0
-            for (va, vb, vc, vd), count in tally.items():
-                # z^{-1} = [[d, -b], [-c, a]]; eta(c, m, 0) scales its rows by
-                # t1^m and t1^-m, and for c = 2 also swaps them
-                entries = (vd, vb, vc, va) if c == 1 else (vc, va, vd, vb)
-                if _chamber(*map(_shift, entries, (m, m, -m, -m))) == left:
-                    n += count
-            if n:
-                out[BasisIndex(c, m, 0)] = Fraction(n, q)
-    return out
+    _check_cell(b, k, q, limit)
+    return {t: Fraction(n, q) for t, n in _count(BasisIndex(*x), BasisIndex(*y), q).items()}
 
 
 # ---------------------------------------------------------------------------

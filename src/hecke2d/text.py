@@ -33,7 +33,7 @@ from .presets import chi, iota, phi, theta
 
 __all__ = ["ExprError", "format_element", "parse_element", "parse_scalar"]
 
-# exponents on elements and on terms in m count repeated products
+# caps the product of the exponents on an element or a term in m along a chain
 _MAX_EXPONENT = 16
 
 # Intermediate parse values: a scalar, a finished element, or the body of a
@@ -149,6 +149,7 @@ class _ElementParser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.at = 0
+        self.scale = 1  # product of the exponents on the enclosing atoms
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -211,9 +212,25 @@ class _ElementParser:
             return self.factor(in_strip)
         return self.power(in_strip)
 
+    def chain(self) -> int:
+        # the product of the integer exponents chained on the atom at self.at,
+        # read ahead so that a power inside the atom is refused before it is built
+        toks, n, depth, out, exponent = self.tokens, self.at, 0, 1, False
+        while toks[n].kind != "end":
+            depth += {"(": 1, ")": -1}.get(toks[n].text, 0)
+            if exponent and toks[n].kind == "int":
+                out, exponent = out * max(int(toks[n].text), 1), False
+            n += 1
+            if depth <= 0 and toks[n].text != "(" and toks[n - 1].text not in ("^", "-"):
+                if toks[n].text != "^":
+                    break
+                exponent = True
+        return out
+
     def power(self, in_strip: bool) -> _Value:
         start = self.at
         head = self.peek()
+        outer, self.scale = self.scale, self.scale * self.chain()
         base = self.atom(in_strip)
         # an exponent linear in m is only meaningful on a bare q or s
         bare = self.at == start + 1 and head.kind == "name"
@@ -222,6 +239,7 @@ class _ElementParser:
             caret = self.take()
             base = self.apply_exponent(base, caret.pos, in_strip, qs_name)
             qs_name = ""
+        self.scale = outer
         return base
 
     def exponent(self) -> tuple[str, int]:
@@ -262,8 +280,8 @@ class _ElementParser:
                     return base**k
                 except CoeffError as err:
                     raise ExprError(str(err), pos) from err
-            if k > _MAX_EXPONENT:
-                raise ExprError(f"exponent {k} above {_MAX_EXPONENT} on a non-scalar", pos)
+            if self.scale > _MAX_EXPONENT:
+                raise ExprError(f"exponents multiply to {self.scale}, above {_MAX_EXPONENT}", pos)
             if isinstance(base, HeckeElement):
                 if k < 0:
                     raise ExprError("negative powers of elements are not defined", pos)

@@ -34,6 +34,8 @@ def test_star_binds_tighter_than_sum():
 def test_convolution_and_powers():
     assert parse_element("theta(1,0)*theta(-1,0)") == iota()
     assert parse_element("chi(2,0,0)^2") == mul(chi(2, 0, 0), chi(2, 0, 0))
+    # a chain of powers within the cap still answers
+    assert parse_element("(chi(1,1,0)^4)^4") == parse_element("chi(1,1,0)^16")
 
 
 def test_strip_literal():
@@ -184,6 +186,9 @@ def test_cli_refuses_oversized_enumerations_quickly(argv, capsys):
         "(s^100000 + 1) * chi(1,0,0)",  # a dense sum of width 100000
         "chi(1,1,0)^100000",  # 100000 convolutions
         "strip(1,-1,0..inf: m^100000)",  # a polynomial in m of degree 100000
+        "(1/((s+1)^200 + 1) + 1/((s+2)^200 + 1))*chi(1,0,0)",  # a gcd at degree 200
+        "(theta(-1,0)^16)^4",  # exponents multiplying to 64 along a chain
+        "(chi(1,1,0)^16)^16",  # and to 256
     ],
 )
 def test_cli_refuses_oversized_powers_quickly(expr, capsys):

@@ -1,6 +1,8 @@
 """Finite-field counting oracle: field arithmetic, classification, enumeration."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from hecke2d import (
     BasisIndex,
+    Coeff,
     EnumerationError,
     FieldElem2,
     LocalFieldMatrix,
@@ -15,6 +18,7 @@ from hecke2d import (
     chi,
     classify,
     enumerate_reps,
+    mul_basis,
     oracle,
     product_counts,
     valuation,
@@ -240,8 +244,36 @@ def test_product_counts_match_literal_matrix_counts(q):
                     assert list(got.items()) == list(want.items()), (x, y, q)
 
 
+@pytest.mark.parametrize("q, bound", [(2, 3), (3, 3), (5, 2)])
+def test_census_matches_enumerated_valuations(q, bound):
+    for b in (1, 2):
+        for k in range(-bound, bound + 1):
+            tally = Counter(tuple(map(valuation, z.entries())) for z in enumerate_reps(b, k, q))
+            assert oracle._census(b, k, q) == tally, (b, k, q)
+
+
+def test_counts_match_the_table_for_every_q():
+    # q = s^2 symbolic: each count is a polynomial in q, so this is an
+    # identity in q, not a check at sample values
+    q = Coeff.q_power(1)
+    for a, b in itertools.product((1, 2), repeat=2):
+        for i, k in itertools.product(range(-6, 7), repeat=2):
+            x, y = BasisIndex(a, i, 0), BasisIndex(b, k, 0)
+            counts, table = oracle._count(x, y, q), mul_basis(x, y)
+            span = abs(i) + abs(k) + 1
+            assert all(
+                key.j == 0 and -span <= st.lo and st.hi <= span
+                for key, series in table.rows
+                for st in series.strips
+            ), (x, y)
+            for c in (1, 2):
+                for m in range(-span, span + 1):
+                    want = table.coefficient_at((c, 0), m)
+                    assert counts.get(BasisIndex(c, m, 0), 0) / q == want, (x, y, c, m)
+
+
 def test_product_counts_builds_no_matrix_products(monkeypatch):
-    calls = {"mul": 0, "inverse": 0, "classify": 0}
+    calls = {"mul": 0, "inverse": 0, "classify": 0, "matrix": 0, "field": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -250,13 +282,16 @@ def test_product_counts_builds_no_matrix_products(monkeypatch):
 
         return wrapper
 
-    M = oracle.LocalFieldMatrix
+    M, F = oracle.LocalFieldMatrix, oracle.FieldElem2
     monkeypatch.setattr(M, "__mul__", counted("mul", M.__mul__))
     monkeypatch.setattr(M, "inverse", counted("inverse", M.inverse))
     monkeypatch.setattr(oracle, "classify", counted("classify", oracle.classify))
+    monkeypatch.setattr(M, "__init__", counted("matrix", M.__init__))
+    monkeypatch.setattr(F, "__init__", counted("field", F.__init__))
     assert product_counts((1, 2, 0), (2, -2, 0), 3)
-    assert calls == {"mul": 0, "inverse": 0, "classify": 0}
-    # the wrappers are live: the literal route goes through all three
+    assert product_counts((2, 4, 0), (1, -3, 0), 5)
+    assert calls == {"mul": 0, "inverse": 0, "classify": 0, "matrix": 0, "field": 0}
+    # the wrappers are live: the literal route goes through all five
     oracle.classify(eta_matrix(1, 0, 0, 3) * identity_matrix(3).inverse())
     assert min(calls.values()) == 1
 
