@@ -9,7 +9,8 @@ coefficients once s^2 is replaced by the chosen prime q.
 """
 
 from hecke2d import BasisIndex, chi, classify, mul, product_counts, valuation
-from hecke2d.oracle import enumerate_reps, eta_matrix, in_iwahori, parse_matrix
+from hecke2d.oracle import enumerate_reps, eta_matrix, in_iwahori
+from hecke2d.text import parse_matrix
 
 q = 3
 

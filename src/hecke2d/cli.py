@@ -1,7 +1,7 @@
 """Command-line front end: argparse and the subcommands.
 
-Element expressions are read with :func:`hecke2d.text.parse_element` and
-printed with :func:`hecke2d.text.format_element`; both, and ``ExprError``,
+Element expressions and matrix literals are read and printed by
+:mod:`hecke2d.text`; ``parse_element``, ``format_element`` and ``ExprError``
 are importable from here under the same names.
 """
 
@@ -14,10 +14,10 @@ from typing import Optional, Sequence
 
 from .coeff import CoeffError
 from .element import BasisIndex, values_at_q
-from .oracle import EnumerationError, classify, enumerate_reps, parse_matrix, product_counts
+from .oracle import EnumerationError, classify, enumerate_reps, product_counts
 from .product import mul, mul_basis
 from .suites import run_suite
-from .text import ExprError, format_element, parse_element
+from .text import ExprError, format_element, format_matrix, parse_element, parse_matrix
 
 __all__ = ["ExprError", "format_element", "main", "parse_element"]
 
@@ -64,7 +64,7 @@ def _cmd_reps(args: argparse.Namespace) -> int:
         print(len(reps))
     else:
         for rep in reps:
-            print(rep.text())
+            print(format_matrix(rep))
     return 0
 
 

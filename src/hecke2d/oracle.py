@@ -8,13 +8,13 @@ are all exact.  Structure coefficients at level zero come out of
 product_counts, which reads the coset representatives' entry valuations and
 their multiplicities from a closed-form census and applies classify's chamber
 rule to them shifted by each target's monomial representative; the suites
-compare them against the symbolic engine evaluated at the same q.
+compare them against the symbolic engine evaluated at the same q.  Matrix
+literals are read and written by hecke2d.text, which owns every text format.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from fractions import Fraction
 from random import Random
 from typing import Iterator, Mapping, Union
@@ -32,8 +32,6 @@ __all__ = [
     "identity_matrix",
     "in_iwahori",
     "iwahori_sample",
-    "parse_field_elem",
-    "parse_matrix",
     "product_counts",
     "valuation",
 ]
@@ -42,6 +40,9 @@ _PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17))
 
 #: Most coset representatives enumerate_reps builds in one call.
 _MAX_REPS = 200_000
+
+#: Largest |i| that enumerate_reps and product_counts take.
+_MAX_INDEX = 4
 
 #: Valuation of the zero element; compares above every finite pair.
 INFINITE = float("inf")
@@ -88,9 +89,6 @@ class FieldElem2:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(sorted(self._coeffs.items(), key=lambda kv: _exp_key(kv[0])))
-
     def _match(self, other: "FieldElem2") -> None:
         if self.q != other.q:
             raise ValueError(f"mixed moduli {self.q} and {other.q}")
@@ -125,36 +123,15 @@ class FieldElem2:
     def __hash__(self) -> int:
         return hash((self.q, frozenset(self._coeffs.items())))
 
-    def text(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for (e1, e2), c in self.items():
-            factors = []
-            if c != 1 or (e1 == 0 and e2 == 0):
-                factors.append(str(c))
-            if e1:
-                factors.append("t1" if e1 == 1 else f"t1^{e1}")
-            if e2:
-                factors.append("t2" if e2 == 1 else f"t2^{e2}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
     def __repr__(self) -> str:
-        return f"FieldElem2(q={self.q}, {self.text()})"
+        from .text import _entry_text
 
-
-def _exp_key(e: tuple[int, int]) -> tuple[int, int]:
-    # right-lex order: compare the t2 exponent first
-    return (e[1], e[0])
+        return f"FieldElem2(q={self.q}, {_entry_text(self)})"
 
 
 def valuation(x: FieldElem2) -> Valuation:
-    """Right-lex minimum of the exponents present; INFINITE for zero."""
-    if x.is_zero():
-        return INFINITE
-    e2, e1 = min(_exp_key(e) for e in x._coeffs)
-    return (e1, e2)
+    """Right-lex (t2 first) minimum of the exponents present; INFINITE for zero."""
+    return min(x._coeffs, key=_val_key, default=INFINITE)
 
 
 def _val_key(v: Valuation) -> tuple[float, float]:
@@ -204,12 +181,10 @@ class LocalFieldMatrix:
     def __hash__(self) -> int:
         return hash(self.entries())
 
-    def text(self) -> str:
-        a, b, c, d = (e.text() for e in self.entries())
-        return f"[[{a},{b}],[{c},{d}]]"
-
     def __repr__(self) -> str:
-        return f"LocalFieldMatrix(q={self.q}, {self.text()})"
+        from .text import format_matrix
+
+        return f"LocalFieldMatrix(q={self.q}, {format_matrix(self)})"
 
 
 def identity_matrix(q: int) -> LocalFieldMatrix:
@@ -266,12 +241,16 @@ def _chamber(va: Valuation, vb: Valuation, vc: Valuation, vd: Valuation) -> Basi
 # coset representatives at level zero
 
 
-def _check_cell(a: int, i: int, q: int, limit: int) -> None:
+def _check_index(i: int) -> None:
+    if abs(i) > _MAX_INDEX:
+        raise EnumerationError(f"|i| = {abs(i)} exceeds the enumeration limit {_MAX_INDEX}")
+
+
+def _check_cell(a: int, i: int, q: int) -> None:
     _check_q(q)
     if isinstance(a, bool) or isinstance(i, bool) or a not in (1, 2):
         raise EnumerationError(f"sheet must be 1 or 2 and index an integer, got ({a!r}, {i!r})")
-    if abs(i) > limit:
-        raise EnumerationError(f"|i| = {abs(i)} exceeds the enumeration limit {limit}")
+    _check_index(i)
     if (count := q ** (2 * abs(i) if a == 1 else abs(2 * i + 1))) > _MAX_REPS:
         raise EnumerationError(f"({a},{i}) has {count} cosets at q={q}, over the cap {_MAX_REPS}")
 
@@ -296,7 +275,7 @@ def _unit_lifts(q: int, degree: int) -> Iterator[FieldElem2]:
     return (FieldElem2(q, {(n, 0): c for n, c in enumerate(cs)}) for cs in lifts)
 
 
-def enumerate_reps(a: int, i: int, q: int, *, limit: int = 4) -> list[LocalFieldMatrix]:
+def enumerate_reps(a: int, i: int, q: int) -> list[LocalFieldMatrix]:
     """One representative z of each coset I*z in the level-zero (a, i) double coset.
 
     For two representatives u, v, v*u^-1 is not in I, so their cosets I*z
@@ -307,7 +286,7 @@ def enumerate_reps(a: int, i: int, q: int, *, limit: int = 4) -> list[LocalField
     and that count are capped before anything is built; counting products
     reads the same families through _census and builds nothing.
     """
-    _check_cell(a, i, q, limit)
+    _check_cell(a, i, q)
     reps = []
     for entries, slot, degree in _families(a, i):
         fixed = _fill(q, entries)
@@ -344,9 +323,7 @@ def _count(x: BasisIndex, y: BasisIndex, q) -> dict:
     return out
 
 
-def product_counts(
-    x: BasisIndex, y: BasisIndex, q: int, *, limit: int = 4
-) -> dict[BasisIndex, Fraction]:
+def product_counts(x: BasisIndex, y: BasisIndex, q: int) -> dict[BasisIndex, Fraction]:
     """Convolution coefficients of two level-zero basis functions, by counting.
 
     The coefficient at a target label is 1/q times the number of
@@ -365,9 +342,8 @@ def product_counts(
         raise EnumerationError(f"sheet must be 1 or 2, got {a!r}")
     if j != 0 or l != 0:
         raise EnumerationError("counting products requires both levels zero")
-    if abs(i) > limit:
-        raise EnumerationError(f"|i| = {abs(i)} exceeds the enumeration limit {limit}")
-    _check_cell(b, k, q, limit)
+    _check_index(i)
+    _check_cell(b, k, q)
     return {t: Fraction(n, q) for t, n in _count(BasisIndex(*x), BasisIndex(*y), q).items()}
 
 
@@ -410,102 +386,3 @@ def _random_integral(
         if (e2, e1) >= (bound[1], bound[0]):
             coeffs[(e1, e2)] = rng.randrange(q)
     return FieldElem2(q, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# literal syntax for entries and matrices, e.g. "[[t1*t2,0],[0,t1^-1*t2^-1]]"
-
-_TOKEN_RE = re.compile(r"\s*(t1|t2|\d+|\^|\*|\+|-|\[|\]|,)")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.items: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ValueError(f"bad character at {text[pos:pos + 8]!r}")
-            self.items.append(m.group(1))
-            pos = m.end()
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"expected {expected or 'a token'}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-
-def _parse_int(toks: _Tokens) -> int:
-    sign = 1
-    if toks.peek() == "-":
-        toks.take()
-        sign = -1
-    return sign * int(toks.take())
-
-
-def _parse_factor(toks: _Tokens, q: int) -> FieldElem2:
-    tok = toks.peek()
-    if tok == "-":
-        # a negated monomial entry such as -t1^-1*t2^-1
-        toks.take()
-        return -_parse_factor(toks, q)
-    if tok in ("t1", "t2"):
-        toks.take()
-        e = 1
-        if toks.peek() == "^":
-            toks.take()
-            e = _parse_int(toks)
-        return FieldElem2.monomial(q, e if tok == "t1" else 0, e if tok == "t2" else 0)
-    return FieldElem2.monomial(q, 0, 0, _parse_int(toks))
-
-
-def _parse_term(toks: _Tokens, q: int) -> FieldElem2:
-    out = _parse_factor(toks, q)
-    while toks.peek() == "*":
-        toks.take()
-        out = out * _parse_factor(toks, q)
-    return out
-
-
-def _parse_sum(toks: _Tokens, q: int) -> FieldElem2:
-    out = _parse_term(toks, q)
-    while toks.peek() in ("+", "-"):
-        op = toks.take()
-        term = _parse_term(toks, q)
-        out = out + term if op == "+" else out - term
-    return out
-
-
-def parse_field_elem(text: str, q: int) -> FieldElem2:
-    """Parse a Laurent polynomial in t1, t2 with integer coefficients."""
-    toks = _Tokens(text)
-    out = _parse_sum(toks, q)
-    if toks.peek() is not None:
-        raise ValueError(f"trailing input at {toks.peek()!r}")
-    return out
-
-
-def parse_matrix(text: str, q: int) -> LocalFieldMatrix:
-    """Parse a matrix literal [[a,b],[c,d]] of Laurent polynomial entries."""
-    toks = _Tokens(text)
-    toks.take("[")
-    rows = []
-    for row in range(2):
-        toks.take("[")
-        first = _parse_sum(toks, q)
-        toks.take(",")
-        second = _parse_sum(toks, q)
-        toks.take("]")
-        rows.append((first, second))
-        if row == 0:
-            toks.take(",")
-    toks.take("]")
-    if toks.peek() is not None:
-        raise ValueError(f"trailing input at {toks.peek()!r}")
-    return LocalFieldMatrix(rows[0][0], rows[0][1], rows[1][0], rows[1][1])

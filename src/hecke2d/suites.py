@@ -42,7 +42,6 @@ from .element import (
     zero_element,
 )
 from .oracle import (
-    EnumerationError,
     classify,
     enumerate_reps,
     eta_matrix,
@@ -250,8 +249,6 @@ def _target_window(p: HeckeElement, x: tuple, y: tuple) -> list[BasisIndex]:
 
 def _suite_table_oracle(report: Report, p: _Params) -> None:
     n = p.bound(2)
-    if n > 4:
-        raise EnumerationError("index bound for counting suites is capped at 4")
     for q in p.qs:
         for a, b in itertools.product((1, 2), repeat=2):
             for i, k in itertools.product(range(-n, n + 1), repeat=2):

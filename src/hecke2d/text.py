@@ -1,4 +1,4 @@
-"""The text layer: one grammar and one renderer for scalars and elements.
+"""The text layer: one tokenizer, grammar and renderer for every text input.
 
 Expressions are sums and differences of scalar-weighted atoms (``chi(a,i,j)``,
 ``iota``, ``theta(i,j)``, ``phi0``..``phi2``, ``strip(...)`` literals), with
@@ -6,6 +6,11 @@ infix ``*`` for convolution and scalars rational in ``q`` and ``s``.
 ``parse_element`` and ``format_element`` round-trip exactly, so every printed
 element is valid input again.  ``parse_scalar`` reads the same grammar and
 requires a scalar result; ``Coeff.parse`` is that function.
+
+Matrix literals ``[[a,b],[c,d]]`` over F_q((t1))((t2)) share the tokenizer; an
+entry (``parse_field_elem``) sums at most 256 signed products of integers and
+``t1``, ``t2`` powers.  ``parse_matrix`` and ``format_matrix`` round-trip
+exactly.  All malformed text raises ``ExprError`` with its column.
 """
 
 from __future__ import annotations
@@ -29,12 +34,19 @@ from .element import (
     merge_terms,
     zero_element,
 )
+from .oracle import FieldElem2, LocalFieldMatrix
 from .presets import chi, iota, phi, theta
 
-__all__ = ["ExprError", "format_element", "parse_element", "parse_scalar"]
+__all__ = [
+    "ExprError", "format_element", "format_matrix", "parse_element",
+    "parse_field_elem", "parse_matrix", "parse_scalar",
+]
 
 # caps the product of the exponents on an element or a term in m along a chain
 _MAX_EXPONENT = 16
+
+# caps the terms of one matrix-literal entry, and so the determinant check
+_MAX_TERMS = 256
 
 # Intermediate parse values: a scalar, a finished element, or the body of a
 # strip literal as a map from s-exponent step e to a polynomial in m.
@@ -60,7 +72,7 @@ class _Token(NamedTuple):
     pos: int
 
 
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\.\.|[-+*/^(),:]")
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\.\.|[-+*/^(),:\[\]]")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -175,10 +187,13 @@ class _ElementParser:
     def whole(self) -> _Value:
         """The whole input as one expression, outside any strip."""
         value = self.expr(in_strip=False)
+        self.end()
+        return value
+
+    def end(self) -> None:
         tail = self.peek()
         if tail.kind != "end":
             raise ExprError(f"unexpected {tail.text!r} after expression", tail.pos)
-        return value
 
     # -- grammar, loosest binding first -------------------------------
 
@@ -432,6 +447,69 @@ def parse_scalar(text: str) -> Coeff:
 
 
 # ---------------------------------------------------------------------------
+# matrix literals, e.g. "[[t1*t2,0],[0,t1^-1*t2^-1]]"
+
+
+def _literal(text: str, q: int, shape: str) -> list[FieldElem2]:
+    # the entries of text, read against shape with "e" for each entry
+    FieldElem2.zero(q)  # refuses an unsupported q before any arithmetic mod q
+    p, entries = _ElementParser(text), []
+    for ch in shape:
+        if ch == "e":
+            entries.append(_entry(p, q))
+        else:
+            p.expect(ch)
+    p.end()
+    return entries
+
+
+def _entry(p: _ElementParser, q: int) -> FieldElem2:
+    # a sum of signed products of integers and t1, t2 powers, read into one dict;
+    # a "-" between terms is left to negate the next one, as a leading "-" does
+    terms: dict[tuple[int, int], int] = {}
+    for _ in range(_MAX_TERMS):
+        c, e = 1, [0, 0]
+        while True:
+            while p.at_op("-"):
+                p.take()
+                c = -c
+            tok = p.take()
+            if tok.kind == "name" and tok.text in ("t1", "t2"):
+                k = 1
+                if p.at_op("^"):
+                    p.take()
+                    k = p.signed_int()
+                e[tok.text == "t2"] += k
+            elif tok.kind == "int":
+                c = c * int(tok.text) % q
+            else:
+                raise ExprError("expected an integer, t1 or t2", tok.pos)
+            if not p.at_op("*"):
+                break
+            p.take()
+        terms[tuple(e)] = terms.get(tuple(e), 0) + c
+        if p.at_op("+"):
+            p.take()
+        elif not p.at_op("-"):
+            return FieldElem2(q, terms)
+    raise ExprError(f"an entry may have at most {_MAX_TERMS} terms", p.peek().pos)
+
+
+def parse_field_elem(text: str, q: int) -> FieldElem2:
+    """Parse a Laurent polynomial in t1, t2 with integer coefficients mod q."""
+    return _literal(text, q, "e")[0]
+
+
+def parse_matrix(text: str, q: int) -> LocalFieldMatrix:
+    """Parse a literal [[a,b],[c,d]] whose entries parse_field_elem reads.
+
+    Raises :class:`ExprError` with the offending column on malformed input,
+    and ``ValueError`` when the determinant is not 1.
+    """
+    return LocalFieldMatrix(*_literal(text, q, "[[e,e],[e,e]]"))
+
+
+# ---------------------------------------------------------------------------
 # formatting
 
 
@@ -513,3 +591,19 @@ def format_element(x: HeckeElement, mode: str = "text") -> str:
         for st in series.strips
     ]
     return " + ".join(parts) if parts else "0"
+
+
+def _entry_text(x: FieldElem2) -> str:
+    # terms in right-lex order of their exponents (t2's first); "0" for zero
+    parts = []
+    for (e1, e2), c in sorted(x._coeffs.items(), key=lambda kv: kv[0][::-1]):
+        factors = [str(c)] if c != 1 or e1 == e2 == 0 else []
+        factors += [f"t{n}" if e == 1 else f"t{n}^{e}" for n, e in ((1, e1), (2, e2)) if e]
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
+
+
+def format_matrix(x: LocalFieldMatrix) -> str:
+    """Render a matrix as a literal that parse_matrix reads back to x."""
+    a, b, c, d = (_entry_text(e) for e in x.entries())
+    return f"[[{a},{b}],[{c},{d}]]"

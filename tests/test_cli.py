@@ -168,6 +168,8 @@ def test_cli_usage_error_exits_two():
         ["reps", "2", "3", "--q", "7", "--count-only"],
         ["oracle", "1,3", "2,3", "--q", "7"],
         ["verify", "table_oracle", "--range", "4", "--q", "17"],
+        ["classify", "[[" + "+".join(f"t1^{k}" for k in range(8000)) + ",0],[0,1]]", "--q", "3"],
+        ["verify", "table_oracle", "--range", "5"],
     ],
 )
 def test_cli_refuses_oversized_enumerations_quickly(argv, capsys):
@@ -176,6 +178,16 @@ def test_cli_refuses_oversized_enumerations_quickly(argv, capsys):
     assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_literal_entries_up_to_the_term_cap_reach_the_determinant_check(capsys):
+    entry = "+".join(f"t1^{k}" for k in range(256))
+    start = time.perf_counter()
+    assert main(["classify", f"[[{entry},0],[0,{entry}]]", "--q", "3"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "determinant" in capsys.readouterr().err
+    assert main(["classify", f"[[{entry}+t2,0],[0,1]]", "--q", "3"]) == 2
+    assert "at most 256 terms (column" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
-"""Fuzz of the outside input paths: command-line expressions and JSON documents.
+"""Fuzz of the outside input paths: command-line expressions, matrix literals
+and JSON documents.
 
 Every input must give an answer or a clean refusal (exit status 2, or
 ``ParseError`` from ``element_from_json``) in bounded time, with no traceback.
-Inputs are built from fragments of the expression grammar, with exponents and
-indices far beyond what the kernel can expand densely.
+Inputs are built from fragments of the expression and literal grammars, with
+exponents, indices and sums far beyond what the kernel can expand densely.
 """
 
 import contextlib
@@ -67,6 +68,39 @@ def _extend(inner):
 # an operand that starts with "-" would reach argparse as an option
 expressions = st.recursive(_atom, _extend, max_leaves=6).map(lambda x: f" {x}")
 
+_literal_factor = st.one_of(
+    st.sampled_from(["t1", "t2", "0", "1", "2", "7"]),
+    st.builds(
+        lambda t, e: f"{t}^{e}",
+        st.sampled_from(["t1", "t2"]),
+        st.one_of(_small, _big, _big.map(lambda n: -n)).map(str),
+    ),
+    st.sampled_from(["t3", "q", "(", "^^", "..", ""]),
+)
+_literal_term = st.builds(
+    lambda sign, factors: sign + "*".join(factors),
+    st.sampled_from(["", "", "-", "--"]),
+    st.lists(_literal_factor, min_size=1, max_size=3),
+)
+_literal_sum = st.builds(
+    lambda op, terms: op.join(terms),
+    st.sampled_from([" + ", "-", " - -"]),
+    st.lists(_literal_term, min_size=1, max_size=4),
+)
+_literal_entry = st.one_of(
+    _literal_sum, _literal_sum, _literal_sum, _literal_term.map(lambda t: "+".join([t] * 300))
+)
+_brackets = st.sampled_from([("[", "]"), ("[", "]"), ("", "]"), ("[", ""), ("[[", "]")])
+# a leading space keeps a literal that starts with "-" from reaching argparse as an option
+literals = st.one_of(
+    st.sampled_from(["[[1,1],[t1,1+t1]]", "[[0,t2],[-t2^-1,0]]", "[[t1*t2,0],[0,t1^-1*t2^-1]]"]),
+    st.builds(
+        lambda br, a, b, c, d: f" {br[0]}[{a},{b}],[{c},{d}]{br[1]}",
+        _brackets,
+        *[_literal_entry] * 4,
+    ),
+)
+
 argvs = st.one_of(
     st.builds(lambda x, y: ["mul", x, y], expressions, expressions),
     st.builds(lambda x, y: ["mul", x, y, "--json"], expressions, expressions),
@@ -77,6 +111,7 @@ argvs = st.one_of(
         _index,
         _index,
     ),
+    st.builds(lambda m, q: ["classify", m, "--q", q], literals, st.sampled_from("235")),
 )
 
 

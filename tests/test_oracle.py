@@ -29,9 +29,8 @@ from hecke2d.oracle import (
     identity_matrix,
     in_iwahori,
     iwahori_sample,
-    parse_field_elem,
-    parse_matrix,
 )
+from hecke2d.text import ExprError, _entry_text, format_matrix, parse_field_elem, parse_matrix
 
 
 def _mono(e1, e2, c=1, q=2):
@@ -103,6 +102,29 @@ def test_parse_matrix_and_determinant():
     assert m == eta_matrix(1, 1, 1, 2)
     with pytest.raises(ValueError):
         parse_matrix("[[1,1],[t1,1]]", 2)  # determinant t1 short of 1
+
+
+@given(_field_elems)
+def test_field_elem_text_round_trips(x):
+    assert parse_field_elem(_entry_text(x), 3) == x
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_every_printed_rep_parses_back(q):
+    # so every line of `hecke2d reps` is valid `hecke2d classify` input
+    for a in (1, 2):
+        for i in range(-2, 3):
+            for z in enumerate_reps(a, i, q):
+                assert parse_matrix(format_matrix(z), q) == z
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[[1,1],[t1,1+t1]", "[[t1^,0],[0,1]]", "[[t1t2,0],[0,1]]", "[[1,1],[t1,1+t1]]junk"],
+)
+def test_malformed_literals_name_a_column(text):
+    with pytest.raises(ExprError, match="column"):
+        parse_matrix(text, 2)
 
 
 def test_matrix_group_structure():
