@@ -11,8 +11,10 @@ one another:
 * ``mul`` extends the table bilinearly to whole strip rows.  Each table
   branch becomes a kernel piece: either a point mass on the anti-diagonal
   n = i + k (or diagonal n = i - k) or a span cut out by affine inequalities
-  in (i, k, n).  Summing a strip pair against a piece is done in closed form,
-  first over the inner index k (spans only), then over the outer index i.
+  in (i, k, n).  When both strips of a pair are point masses, each piece is
+  evaluated at those integers i and k, giving one point or one geometric
+  strip.  Only a pair with a ray is resummed against each piece in closed
+  form, first over the inner index k (spans only), then over the outer index i.
   Each sum eliminates its index with a discrete antiderivative (for ratio
   s^alpha != 1 solve R(v) - s^{-alpha} R(v-1) = P(v) of equal degree; for
   ratio 1 the antiderivative has degree one higher) and runs from the
@@ -695,6 +697,29 @@ def _sum_span(piece: _Sp, sx: Strip, sy: Strip, out: list) -> None:
         _sum_outer(_between(ants, _K, lo, hi), ilows, iups, window, piece.sheet, out)
 
 
+def _point_pair(pieces: tuple, sx: Strip, sy: Strip, out: list) -> None:
+    """Both strips are point masses: evaluate each piece at i = sx.lo, k = sy.lo.
+
+    A point piece gives one point at n = i + tk*k inside its window; a span
+    gives one geometric strip between its constraints evaluated at (i, k).
+    """
+    i, k = sx.lo, sy.lo
+    c = sx.value_at(i) * sy.value_at(k)
+    for piece in pieces:
+        if isinstance(piece, _Pt):
+            lo = hi = i + piece.tk * k
+            if not piece.nlo <= lo <= piece.nhi:
+                continue
+        else:
+            ends = [(sense, ci * i + ck * k + c0) for sense, ci, ck, c0 in piece.cons]
+            lo = max((v for sense, v in ends if sense > 0), default=NEG_INF)
+            hi = min((v for sense, v in ends if sense < 0), default=POS_INF)
+            if lo > hi:
+                continue
+        w = piece.scalar * c * Coeff.s_power(piece.ei * i + piece.ek * k)
+        out.append((piece.sheet, lo, hi, (ExpPolyTerm(piece.en, IndexPoly.constant(w)),)))
+
+
 def _sgn(v: int) -> int:
     return (v > 0) - (v < 0)
 
@@ -715,11 +740,15 @@ def mul(
                     # level-0 strips are points; the table splits them by index sign
                     signs = (1 if sx.lo >= 0 else -1, 1 if sy.lo >= 0 else -1)
                     emitted: list = []
-                    for piece in _pieces(kx.a, ky.a, _sgn(j), _sgn(l), *signs, perturbation):
-                        if isinstance(piece, _Pt):
-                            _sum_point(piece, sx, sy, emitted)
-                        else:
-                            _sum_span(piece, sx, sy, emitted)
+                    pieces = _pieces(kx.a, ky.a, _sgn(j), _sgn(l), *signs, perturbation)
+                    if sx.lo == sx.hi and sy.lo == sy.hi:
+                        _point_pair(pieces, sx, sy, emitted)
+                    else:
+                        for piece in pieces:
+                            if isinstance(piece, _Pt):
+                                _sum_point(piece, sx, sy, emitted)
+                            else:
+                                _sum_span(piece, sx, sy, emitted)
                     for sheet, lo, hi, st in emitted:
                         contrib.setdefault((sheet, j + l), []).append(Strip(lo, hi, st))
     return HeckeElement(contrib)

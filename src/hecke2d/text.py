@@ -48,6 +48,9 @@ _MAX_EXPONENT = 16
 # caps the terms of one matrix-literal entry, and so the determinant check
 _MAX_TERMS = 256
 
+# caps an integer literal's length: CPython's default limit on int(str)
+_MAX_DIGITS = 4300
+
 # Intermediate parse values: a scalar, a finished element, or the body of a
 # strip literal as a map from s-exponent step e to a polynomial in m.
 _MTerms = dict[int, IndexPoly]
@@ -87,6 +90,8 @@ def _tokenize(text: str) -> list[_Token]:
             raise ExprError(f"unexpected character {text[pos]!r}", pos)
         lexeme = match.group()
         if lexeme[0].isdigit():
+            if len(lexeme) > _MAX_DIGITS:
+                raise ExprError(f"integer literal longer than {_MAX_DIGITS} digits", pos)
             kind = "int"
         elif lexeme[0].isalpha():
             kind = "name"

@@ -216,3 +216,19 @@ def test_monomial_powers_stay_unbounded(capsys):
     assert capsys.readouterr().out.strip() == "1/s^100000"
     assert main(["coeff", "(s^60000 + 1)*chi(1,0,0)", "--at", "1,0,0"]) == 0
     assert capsys.readouterr().out.strip() == "s^60000 + 1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "7" * 5000 + "*chi(1,0,0)", "--at", "1,0,0"],
+        ["classify", "[[" + "7" * 5000 + ",0],[0,1]]", "--q", "3"],
+    ],
+    ids=["expression", "matrix-literal"],
+)
+def test_cli_refuses_overlong_integer_literals_with_a_column(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "digits (column" in err and "set_int_max_str_digits" not in err

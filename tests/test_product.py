@@ -27,9 +27,17 @@ from hecke2d import (
     theta_monomial,
     zero_element,
 )
+from hecke2d import product
 from hecke2d.coeff import ONE, Q
-from hecke2d.element import NEG_INF, POS_INF
-from hecke2d.product import PERTURBATIONS
+from hecke2d.element import NEG_INF, POS_INF, normalize_strips
+from hecke2d.product import (
+    PERTURBATIONS,
+    _Pt,
+    _pieces,
+    _point_pair,
+    _sum_point,
+    _sum_span,
+)
 
 _OMQ = one_minus_qinv()
 
@@ -200,3 +208,62 @@ def test_two_path_agreement_on_multi_strip_factors():
                 assert coeff_of_product(x, y, t) == prod.coefficient_at(t.key, t.i), (x, y, t)
                 checked += 1
     assert checked >= 90  # 164 distinct targets over the 20 nonzero products
+
+
+def _point(m, c):
+    return Strip(m, m, (ExpPolyTerm(0, IndexPoly.constant(c)),))
+
+
+def _rows(emitted):
+    # the emitted strips summed per sheet, in normal form
+    sheets = {sheet for sheet, *_ in emitted}
+    return {
+        sheet: normalize_strips(Strip(lo, hi, st) for s, lo, hi, st in emitted if s == sheet)
+        for sheet in sheets
+    }
+
+
+def test_engine_matches_point_kernel_on_point_strips():
+    # mul sends point pairs to _point_pair; the engine must still agree on them
+    cx, cy = Coeff.s_power(3), Coeff.s_power(2) - ONE
+    checked = 0
+    for a in (1, 2):
+        for b in (1, 2):
+            for js, ls in [(-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1)]:
+                for i in range(-3, 4):
+                    for k in range(-3, 4):
+                        signs = (1 if i >= 0 else -1, 1 if k >= 0 else -1)
+                        # each distinct kernel once: flip-1e changes one family only
+                        kernels = {_pieces(a, b, js, ls, *signs, p) for p in PERTURBATIONS}
+                        sx, sy = _point(i, cx), _point(k, cy)
+                        for pieces in kernels:
+                            engine, kernel = [], []
+                            for piece in pieces:
+                                summed = _sum_point if isinstance(piece, _Pt) else _sum_span
+                                summed(piece, sx, sy, engine)
+                            _point_pair(pieces, sx, sy, kernel)
+                            assert _rows(engine) == _rows(kernel), (a, b, js, ls, i, k, pieces)
+                            checked += bool(kernel)
+    assert checked == 1286  # 1274 nonzero pairs plus 12 under flip-1e
+
+
+def test_finite_products_skip_the_engine(monkeypatch):
+    calls = {"_antiderivative": 0, "_active_pairs": 0}
+
+    def counted(name):
+        fn = getattr(product, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    square = theta(-1, 0) * theta(-1, 0)
+    for name in calls:
+        monkeypatch.setattr(product, name, counted(name))
+    assert mul(square, theta(-1, 0)) == theta_monomial(-3, 0)
+    assert calls == {"_antiderivative": 0, "_active_pairs": 0}
+    # a factor with a ray still goes through the engine
+    assert not mul(theta(0, -1), chi(1, 0, -1)).is_zero()
+    assert min(calls.values()) >= 1
