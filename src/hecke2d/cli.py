@@ -8,6 +8,7 @@ are importable from here under the same names.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -95,6 +96,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@functools.lru_cache(maxsize=None)  # built once: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hecke2d",

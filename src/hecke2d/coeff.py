@@ -324,6 +324,10 @@ class Coeff:
         (k1, n1, d1), (k2, n2, d2) = self._v, o._v
         if not n1 or not n2:
             return ZERO
+        if n2 == d2 == _PONE:  # times a unit monomial s^k2: already canonical
+            return _make(k1 + k2, n1, d1)
+        if n1 == d1 == _PONE:
+            return _make(k1 + k2, n2, d2)
         # cancel across before multiplying: gcd(n1*n2, d1*d2) is then 1
         if d2 != _PONE:
             n1, d2 = _cancel(n1, d2)

@@ -11,7 +11,8 @@ Every row is kept in one normal form, which depends only on its values: a
 point mass chi(a, m, j) with a scalar for each nonzero value of the finite
 part, and at most one ray, whose terms are the unique ones of the row's tail.
 Equal elements therefore have equal rows, so equality is structural and
-elements are hashable.
+elements are hashable.  A finite row whose pieces cover few indices is summed
+index by index; any other row is swept from one piece end to the next.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ class IndexPoly:
     __rmul__ = __mul__
 
     def eval(self, m: int) -> Coeff:
-        acc = Coeff()
-        for c in reversed(self.coeffs):
+        cs = self.coeffs
+        acc = cs[-1] if cs else Coeff()
+        for c in reversed(cs[:-1]):
             acc = acc * m + c
         return acc
 
@@ -197,8 +199,7 @@ def terms_value(terms: Terms, m: int) -> Coeff:
     acc = Coeff()
     for e, p in terms:
         v = p.eval(m)
-        if not v.is_zero():
-            acc = acc + v * Coeff.s_power(e * m)
+        acc = acc + (v * Coeff.s_power(e * m) if e * m else v)
     return acc
 
 
@@ -297,7 +298,14 @@ def _points(atoms: list[tuple[Bound, Bound, Terms]], lo: Bound, hi: Bound) -> li
                 continue
             if out and m - out[0].lo >= _MAX_POINTS:
                 raise ShapeError(f"finite part of a row spans more than {_MAX_POINTS} indices")
-            out.append(Strip(m, m, (ExpPolyTerm(0, IndexPoly.constant(c)),)))
+            out.append(_point(m, c))
+    return out
+
+
+def _point(m: int, c: Coeff) -> Strip:
+    """The point mass Strip(m, m, c) for a nonzero c, built without the checks."""
+    out = object.__new__(Strip)
+    out.__dict__.update(lo=m, hi=m, terms=(ExpPolyTerm(0, IndexPoly.constant(c)),))
     return out
 
 
@@ -309,8 +317,23 @@ def normalize_strips(pieces: Iterable[Strip]) -> tuple[Strip, ...]:
     unique terms of the row's tail, that reaches inward as far as it agrees
     with the row and starts on a nonzero value.  Raises ShapeError for a row
     infinite on both sides or a finite part wider than _MAX_POINTS indices.
+
+    Finite pieces covering at most _MAX_POINTS indices in all are summed index
+    by index; a ray or wider pieces take the sweep over the pieces' ends,
+    which skips a cancelled stretch whatever its width.
     """
-    atoms = _atoms(list(pieces))
+    pieces = list(pieces)
+    if sum(p.hi - p.lo + 1 for p in pieces) <= _MAX_POINTS:  # a ray sums to inf
+        acc: dict[int, Coeff] = {}
+        for p in pieces:
+            for m in range(p.lo, p.hi + 1):
+                v = terms_value(p.terms, m)
+                acc[m] = acc[m] + v if m in acc else v
+        ms = sorted(m for m, c in acc.items() if not c.is_zero())
+        if ms and ms[-1] - ms[0] >= _MAX_POINTS:
+            raise ShapeError(f"finite part of a row spans more than {_MAX_POINTS} indices")
+        return tuple(_point(m, acc[m]) for m in ms)
+    atoms = _atoms(pieces)
     if atoms[0][2] and atoms[-1][2]:
         raise ShapeError("a row cannot be infinite on both sides")
     if not atoms[0][2] and not atoms[-1][2]:

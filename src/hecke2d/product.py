@@ -398,6 +398,7 @@ class _Sp:
     scalar: Coeff
 
 
+@lru_cache(maxsize=None)  # a few dozen signatures; the pieces are immutable
 def _pieces(
     a: int,
     b: int,

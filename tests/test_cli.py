@@ -1,7 +1,11 @@
 """Expression language and command-line behavior."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +236,34 @@ def test_cli_refuses_overlong_integer_literals_with_a_column(argv, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "digits (column" in err and "set_int_max_str_digits" not in err
+
+
+def _fresh_call(argv):
+    """(exit status, stdout, stderr) of hecke2d run in a new interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "hecke2d.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_calls_in_one_process_print_what_fresh_calls_print(capsys):
+    calls = [
+        ["mul", "theta(1,0)", "phi2", "--json"],
+        ["mul", "theta(1,0)", "phi2"],
+        ["mul", "iota"],  # usage error
+        ["mul", "chi(1,1,0)", "chi(1,-1,0)"],
+        ["verify", "im_relations"],
+        ["coeff", "phi2*phi2", "--at", "2,3,-2"],
+    ]
+    for argv in calls:
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        out = capsys.readouterr()
+        assert (status, out.out, out.err) == _fresh_call(argv), argv

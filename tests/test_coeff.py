@@ -190,3 +190,14 @@ def test_equal_laurent_values_have_equal_hashes(x, f, j, z):
     for y in (Coeff(_times(x.num, spread), _times(x.den, spread)), x * z / z, x + z - z):
         _assert_canonical(y)
         assert y == x and hash(y) == hash(x)
+
+
+@given(laurents, st.integers(-40, 40))
+def test_unit_monomial_products_match_the_reducing_constructor(x, k):
+    # s^k * n/d rebuilt through Coeff(num, den), which reduces from scratch
+    def shifted(j: int) -> Coeff:
+        return Coeff((0,) * max(j, 0) + x.num, (0,) * max(-j, 0) + x.den)
+
+    for got, j in ((x * Coeff.s_power(k), k), (Coeff.s_power(k) * x, k), (x * Coeff.q_power(k), 2 * k)):
+        _assert_canonical(got)
+        assert got._v == shifted(j)._v

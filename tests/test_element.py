@@ -4,7 +4,7 @@ import json
 import time
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hecke2d import (
     Coeff,
@@ -30,7 +30,15 @@ from hecke2d import (
 )
 from hecke2d.cli import main, parse_element
 from hecke2d.coeff import ONE, Q
-from hecke2d.element import NEG_INF, POS_INF, RowSeries, merge_terms, normalize_strips
+from hecke2d.element import (
+    _MAX_POINTS,
+    NEG_INF,
+    POS_INF,
+    RowSeries,
+    merge_terms,
+    normalize_strips,
+    terms_value,
+)
 from hecke2d.text import format_element
 
 polys = st.builds(
@@ -353,3 +361,89 @@ def test_wide_level_zero_product_is_refused_within_a_second(capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@st.composite
+def _strip_lists(draw):
+    """Overlapping, cancelling strips whose summed finite width is often exactly
+    _MAX_POINTS or one more, far enough apart to span past it; sometimes a ray."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.integers(-700, 700))
+        pieces.append(Strip(lo, lo + draw(st.integers(0, 3)), draw(_terms)))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(pieces))
+        pieces.append(Strip(p.lo, p.hi, tuple((e, -q) for e, q in p.terms)))
+    width = sum(p.hi - p.lo + 1 for p in pieces)
+    pad = draw(st.sampled_from((0, _MAX_POINTS, _MAX_POINTS + 1))) - width
+    if pad > 0:
+        lo = draw(st.integers(-700, 700))
+        pieces.append(Strip(lo, lo + pad - 1, draw(_terms)))
+    if draw(st.booleans()):
+        end, terms = draw(st.integers(-20, 20)), draw(_terms)
+        pieces.append(Strip(end, POS_INF, terms) if draw(st.booleans()) else Strip(NEG_INF, end, terms))
+    return draw(st.permutations(pieces))
+
+
+def _expected_points(pieces, window):
+    """The indices of the window the normal form must hold as point masses."""
+    f = {m: sum((p.value_at(m) for p in pieces), Coeff()) for m in window}
+    rays = [p for p in pieces if p.lo == NEG_INF or p.hi == POS_INF]
+    if not rays:
+        return [m for m in window if f[m]]
+    # the ray covers everything outward of the row's last difference from its
+    # tail, moved outward past zeros of the tail
+    up, terms = rays[0].hi == POS_INF, rays[0].terms
+    ms = window[::-1] if up else window
+    step = 1 if up else -1
+    start = next(m for m in ms if f[m] != terms_value(terms, m)) + step
+    while terms_value(terms, start).is_zero():
+        start += step
+    return [m for m in window if f[m] and (m < start if up else m > start)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_strip_lists())
+def test_normal_form_sums_pieces_and_refuses_exactly_at_the_cap(pieces):
+    ends = [b for p in pieces for b in (p.lo, p.hi) if b not in (NEG_INF, POS_INF)]
+    window = list(range(min(ends) - 12, max(ends) + 13))
+    points = _expected_points(pieces, window)
+    if points and points[-1] - points[0] >= _MAX_POINTS:
+        with pytest.raises(ShapeError, match="spans more than"):
+            normalize_strips(pieces)
+        return
+    row = RowSeries(normalize_strips(pieces))
+    for m in window:
+        assert row.value_at(m) == sum((p.value_at(m) for p in pieces), Coeff())
+    finite = [s for s in row.strips if s.lo != NEG_INF and s.hi != POS_INF]
+    assert [s.lo for s in finite] == points
+    assert all(s.lo == s.hi and not s.value_at(s.lo).is_zero() for s in finite)
+
+
+def _json_row(*strips):
+    return {
+        "rows": [
+            {"a": 1, "j": 0, "strips": [
+                {"lo": lo, "hi": hi, "terms": [{"e": 0, "poly": [c]}]} for lo, hi, c in strips
+            ]}
+        ]
+    }
+
+
+@pytest.mark.parametrize(
+    "doc,want",
+    [
+        # each strip is narrow, but together they cover 4 million indices
+        (_json_row(*((0, 1000, c) for _ in range(2000) for c in ("1", "-1"))), zero_element()),
+        (_json_row((0, 10**6, "s"), (0, 10**6, "-s"), (7, 7, "3")), 3 * chi(1, 7, 0)),
+        (_json_row((0, 10**6, "1")), None),
+    ],
+)
+def test_wide_or_many_cancelling_json_strips_answer_within_a_second(doc, want):
+    start = time.perf_counter()
+    if want is None:
+        with pytest.raises(ParseError, match="spans more than 1024 indices"):
+            element_from_json(doc)
+    else:
+        assert element_from_json(doc) == want
+    assert time.perf_counter() - start < 1.0

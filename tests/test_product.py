@@ -5,6 +5,12 @@ everything else is pinned by closed forms checked through two independent
 evaluation paths.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +24,7 @@ from hecke2d import (
     Strip,
     chi,
     coeff_of_product,
+    element_to_json,
     iota,
     mul,
     mul_basis,
@@ -267,3 +274,38 @@ def test_finite_products_skip_the_engine(monkeypatch):
     # a factor with a ray still goes through the engine
     assert not mul(theta(0, -1), chi(1, 0, -1)).is_zero()
     assert min(calls.values()) >= 1
+
+
+def _products_in_new_process(pairs, perturbation):
+    code = (
+        "import json, sys\n"
+        "from hecke2d import element_from_json as read, element_to_json as write, mul\n"
+        "pairs, p = json.load(sys.stdin)\n"
+        "print(json.dumps([write(mul(read(x), read(y), perturbation=p)) for x, y in pairs]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        input=json.dumps([[[element_to_json(x), element_to_json(y)] for x, y in pairs], perturbation]),
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_memoised_pieces_keep_perturbations_apart():
+    # interleaved in one process, each perturbation's products are those of a
+    # process that only ever saw that perturbation
+    pairs = [
+        (chi(a, i, 0), chi(b, k, 0))
+        for a in (1, 2) for b in (1, 2) for i in (1, 2) for k in (-1, -2)
+    ] + [(theta(1, 0), theta(-1, 0)), (phi(0), phi(1))]
+    got = {p: [] for p in PERTURBATIONS}
+    for x, y in pairs:
+        for p in (*PERTURBATIONS, *PERTURBATIONS[::-1]):
+            got[p].append(element_to_json(mul(x, y, perturbation=p)))
+    for p in PERTURBATIONS:
+        assert got[p][::2] == got[p][1::2] == _products_in_new_process(pairs, p)
+    assert got[None] != got["flip-1e"]
