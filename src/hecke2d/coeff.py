@@ -440,8 +440,9 @@ ZERO = Coeff()
 ONE = Coeff.integer(1)
 S = Coeff.s_power(1)
 Q = Coeff.q_power(1)
+_OMQ = ONE - Coeff.q_power(-1)
 
 
 def one_minus_qinv() -> Coeff:
     """The ubiquitous factor 1 - q^{-1} = (s^2 - 1)/s^2."""
-    return ONE - Coeff.q_power(-1)
+    return _OMQ

@@ -3,6 +3,11 @@
 Expressions are sums and differences of scalar-weighted atoms (``chi(a,i,j)``,
 ``iota``, ``theta(i,j)``, ``phi0``..``phi2``, ``strip(...)`` literals), with
 infix ``*`` for convolution and scalars rational in ``q`` and ``s``.
+Every value the parser builds has a degree: 1 for an element atom and for
+``m``, 0 for a scalar, and for a ``strip(...)`` literal its body's degree in
+``m`` if that is larger; a sum takes the larger degree, a product adds them and
+``^k`` multiplies by |k|, counting an element or a term in ``m`` as at least 1.
+A product or power whose degree would exceed 16 is refused before it is built.
 ``parse_element`` and ``format_element`` round-trip exactly, so every printed
 element is valid input again.  ``parse_scalar`` reads the same grammar and
 requires a scalar result; ``Coeff.parse`` is that function.
@@ -42,8 +47,8 @@ __all__ = [
     "parse_field_elem", "parse_matrix", "parse_scalar",
 ]
 
-# caps the product of the exponents on an element or a term in m along a chain
-_MAX_EXPONENT = 16
+# caps the degree of every element and term in m that the parser builds
+_MAX_DEGREE = 16
 
 # caps the terms of one matrix-literal entry, and so the determinant check
 _MAX_TERMS = 256
@@ -55,6 +60,8 @@ _MAX_DIGITS = 4300
 # strip literal as a map from s-exponent step e to a polynomial in m.
 _MTerms = dict[int, IndexPoly]
 _Value = Union[Coeff, HeckeElement, _MTerms]
+# a grammar rule's result: its value and its degree
+_Rule = tuple[_Value, int]
 
 
 class ExprError(ParseError):
@@ -152,6 +159,12 @@ def _combine_div(a: _Value, b: _Value, pos: int) -> _Value:
         raise ExprError(str(err), pos) from err
 
 
+def _bounded(degree: int, pos: int) -> int:
+    if degree > _MAX_DEGREE:
+        raise ExprError(f"degree {degree} is above {_MAX_DEGREE}", pos)
+    return degree
+
+
 # ---------------------------------------------------------------------------
 # recursive-descent parser
 
@@ -159,6 +172,8 @@ def _combine_div(a: _Value, b: _Value, pos: int) -> _Value:
 class _ElementParser:
     """One-pass parser over the token stream.
 
+    Each grammar rule returns its value with its degree, so that ``*`` and
+    ``^`` can refuse a degree above the cap before building the result.
     ``in_strip`` threads the context in which ``m`` and exponents linear in
     ``m`` are meaningful; outside ``strip(...)`` they are rejected.
     """
@@ -166,7 +181,6 @@ class _ElementParser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.at = 0
-        self.scale = 1  # product of the exponents on the enclosing atoms
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -191,7 +205,7 @@ class _ElementParser:
 
     def whole(self) -> _Value:
         """The whole input as one expression, outside any strip."""
-        value = self.expr(in_strip=False)
+        value, _ = self.expr(in_strip=False)
         self.end()
         return value
 
@@ -202,65 +216,50 @@ class _ElementParser:
 
     # -- grammar, loosest binding first -------------------------------
 
-    def expr(self, in_strip: bool) -> _Value:
-        value = self.term(in_strip)
+    def expr(self, in_strip: bool) -> _Rule:
+        value, degree = self.term(in_strip)
         while self.at_op("+", "-"):
             tok = self.take()
-            rhs = self.term(in_strip)
+            rhs, rhs_degree = self.term(in_strip)
             if tok.text == "-":
                 rhs = _negate(rhs)
-            value = _combine_add(value, rhs, tok.pos)
-        return value
+            value, degree = _combine_add(value, rhs, tok.pos), max(degree, rhs_degree)
+        return value, degree
 
-    def term(self, in_strip: bool) -> _Value:
-        value = self.factor(in_strip)
+    def term(self, in_strip: bool) -> _Rule:
+        value, degree = self.factor(in_strip)
         while self.at_op("*", "/"):
             tok = self.take()
-            rhs = self.factor(in_strip)
+            rhs, rhs_degree = self.factor(in_strip)
             if tok.text == "*":
+                degree = _bounded(degree + rhs_degree, tok.pos)
                 value = _combine_mul(value, rhs, tok.pos)
             else:
                 value = _combine_div(value, rhs, tok.pos)
-        return value
+        return value, degree
 
-    def factor(self, in_strip: bool) -> _Value:
+    def factor(self, in_strip: bool) -> _Rule:
         if self.at_op("-"):
             self.take()
-            return _negate(self.factor(in_strip))
+            value, degree = self.factor(in_strip)
+            return _negate(value), degree
         if self.at_op("+"):
             self.take()
             return self.factor(in_strip)
         return self.power(in_strip)
 
-    def chain(self) -> int:
-        # the product of the integer exponents chained on the atom at self.at,
-        # read ahead so that a power inside the atom is refused before it is built
-        toks, n, depth, out, exponent = self.tokens, self.at, 0, 1, False
-        while toks[n].kind != "end":
-            depth += {"(": 1, ")": -1}.get(toks[n].text, 0)
-            if exponent and toks[n].kind == "int":
-                out, exponent = out * max(int(toks[n].text), 1), False
-            n += 1
-            if depth <= 0 and toks[n].text != "(" and toks[n - 1].text not in ("^", "-"):
-                if toks[n].text != "^":
-                    break
-                exponent = True
-        return out
-
-    def power(self, in_strip: bool) -> _Value:
+    def power(self, in_strip: bool) -> _Rule:
         start = self.at
         head = self.peek()
-        outer, self.scale = self.scale, self.scale * self.chain()
-        base = self.atom(in_strip)
+        base, degree = self.atom(in_strip)
         # an exponent linear in m is only meaningful on a bare q or s
         bare = self.at == start + 1 and head.kind == "name"
         qs_name = head.text if bare and head.text in ("q", "s") else ""
         while self.at_op("^"):
             caret = self.take()
-            base = self.apply_exponent(base, caret.pos, in_strip, qs_name)
+            base, degree = self.apply_exponent(base, degree, caret.pos, in_strip, qs_name)
             qs_name = ""
-        self.scale = outer
-        return base
+        return base, degree
 
     def exponent(self) -> tuple[str, int]:
         # INT, m, k*m, each optionally negated and optionally parenthesized
@@ -291,46 +290,51 @@ class _ElementParser:
         raise ExprError("malformed exponent", tok.pos)
 
     def apply_exponent(
-        self, base: _Value, pos: int, in_strip: bool, qs_name: str
-    ) -> _Value:
+        self, base: _Value, degree: int, pos: int, in_strip: bool, qs_name: str
+    ) -> _Rule:
         kind, k = self.exponent()
         if kind == "int":
             if isinstance(base, Coeff):
                 try:
-                    return base**k
+                    return base**k, 0
                 except CoeffError as err:
                     raise ExprError(str(err), pos) from err
-            if self.scale > _MAX_EXPONENT:
-                raise ExprError(f"exponents multiply to {self.scale}, above {_MAX_EXPONENT}", pos)
+            # an element or a term in m counts as degree at least 1 here, so
+            # that a power of x^0 is bounded too
+            degree = _bounded(max(degree, 1) * abs(k), pos)
             if isinstance(base, HeckeElement):
                 if k < 0:
                     raise ExprError("negative powers of elements are not defined", pos)
-                return base**k
+                return base**k, degree
             if k < 1:
                 raise ExprError("powers of a term in m must be positive", pos)
             out = base
             for _ in range(k - 1):
                 out = _combine_mul(out, base, pos)
-            return out
+            return out, degree
         if not in_strip:
             raise ExprError("an exponent in m is only allowed inside strip(...)", pos)
         if not qs_name:
             raise ExprError("an exponent in m must sit on a bare q or s", pos)
         e = 2 * k if qs_name == "q" else k
-        return {e: IndexPoly.constant(ONE)}
+        return {e: IndexPoly.constant(ONE)}, 0
 
     # -- atoms --------------------------------------------------------
 
-    def atom(self, in_strip: bool) -> _Value:
+    def atom(self, in_strip: bool) -> _Rule:
         tok = self.take()
         if tok.kind == "int":
-            return Coeff.integer(int(tok.text))
+            return Coeff.integer(int(tok.text)), 0
         if tok.kind == "op" and tok.text == "(":
-            value = self.expr(in_strip)
+            rule = self.expr(in_strip)
             self.expect(")")
-            return value
+            return rule
+        if tok.kind == "name" and tok.text == "strip":
+            return self.strip_atom(tok.pos)
         if tok.kind == "name":
-            return self.named_atom(tok, in_strip)
+            value = self.named_atom(tok, in_strip)
+            # q and s are scalars; every other name is an element or m
+            return value, int(not isinstance(value, Coeff))
         if tok.kind == "end":
             raise ExprError("unexpected end of input", tok.pos)
         raise ExprError(f"unexpected {tok.text!r}", tok.pos)
@@ -353,8 +357,6 @@ class _ElementParser:
             return self.call(chi, self.int_args(3), tok.pos)
         if name == "theta":
             return self.call(theta, self.int_args(2), tok.pos)
-        if name == "strip":
-            return self.strip_atom(tok.pos)
         raise ExprError(f"unknown name {name!r}", tok.pos)
 
     def call(
@@ -399,7 +401,7 @@ class _ElementParser:
             return NEG_INF if sign < 0 else POS_INF
         raise ExprError("expected an integer or 'inf'", tok.pos)
 
-    def strip_atom(self, pos: int) -> HeckeElement:
+    def strip_atom(self, pos: int) -> _Rule:
         self.expect("(")
         a = self.signed_int()
         self.expect(",")
@@ -409,17 +411,18 @@ class _ElementParser:
         self.expect("..")
         hi = self.bound()
         self.expect(":")
-        body = self.expr(in_strip=True)
+        body, degree = self.expr(in_strip=True)
         self.expect(")")
         if a not in (1, 2):
             raise ExprError("sheet must be 1 or 2", pos)
         if isinstance(body, HeckeElement):
             raise ExprError("a strip body must be scalar in m", pos)
+        degree = max(degree, 1)  # an element atom, or its body's degree in m
         terms = merge_terms(_as_mterms(body).items())
         if not terms:
-            return zero_element()
+            return zero_element(), degree
         try:
-            return HeckeElement([((a, j), (Strip(lo, hi, terms),))])
+            return HeckeElement([((a, j), (Strip(lo, hi, terms),))]), degree
         except ShapeError as err:
             raise ExprError(str(err), pos) from err
 

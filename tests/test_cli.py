@@ -40,6 +40,8 @@ def test_convolution_and_powers():
     assert parse_element("chi(2,0,0)^2") == mul(chi(2, 0, 0), chi(2, 0, 0))
     # a chain of powers within the cap still answers
     assert parse_element("(chi(1,1,0)^4)^4") == parse_element("chi(1,1,0)^16")
+    # so does a product of powers whose degrees add up to the cap
+    assert parse_element("theta(-1,0)^8*theta(-1,0)^8") == parse_element("theta(-1,0)^16")
 
 
 def test_strip_literal():
@@ -205,6 +207,12 @@ def test_cli_literal_entries_up_to_the_term_cap_reach_the_determinant_check(caps
         "(1/((s+1)^200 + 1) + 1/((s+2)^200 + 1))*chi(1,0,0)",  # a gcd at degree 200
         "(theta(-1,0)^16)^4",  # exponents multiplying to 64 along a chain
         "(chi(1,1,0)^16)^16",  # and to 256
+        "(theta(-1,0)^8*theta(-1,0)^8)^2",  # a product of powers inside a power: degree 32
+        "phi2^16*phi2^16",  # a product whose degrees add to 32
+        "theta(-1,0)^16*theta(-1,0)^16*theta(-1,0)^16*theta(-1,0)^16",  # and to 64
+        "(chi(1,0,0)^0)^1000000",  # a power of x^0 counts x^0 as degree 1
+        "strip(1,-1,0..inf: m^4)^8",  # a strip counts its body's degree in m: 32
+        "strip(1,-1,0..inf: m^16)^16",  # and 256
     ],
 )
 def test_cli_refuses_oversized_powers_quickly(expr, capsys):

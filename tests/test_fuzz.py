@@ -68,6 +68,21 @@ def _extend(inner):
 # an operand that starts with "-" would reach argparse as an option
 expressions = st.recursive(_atom, _extend, max_leaves=6).map(lambda x: f" {x}")
 
+# products of powers inside a power, ({x}^{e}*{x}^{f})^{g}: degrees add under
+# * and multiply under ^, so no single ^ chain shows the degree.  theta(0,-1)
+# is left out: its powers are rays whose polynomials in m grow with the power,
+# and (theta(0,-1)^4*theta(0,-1)^4)^2 is within the degree cap but not the budget
+_element = st.one_of(
+    st.builds(_call, st.just("chi"), st.sampled_from([1, 2]), _small, _small),
+    st.sampled_from(["theta(-1,0)", "theta(1,0)", "theta(0,1)"]),
+    st.sampled_from(["iota", "phi0", "phi1", "phi2"]),
+)
+nested_powers = st.builds(
+    lambda x, e, f, g: f"({x}^{e}*{x}^{f})^{g}", _element, *[st.integers(0, 12)] * 3
+)
+# integer literals past the 4300 digits that CPython converts by default
+long_integers = st.integers(4301, 5000).map(lambda n: "7" * n + "*chi(1,0,0)")
+
 _literal_factor = st.one_of(
     st.sampled_from(["t1", "t2", "0", "1", "2", "7"]),
     st.builds(
@@ -112,6 +127,10 @@ argvs = st.one_of(
         _index,
     ),
     st.builds(lambda m, q: ["classify", m, "--q", q], literals, st.sampled_from("235")),
+    st.builds(
+        lambda x: ["coeff", x, "--at", "1,0,0"],
+        st.one_of(nested_powers, nested_powers, long_integers),
+    ),
 )
 
 
