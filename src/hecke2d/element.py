@@ -13,6 +13,8 @@ part, and at most one ray, whose terms are the unique ones of the row's tail.
 Equal elements therefore have equal rows, so equality is structural and
 elements are hashable.  A finite row whose pieces cover few indices is summed
 index by index; any other row is swept from one piece end to the next.
+A product instead sums its point values in a map and reads a row with no ray
+or wide run straight off it; a nonzero multiple of a normal form is one.
 """
 
 from __future__ import annotations
@@ -304,9 +306,19 @@ def _points(atoms: list[tuple[Bound, Bound, Terms]], lo: Bound, hi: Bound) -> li
 
 def _point(m: int, c: Coeff) -> Strip:
     """The point mass Strip(m, m, c) for a nonzero c, built without the checks."""
+    poly = object.__new__(IndexPoly)
+    object.__setattr__(poly, "coeffs", (c,))
     out = object.__new__(Strip)
-    out.__dict__.update(lo=m, hi=m, terms=(ExpPolyTerm(0, IndexPoly.constant(c)),))
+    out.__dict__.update(lo=m, hi=m, terms=(ExpPolyTerm(0, poly),))
     return out
+
+
+def _point_row(acc: Mapping[int, Coeff]) -> tuple[Strip, ...]:
+    """One point mass per nonzero value of {m: value}, refusing a span past _MAX_POINTS."""
+    ms = sorted(m for m, c in acc.items() if not c.is_zero())
+    if ms and ms[-1] - ms[0] >= _MAX_POINTS:
+        raise ShapeError(f"finite part of a row spans more than {_MAX_POINTS} indices")
+    return tuple(_point(m, acc[m]) for m in ms)
 
 
 def normalize_strips(pieces: Iterable[Strip]) -> tuple[Strip, ...]:
@@ -329,10 +341,7 @@ def normalize_strips(pieces: Iterable[Strip]) -> tuple[Strip, ...]:
             for m in range(p.lo, p.hi + 1):
                 v = terms_value(p.terms, m)
                 acc[m] = acc[m] + v if m in acc else v
-        ms = sorted(m for m, c in acc.items() if not c.is_zero())
-        if ms and ms[-1] - ms[0] >= _MAX_POINTS:
-            raise ShapeError(f"finite part of a row spans more than {_MAX_POINTS} indices")
-        return tuple(_point(m, acc[m]) for m in ms)
+        return _point_row(acc)
     atoms = _atoms(pieces)
     if atoms[0][2] and atoms[-1][2]:
         raise ShapeError("a row cannot be infinite on both sides")
@@ -403,6 +412,41 @@ def _check_row_shape(j: int, strips: tuple[Strip, ...]) -> None:
             raise ShapeError("level 0 row must have finite support")
 
 
+def _check_basis(a: object, i: object, j: object) -> None:
+    """Refuse a bool or non-integer index, sheet or level with the error that a
+    point mass Strip(i, i, ...) in row (a, j) raises."""
+    if not _is_int(i):
+        _check_bound(i)
+        raise ShapeError("a strip cannot be infinite on both sides")
+    _check_key(RowKey(a, j))
+
+
+def _normal_rows(points: Mapping, swept: Mapping) -> tuple[tuple[RowKey, RowSeries], ...]:
+    """The rows, sorted by (level, sheet), that sum points[key], a map {m: value},
+    and the strips swept[key] at each checked (sheet, level) key.  A row with no
+    strip to sweep is read straight off its values; any other row goes through
+    normalize_strips and its level's shape check."""
+    built = []
+    for key in sorted(points.keys() | swept.keys(), key=lambda k: (k[1], k[0])):
+        if key in swept:
+            pts = [_point(m, c) for m, c in points.get(key, {}).items() if not c.is_zero()]
+            strips = normalize_strips([*swept[key], *pts])
+            _check_row_shape(key[1], strips)
+        else:
+            strips = _point_row(points[key])
+        if strips:
+            built.append((RowKey(*key), RowSeries(strips)))
+    return tuple(built)
+
+
+def _element(rows: tuple[tuple[RowKey, RowSeries], ...]) -> HeckeElement:
+    """The element with these rows, which must be sorted and in normal form."""
+    out = object.__new__(HeckeElement)
+    object.__setattr__(out, "rows", rows)
+    object.__setattr__(out, "_lookup", dict(rows))
+    return out
+
+
 class HeckeElement:
     """Immutable algebra element: a finite family of rows keyed by (sheet, level)."""
 
@@ -424,14 +468,8 @@ class HeckeElement:
             key = RowKey(*raw_key)
             _check_key(key)
             acc.setdefault(key, []).extend(strips)
-        built: list[tuple[RowKey, RowSeries]] = []
-        for key in sorted(acc, key=lambda k: (k.j, k.a)):
-            strips = normalize_strips(acc[key])
-            if not strips:
-                continue
-            _check_row_shape(key.j, strips)
-            built.append((key, RowSeries(strips)))
-        object.__setattr__(self, "rows", tuple(built))
+        built = _normal_rows({}, acc)
+        object.__setattr__(self, "rows", built)
         object.__setattr__(self, "_lookup", dict(built))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -473,10 +511,13 @@ class HeckeElement:
         c = c if isinstance(c, Coeff) else Coeff._coerce(c)
         if c.is_zero():
             return HeckeElement()
-        return HeckeElement(
-            (key, [Strip(s.lo, s.hi, tuple((e, p * c) for e, p in s.terms)) for s in row.strips])
+        # a nonzero multiple of a normal form is one: same ends, no new zeros
+        return _element(tuple(
+            (key, RowSeries(tuple(
+                Strip(s.lo, s.hi, tuple((e, p * c) for e, p in s.terms)) for s in row.strips
+            )))
             for key, row in self.rows
-        )
+        ))
 
     def __rmul__(self, c: Union[Coeff, int, Fraction]) -> "HeckeElement":
         if isinstance(c, (Coeff, int, Fraction)):

@@ -20,6 +20,9 @@ from .element import (
     IndexPoly,
     POS_INF,
     Strip,
+    _check_basis,
+    _element,
+    _normal_rows,
 )
 
 __all__ = [
@@ -44,8 +47,8 @@ def chi(a: int, i: int, j: int) -> HeckeElement:
     """The characteristic function of one double coset, as an element."""
     if a not in (1, 2):
         raise ValueError(f"sheet must be 1 or 2, got {a}")
-    strip = Strip(i, i, (ExpPolyTerm(0, IndexPoly.constant(ONE)),))
-    return HeckeElement([((a, j), (strip,))])
+    _check_basis(a, i, j)
+    return _element(_normal_rows({(a, j): {i: ONE}}, {}))
 
 
 def iota() -> HeckeElement:

@@ -12,8 +12,8 @@ one another:
   branch becomes a kernel piece: either a point mass on the anti-diagonal
   n = i + k (or diagonal n = i - k) or a span cut out by affine inequalities
   in (i, k, n).  When both strips of a pair are point masses, each piece is
-  evaluated at those integers i and k, giving one point or one geometric
-  strip.  Only a pair with a ray is resummed against each piece in closed
+  evaluated at those integers i and k, giving one value or one geometric
+  run.  Only a pair with a ray is resummed against each piece in closed
   form, first over the inner index k (spans only), then over the outer index i.
   Each sum eliminates its index with a discrete antiderivative (for ratio
   s^alpha != 1 solve R(v) - s^{-alpha} R(v-1) = P(v) of equal degree; for
@@ -50,6 +50,10 @@ from .element import (
     NEG_INF,
     POS_INF,
     Strip,
+    _MAX_POINTS,
+    _check_basis,
+    _element,
+    _normal_rows,
     merge_terms,
 )
 
@@ -86,7 +90,20 @@ def _as_basis(x: Union[BasisIndex, tuple]) -> BasisIndex:
     b = BasisIndex(*x)
     if b.a not in (1, 2):
         raise CaseTableError(f"sheet must be 1 or 2, got {b.a}")
+    _check_basis(*b)
     return b
+
+
+def _add_run(points: dict, swept: dict, key: tuple, lo: Bound, hi: Bound, e: int, c: Coeff) -> None:
+    """Add c * s^(e*n) at each lo <= n <= hi of row key: index by index into
+    points, or as one strip to sweep if the run is a ray or wider than _MAX_POINTS."""
+    if hi - lo >= _MAX_POINTS:  # a ray's width is inf
+        swept.setdefault(key, []).append(Strip(lo, hi, (ExpPolyTerm(e, IndexPoly.constant(c)),)))
+        return
+    row = points.setdefault(key, {})
+    for n in range(lo, hi + 1):
+        v = c * Coeff.s_power(e * n) if e * n else c
+        row[n] = row[n] + v if n in row else v
 
 
 # ---------------------------------------------------------------------------
@@ -108,20 +125,15 @@ def mul_basis(
         return HeckeElement()
     qp = Coeff.q_power
     omq = one_minus_qinv()
-    rows: list[tuple[tuple[int, int], list[Strip]]] = []
+    points: dict[tuple[int, int], dict[int, Coeff]] = {}
+    swept: dict[tuple[int, int], list[Strip]] = {}
 
     def pt(c: Coeff, aa: int, m: int, jj: int) -> None:
-        if not c.is_zero():
-            rows.append(
-                ((aa, jj), [Strip(m, m, (ExpPolyTerm(0, IndexPoly.constant(c)),))])
-            )
+        _add_run(points, swept, (aa, jj), m, m, 0, c)
 
     def geo(c: Coeff, e: int, aa: int, lo: Bound, hi: Bound, jj: int) -> None:
-        if lo > hi or c.is_zero():
-            return
-        rows.append(
-            ((aa, jj), [Strip(lo, hi, (ExpPolyTerm(e, IndexPoly.constant(c)),))])
-        )
+        if lo <= hi:
+            _add_run(points, swept, (aa, jj), lo, hi, e, c)
 
     if a == 1:
         if (j > 0 or (j == 0 and i >= 0)) and (l > 0 or (l == 0 and k >= 0)):
@@ -210,7 +222,7 @@ def mul_basis(
                 geo(omq * qp(-i - k - 1), 2, 2, i + k + 1, min(-i + k - 1, i - k - 1), 0)
         else:
             raise CaseTableError(f"no case covers {xb} * {yb}")
-    return HeckeElement(rows)
+    return _element(_normal_rows(points, swept))
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +710,11 @@ def _sum_span(piece: _Sp, sx: Strip, sy: Strip, out: list) -> None:
         _sum_outer(_between(ants, _K, lo, hi), ilows, iups, window, piece.sheet, out)
 
 
-def _point_pair(pieces: tuple, sx: Strip, sy: Strip, out: list) -> None:
-    """Both strips are point masses: evaluate each piece at i = sx.lo, k = sy.lo.
+def _point_pair(pieces: tuple, sx: Strip, sy: Strip, j: int, points: dict, swept: dict) -> None:
+    """Both strips are point masses: evaluate each piece at i = sx.lo, k = sy.lo into level j.
 
-    A point piece gives one point at n = i + tk*k inside its window; a span
-    gives one geometric strip between its constraints evaluated at (i, k).
+    A point piece adds one value at n = i + tk*k inside its window; a span
+    adds a geometric run between its constraints evaluated at (i, k).
     """
     i, k = sx.lo, sy.lo
     c = sx.value_at(i) * sy.value_at(k)
@@ -718,7 +730,7 @@ def _point_pair(pieces: tuple, sx: Strip, sy: Strip, out: list) -> None:
             if lo > hi:
                 continue
         w = piece.scalar * c * Coeff.s_power(piece.ei * i + piece.ek * k)
-        out.append((piece.sheet, lo, hi, (ExpPolyTerm(piece.en, IndexPoly.constant(w)),)))
+        _add_run(points, swept, (piece.sheet, j), lo, hi, piece.en, w)
 
 
 def _sgn(v: int) -> int:
@@ -730,7 +742,8 @@ def mul(
 ) -> HeckeElement:
     """Convolution product, extended bilinearly over all strip rows."""
     _check_perturbation(perturbation)
-    contrib: dict[tuple[int, int], list[Strip]] = {}
+    points: dict[tuple[int, int], dict[int, Coeff]] = {}
+    swept: dict[tuple[int, int], list[Strip]] = {}
     for kx, rx in x.rows:
         for ky, ry in y.rows:
             j, l = kx.j, ky.j
@@ -740,19 +753,17 @@ def mul(
                 for sy in ry.strips:
                     # level-0 strips are points; the table splits them by index sign
                     signs = (1 if sx.lo >= 0 else -1, 1 if sy.lo >= 0 else -1)
-                    emitted: list = []
                     pieces = _pieces(kx.a, ky.a, _sgn(j), _sgn(l), *signs, perturbation)
                     if sx.lo == sx.hi and sy.lo == sy.hi:
-                        _point_pair(pieces, sx, sy, emitted)
-                    else:
-                        for piece in pieces:
-                            if isinstance(piece, _Pt):
-                                _sum_point(piece, sx, sy, emitted)
-                            else:
-                                _sum_span(piece, sx, sy, emitted)
+                        _point_pair(pieces, sx, sy, j + l, points, swept)
+                        continue
+                    emitted: list = []
+                    for piece in pieces:
+                        summed = _sum_point if isinstance(piece, _Pt) else _sum_span
+                        summed(piece, sx, sy, emitted)
                     for sheet, lo, hi, st in emitted:
-                        contrib.setdefault((sheet, j + l), []).append(Strip(lo, hi, st))
-    return HeckeElement(contrib)
+                        swept.setdefault((sheet, j + l), []).append(Strip(lo, hi, st))
+    return _element(_normal_rows(points, swept))
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,14 @@ from hecke2d.element import (
     NEG_INF,
     POS_INF,
     RowSeries,
+    _element,
+    _normal_rows,
     merge_terms,
     normalize_strips,
     terms_value,
 )
+from hecke2d.presets import theta_monomial
+from hecke2d.product import _add_run
 from hecke2d.text import format_element
 
 polys = st.builds(
@@ -447,3 +451,73 @@ def test_wide_or_many_cancelling_json_strips_answer_within_a_second(doc, want):
     else:
         assert element_from_json(doc) == want
     assert time.perf_counter() - start < 1.0
+
+
+_values = st.sampled_from(
+    [ONE, -ONE, Q - ONE, Coeff.s_power(-3), Coeff.rational(1, 2), ONE / (Coeff.s_power(1) + ONE)]
+)
+
+
+@st.composite
+def _runs(draw, widths=(1, 2, 5, _MAX_POINTS - 1, _MAX_POINTS, _MAX_POINTS + 1)):
+    """Geometric runs (key, lo, hi, e, c): widths around _MAX_POINTS, runs that
+    cancel to zero or to a few indices at one end, and at most one ray.
+
+    All runs share one step e: values s^(e*m) with unlike steps over a
+    thousand indices are dense polynomials of degree ~4000, slow to sum.
+    """
+    runs = []
+    e = draw(st.sampled_from((-2, 0, 2)))
+    for _ in range(draw(st.integers(1, 4))):
+        key = (draw(st.sampled_from((1, 2))), draw(st.integers(-1, 1)))
+        lo = draw(st.integers(-40, 40))
+        width, c = draw(st.sampled_from(widths)), draw(_values)
+        runs.append((key, lo, lo + width - 1, e, c))
+        if draw(st.booleans()):
+            runs.append((key, lo + draw(st.integers(0, min(3, width - 1))), lo + width - 1, e, -c))
+    if draw(st.booleans()):  # on the side its level allows
+        key = (draw(st.sampled_from((1, 2))), draw(st.sampled_from((-1, 1))))
+        end = draw(st.integers(-20, 20))
+        lo, hi = (end, POS_INF) if key[1] < 0 else (NEG_INF, end)
+        runs.append((key, lo, hi, e, draw(_values)))
+    return draw(st.permutations(runs))
+
+
+def _checked(runs):
+    return HeckeElement(
+        (key, [Strip(lo, hi, ((e, IndexPoly.constant(c)),))]) for key, lo, hi, e, c in runs
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_runs())
+def test_point_map_rows_match_the_checked_constructor(runs):
+    points, swept = {}, {}
+    for run in runs:
+        _add_run(points, swept, *run)
+    try:
+        want = _checked(runs)
+    except ShapeError as err:
+        with pytest.raises(ShapeError) as got:
+            _normal_rows(points, swept)
+        assert str(got.value) == str(err)
+        return
+    assert _element(_normal_rows(points, swept)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _runs(widths=(1, 2, 5)),
+    st.sampled_from([theta(0, -1), theta_monomial(-2, -2), mul(phi(2), theta(0, -1))]),
+    _values,
+)
+def test_scale_keeps_the_normal_form(runs, ray, c):
+    try:
+        x = _checked(runs) + ray
+    except ShapeError:
+        assume(False)
+    renormalised = HeckeElement(
+        (key, [Strip(s.lo, s.hi, tuple((e, p * c) for e, p in s.terms)) for s in row.strips])
+        for key, row in x.rows
+    )
+    assert x.scale(c) == renormalised

@@ -9,6 +9,7 @@ from hecke2d import (
     ExpPolyTerm,
     HeckeElement,
     IndexPoly,
+    ShapeError,
     Strip,
     WeylElement,
     chi,
@@ -39,6 +40,25 @@ def test_chi_is_a_single_basis_vector():
         chi(3, 0, 0)
     with pytest.raises(ValueError):
         chi(0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, True, 0), "bound must be an integer or +-inf, got True"),
+        ((1, 1.5, 0), "bound must be an integer or +-inf, got 1.5"),
+        ((1, float("inf"), 0), "a strip cannot be infinite on both sides"),
+        ((1, 0, True), "level must be an integer, got True"),
+        ((1, 0, 1.0), "level must be an integer, got 1.0"),
+        ((True, 0, 0), "sheet must be 1 or 2, got True"),
+        ((1.0, 0, 0), "sheet must be 1 or 2, got 1.0"),
+    ],
+)
+def test_chi_refuses_non_integer_arguments(args, message):
+    # True == 1 and 1.0 == 1, but neither is a sheet, an index or a level
+    with pytest.raises(ShapeError) as err:
+        chi(*args)
+    assert str(err.value) == message
 
 
 def test_iota_is_two_sided_identity():

@@ -21,6 +21,7 @@ from hecke2d import (
     HeckeElement,
     IndexPoly,
     InfiniteSupportError,
+    ShapeError,
     Strip,
     chi,
     coeff_of_product,
@@ -34,9 +35,9 @@ from hecke2d import (
     theta_monomial,
     zero_element,
 )
-from hecke2d import product
+from hecke2d import element, product
 from hecke2d.coeff import ONE, Q
-from hecke2d.element import NEG_INF, POS_INF, normalize_strips
+from hecke2d.element import NEG_INF, POS_INF, _normal_rows, normalize_strips
 from hecke2d.product import (
     PERTURBATIONS,
     _Pt,
@@ -158,6 +159,51 @@ def test_mul_basis_matches_mul():
             assert mul_basis(xb, yb) == mul(chi(*xi), chi(*yi))
 
 
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ((1, True, 0), (1, 0, 0), "bound must be an integer or +-inf, got True"),
+        ((1, 0, 0), (1, False, 0), "bound must be an integer or +-inf, got False"),
+        ((1, 0, 1), (2, 0, True), "level must be an integer, got True"),
+        ((True, 0, 0), (2, 1, 0), "sheet must be 1 or 2, got True"),
+        ((1, 1.5, 0), (1, 0, 0), "bound must be an integer or +-inf, got 1.5"),
+        ((1, 0, 1.0), (1, 0, 0), "level must be an integer, got 1.0"),
+    ],
+)
+def test_mul_basis_refuses_non_integer_indices(x, y, message):
+    # refused at the input: bool is an int subclass, and the table would read True as 1
+    with pytest.raises(ShapeError) as err:
+        mul_basis(x, y)
+    assert str(err.value) == message
+
+
+def _table_runs(x, y, perturbation):
+    """mul_basis(x, y) and the runs its table emits, each as one checked Strip."""
+    runs = []
+    add_run = product._add_run
+
+    def recorded(points, swept, key, lo, hi, e, c):
+        runs.append((key, [Strip(lo, hi, (ExpPolyTerm(e, IndexPoly.constant(c)),))]))
+        add_run(points, swept, key, lo, hi, e, c)
+
+    product._add_run = recorded
+    try:
+        return mul_basis(x, y, perturbation=perturbation), runs
+    finally:
+        product._add_run = add_run
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.sampled_from((1, 2)), st.integers(-6, 6), st.integers(-2, 2)),
+    st.tuples(st.sampled_from((1, 2)), st.integers(-6, 6), st.integers(-2, 2)),
+    st.sampled_from(PERTURBATIONS),
+)
+def test_mul_basis_rows_equal_its_table_runs_summed_through_the_checked_constructor(x, y, p):
+    built, runs = _table_runs(x, y, p)
+    assert built == HeckeElement(runs)
+
+
 def test_identity_element():
     for x in (chi(1, 2, -1), theta(0, -1), mul(phi(2), phi(2)), zero_element()):
         assert mul(iota(), x) == x
@@ -222,12 +268,13 @@ def _point(m, c):
 
 
 def _rows(emitted):
-    # the emitted strips summed per sheet, in normal form
+    # the emitted strips summed per sheet, in normal form, zero rows dropped
     sheets = {sheet for sheet, *_ in emitted}
-    return {
+    rows = {
         sheet: normalize_strips(Strip(lo, hi, st) for s, lo, hi, st in emitted if s == sheet)
         for sheet in sheets
     }
+    return {sheet: strips for sheet, strips in rows.items() if strips}
 
 
 def test_engine_matches_point_kernel_on_point_strips():
@@ -244,13 +291,14 @@ def test_engine_matches_point_kernel_on_point_strips():
                         kernels = {_pieces(a, b, js, ls, *signs, p) for p in PERTURBATIONS}
                         sx, sy = _point(i, cx), _point(k, cy)
                         for pieces in kernels:
-                            engine, kernel = [], []
+                            engine, points, swept = [], {}, {}
                             for piece in pieces:
                                 summed = _sum_point if isinstance(piece, _Pt) else _sum_span
                                 summed(piece, sx, sy, engine)
-                            _point_pair(pieces, sx, sy, kernel)
-                            assert _rows(engine) == _rows(kernel), (a, b, js, ls, i, k, pieces)
-                            checked += bool(kernel)
+                            _point_pair(pieces, sx, sy, js + ls, points, swept)
+                            kernel = {key.a: row.strips for key, row in _normal_rows(points, swept)}
+                            assert _rows(engine) == kernel, (a, b, js, ls, i, k, pieces)
+                            checked += bool(points or swept)
     assert checked == 1286  # 1274 nonzero pairs plus 12 under flip-1e
 
 
@@ -274,6 +322,30 @@ def test_finite_products_skip_the_engine(monkeypatch):
     # a factor with a ray still goes through the engine
     assert not mul(theta(0, -1), chi(1, 0, -1)).is_zero()
     assert min(calls.values()) >= 1
+
+
+def test_point_products_skip_the_row_sweep(monkeypatch):
+    calls = {"normalize_strips": 0, "__post_init__": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    square, ray, level = theta(-1, 0) * theta(-1, 0), theta(0, -1), chi(1, 0, -1)
+    x, cube = theta(-1, 0), theta_monomial(-3, 0)
+    counted(element, "normalize_strips")
+    counted(Strip, "__post_init__")
+    assert mul(square, x) == cube
+    assert mul_basis((1, 2, 0), (1, -3, 0)).levels() == (0,)
+    assert calls == {"normalize_strips": 0, "__post_init__": 0}
+    # a factor with a ray still sums its row through normalize_strips
+    assert not mul(ray, level).is_zero()
+    assert calls["normalize_strips"] >= 1
 
 
 def _products_in_new_process(pairs, perturbation):
