@@ -113,7 +113,8 @@ def _ppseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     rem = list(a)
     for k in range(da - db, -1, -1):
         c = rem[k + db]
-        rem = [x * lb for x in rem]
+        if lb != 1:
+            rem = [x * lb for x in rem]
         for j, cb in enumerate(b):
             rem[k + j] -= c * cb
     return _ptrim(rem[:db] if db > 0 else [])

@@ -14,7 +14,8 @@ Equal elements therefore have equal rows, so equality is structural and
 elements are hashable.  A finite row whose pieces cover few indices is summed
 index by index; any other row is swept from one piece end to the next.
 A product instead sums its point values in a map and reads a row with no ray
-or wide run straight off it; a nonzero multiple of a normal form is one.
+or wide run straight off it, and keeps a row that is one ray nonzero at its
+end; a nonzero multiple of a normal form is one.
 """
 
 from __future__ import annotations
@@ -305,7 +306,10 @@ def _points(atoms: list[tuple[Bound, Bound, Terms]], lo: Bound, hi: Bound) -> li
 
 
 def _point(m: int, c: Coeff) -> Strip:
-    """The point mass Strip(m, m, c) for a nonzero c, built without the checks."""
+    """The point mass Strip(m, m, c) for a nonzero c, built without the checks.
+
+    Every point of a normal form is Strip(m, m, ((0, (c,)),)), so its value is
+    terms[0].poly.coeffs[0]."""
     poly = object.__new__(IndexPoly)
     object.__setattr__(poly, "coeffs", (c,))
     out = object.__new__(Strip)
@@ -415,22 +419,35 @@ def _check_row_shape(j: int, strips: tuple[Strip, ...]) -> None:
 def _check_basis(a: object, i: object, j: object) -> None:
     """Refuse a bool or non-integer index, sheet or level with the error that a
     point mass Strip(i, i, ...) in row (a, j) raises."""
+    if type(a) is int and type(i) is int and type(j) is int and a in (1, 2):
+        return
     if not _is_int(i):
         _check_bound(i)
         raise ShapeError("a strip cannot be infinite on both sides")
     _check_key(RowKey(a, j))
 
 
+def _is_lone_ray(s: Strip) -> bool:
+    """A checked ray that is nonzero at its finite end is a row in normal form."""
+    if _is_finite(s.lo) == _is_finite(s.hi):
+        return False
+    end = s.lo if _is_finite(s.lo) else s.hi
+    return not terms_value(s.terms, end).is_zero()
+
+
 def _normal_rows(points: Mapping, swept: Mapping) -> tuple[tuple[RowKey, RowSeries], ...]:
     """The rows, sorted by (level, sheet), that sum points[key], a map {m: value},
     and the strips swept[key] at each checked (sheet, level) key.  A row with no
-    strip to sweep is read straight off its values; any other row goes through
-    normalize_strips and its level's shape check."""
+    strip to sweep is read straight off its values, and a lone ray is kept; any
+    other row goes through normalize_strips.  Rows with a strip get their
+    level's shape check."""
     built = []
     for key in sorted(points.keys() | swept.keys(), key=lambda k: (k[1], k[0])):
         if key in swept:
             pts = [_point(m, c) for m, c in points.get(key, {}).items() if not c.is_zero()]
-            strips = normalize_strips([*swept[key], *pts])
+            strips = (*swept[key], *pts)
+            if not (len(strips) == 1 and _is_lone_ray(strips[0])):
+                strips = normalize_strips(strips)
             _check_row_shape(key[1], strips)
         else:
             strips = _point_row(points[key])

@@ -13,17 +13,20 @@ one another:
   n = i + k (or diagonal n = i - k) or a span cut out by affine inequalities
   in (i, k, n).  When both strips of a pair are point masses, each piece is
   evaluated at those integers i and k, giving one value or one geometric
-  run.  Only a pair with a ray is resummed against each piece in closed
-  form, first over the inner index k (spans only), then over the outer index i.
-  Each sum eliminates its index with a discrete antiderivative (for ratio
-  s^alpha != 1 solve R(v) - s^{-alpha} R(v-1) = P(v) of equal degree; for
-  ratio 1 the antiderivative has degree one higher) and runs from the
-  greatest of several affine lower bounds to the least of several upper
-  bounds.  One rule picks the active pair of bounds for both sums: for each
-  (lower, upper) pair, linear conditions say where that pair is active, with
-  ties going to the bound listed first.  For the inner sum the conditions
-  become bounds on i and a window in n; for the outer sum, whose bounds
-  depend on n only, they become a window in n, which is one output strip.
+  run.  A ray times a point mass pins the point's index in each piece: a
+  point piece then needs no sum and a span one, over the ray's index.  Only
+  a pair of rays takes both sums, first over the inner index k (spans only),
+  then over the outer index i.  A product row that is one ray is kept as it
+  is, without the sweep.  Each sum eliminates its index with a discrete
+  antiderivative (for ratio s^alpha != 1 solve R(v) - s^{-alpha} R(v-1) =
+  P(v) of equal degree; for ratio 1 the antiderivative has degree one
+  higher) and runs from the greatest of several affine lower bounds to the
+  least of several upper bounds.  One rule picks the active pair of bounds
+  for every sum: for each (lower, upper) pair, linear conditions say where
+  that pair is active, with ties going to the bound listed first.  For the
+  inner sum the conditions become bounds on i and a window in n; for the
+  outer sum, whose bounds depend on n only, they become a window in n,
+  which is one output strip.
 
 * ``coeff_of_product`` computes one output coefficient by enumerating the
   finitely many contributing (i, k) pairs from support windows and summing
@@ -710,6 +713,43 @@ def _sum_span(piece: _Sp, sx: Strip, sy: Strip, out: list) -> None:
         _sum_outer(_between(ants, _K, lo, hi), ilows, iups, window, piece.sheet, out)
 
 
+def _pinned(pieces: tuple, sx: Strip, sy: Strip, out: list) -> None:
+    """Exactly one strip is a point mass: pin its index p in each piece and
+    sum over the ray's index r, held in the outer slot, at most once.
+
+    A point piece fixes r = u*n + v, so it needs no sum: its output strip is
+    the ray's ends carried to n and cut to the piece's window.  A span's
+    constraints at the pinned index bound r affinely in n, for one outer sum.
+    """
+    x_ray = sx.lo != sx.hi
+    ray, point = (sx, sy) if x_ray else (sy, sx)
+    p, c = point.lo, point.terms[0].poly.coeffs[0]  # see element._point
+    for piece in pieces:
+        er, ep = (piece.ei, piece.ek) if x_ray else (piece.ek, piece.ei)
+        w = piece.scalar * c * Coeff.s_power(ep * p)
+        terms = [((e + er, 0, piece.en), _mp_scale(_mp_from_poly(q, _I), w)) for e, q in ray.terms]
+        if isinstance(piece, _Pt):
+            # n = i + tk*k gives i = n - tk*p, or k = tk*(n - p)
+            u, v = (1 if x_ray else piece.tk), -piece.tk * p
+            ends = (u * (ray.lo - v), u * (ray.hi - v))
+            lo, hi = max(piece.nlo, min(ends)), min(piece.nhi, max(ends))
+            if lo <= hi:  # r -> u*n + v is invertible, so the ray's terms stay nonzero
+                st = _eterms_to_strip_terms([_term_subst(t, _I, {_N: u}, v) for t in terms])
+                out.append((piece.sheet, lo, hi, st))
+            continue
+        conds = []
+        for sense, ci, ck, c0 in piece.cons:
+            cr, cp = (ci, ck) if x_ray else (ck, ci)
+            # sense * (n - cr*r - cp*p - c0) >= 0
+            conds.append((-sense * cr, sense, -sense * (cp * p + c0)))
+        applied = _apply_conds(conds)
+        if applied is None:
+            continue
+        lows, ups, window = applied
+        _add_bounds(lows, ups, ray.lo, ray.hi)
+        _sum_outer(terms, lows, ups, window, piece.sheet, out)
+
+
 def _point_pair(pieces: tuple, sx: Strip, sy: Strip, j: int, points: dict, swept: dict) -> None:
     """Both strips are point masses: evaluate each piece at i = sx.lo, k = sy.lo into level j.
 
@@ -717,7 +757,7 @@ def _point_pair(pieces: tuple, sx: Strip, sy: Strip, j: int, points: dict, swept
     adds a geometric run between its constraints evaluated at (i, k).
     """
     i, k = sx.lo, sy.lo
-    c = sx.value_at(i) * sy.value_at(k)
+    c = sx.terms[0].poly.coeffs[0] * sy.terms[0].poly.coeffs[0]  # see element._point
     for piece in pieces:
         if isinstance(piece, _Pt):
             lo = hi = i + piece.tk * k
@@ -758,9 +798,12 @@ def mul(
                         _point_pair(pieces, sx, sy, j + l, points, swept)
                         continue
                     emitted: list = []
-                    for piece in pieces:
-                        summed = _sum_point if isinstance(piece, _Pt) else _sum_span
-                        summed(piece, sx, sy, emitted)
+                    if sx.lo == sx.hi or sy.lo == sy.hi:
+                        _pinned(pieces, sx, sy, emitted)
+                    else:
+                        for piece in pieces:
+                            summed = _sum_point if isinstance(piece, _Pt) else _sum_span
+                            summed(piece, sx, sy, emitted)
                     for sheet, lo, hi, st in emitted:
                         swept.setdefault((sheet, j + l), []).append(Strip(lo, hi, st))
     return _element(_normal_rows(points, swept))

@@ -521,3 +521,39 @@ def test_scale_keeps_the_normal_form(runs, ray, c):
         for key, row in x.rows
     )
     assert x.scale(c) == renormalised
+
+
+def test_row_with_a_monic_gcd_builds_within_a_second():
+    # each value is c*s^(2m) + c*s^(-2m), whose gcd with s + 1 is taken at full degree
+    c = ONE / (Coeff.s_power(1) + ONE)
+    start = time.perf_counter()
+    terms = ((-2, IndexPoly.constant(c)), (2, IndexPoly.constant(c)))
+    x = HeckeElement([((1, 0), [Strip(0, 255, terms)])])
+    assert time.perf_counter() - start < 1.0
+    for m in (0, 1, 100, 255):
+        assert x.coefficient_at((1, 0), m) == c * (Coeff.s_power(-2 * m) + Coeff.s_power(2 * m))
+    assert x.coefficient_at((1, 0), 256).is_zero()
+
+
+_ray_polys = st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(any)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(-2, 2), _ray_polys), min_size=1, max_size=3,
+             unique_by=lambda t: t[0]),
+    st.booleans(),
+)
+def test_lone_ray_rows_equal_their_swept_normal_form(end, up, parts, vanish_at_end):
+    # a lone ray is kept as it is only where the sweep would return it unchanged
+    poly = lambda cs: IndexPoly(tuple(Coeff.integer(v) for v in cs))
+    terms = merge_terms((e, poly(cs)) for e, cs in parts)
+    if vanish_at_end:  # times (m - end), so the ray's first value is zero
+        terms = merge_terms((e, p * poly((-end, 1))) for e, p in terms)
+    ray = Strip(end, POS_INF, terms) if up else Strip(NEG_INF, end, terms)
+    key = (1, -1 if up else 1)
+    ((_, row),) = _normal_rows({}, {key: [ray]})
+    assert row.strips == normalize_strips([ray])
+    assert (row.strips == (ray,)) == (not terms_value(terms, end).is_zero())

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,7 @@ from hecke2d.product import (
     PERTURBATIONS,
     _Pt,
     _pieces,
+    _pinned,
     _point_pair,
     _sum_point,
     _sum_span,
@@ -302,6 +304,53 @@ def test_engine_matches_point_kernel_on_point_strips():
     assert checked == 1286  # 1274 nonzero pairs plus 12 under flip-1e
 
 
+def _engine(pieces, sx, sy, out):
+    # the two-sum engine, as mul ran it on every pair with a ray
+    for piece in pieces:
+        summed = _sum_point if isinstance(piece, _Pt) else _sum_span
+        summed(piece, sx, sy, out)
+
+
+def _engine_rows(run):
+    # the sheet rows of one kernel's emitted strips, or the error they raise
+    emitted = []
+    try:
+        run(emitted)
+        return _rows(emitted)
+    except (InfiniteSupportError, ShapeError) as err:
+        return type(err).__name__
+
+
+def test_pinned_kernel_matches_the_engine_on_ray_point_strips():
+    # mul sends ray x point pairs to _pinned; the two-sum engine must agree on them
+    c = Coeff.s_power(2) - ONE
+    terms = (
+        ExpPolyTerm(-2, IndexPoly((Q, ONE))),
+        ExpPolyTerm(1, IndexPoly((ONE, Coeff.s_power(-1), Coeff.integer(3)))),
+    )
+    outcomes = Counter()
+    for a in (1, 2):
+        for b in (1, 2):
+            for js, ls in [(-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1)]:
+                for isg in (1, -1):
+                    for ksg in (1, -1):
+                        kernels = {_pieces(a, b, js, ls, isg, ksg, p) for p in PERTURBATIONS}
+                        for pieces in kernels:
+                            for ray_on_x in (True, False):
+                                sign = isg if ray_on_x else ksg
+                                point = _point(sign, c)
+                                for lo, hi in [(sign * 2, POS_INF), (NEG_INF, sign * 2)]:
+                                    ray = Strip(lo, hi, terms)
+                                    sx, sy = (ray, point) if ray_on_x else (point, ray)
+                                    want = _engine_rows(lambda out: _engine(pieces, sx, sy, out))
+                                    got = _engine_rows(lambda out: _pinned(pieces, sx, sy, out))
+                                    assert got == want, (a, b, js, ls, isg, ksg, pieces, sx, sy)
+                                    outcomes[want if isinstance(want, str) else bool(want)] += 1
+    # 113 kernels (flip-1e changes one), two sides and two directions each; a
+    # ray against its level's direction leaves a span sum unbounded on both routes
+    assert outcomes == {True: 356, False: 40, "InfiniteSupportError": 56}
+
+
 def test_finite_products_skip_the_engine(monkeypatch):
     calls = {"_antiderivative": 0, "_active_pairs": 0}
 
@@ -318,6 +367,16 @@ def test_finite_products_skip_the_engine(monkeypatch):
     for name in calls:
         monkeypatch.setattr(product, name, counted(name))
     assert mul(square, theta(-1, 0)) == theta_monomial(-3, 0)
+    assert calls == {"_antiderivative": 0, "_active_pairs": 0}
+    # a ray times a point pins the point's index: a point piece takes no sum
+    ray = mul(chi(2, 0, 1), chi(1, 0, 1))
+    for sg in (1, -1):
+        assert all(isinstance(piece, _Pt) for piece in _pieces(1, 1, 1, 1, sg, -sg, None))
+    for x, y in [(ray, chi(1, 0, 1)), (chi(1, 0, 1), ray)]:
+        prod = mul(x, y)
+        assert prod.levels() == (3,)
+        for n in (-3, 0, 1):
+            assert prod.coefficient_at((1, 3), n) == coeff_of_product(x, y, BasisIndex(1, n, 3))
     assert calls == {"_antiderivative": 0, "_active_pairs": 0}
     # a factor with a ray still goes through the engine
     assert not mul(theta(0, -1), chi(1, 0, -1)).is_zero()
@@ -343,6 +402,10 @@ def test_point_products_skip_the_row_sweep(monkeypatch):
     assert mul(square, x) == cube
     assert mul_basis((1, 2, 0), (1, -3, 0)).levels() == (0,)
     assert calls == {"normalize_strips": 0, "__post_init__": 0}
+    # a product that is one ray is kept as it is
+    tail = _ray(2, 2, NEG_INF, 1, -2, IndexPoly.constant(_OMQ * Q))
+    assert mul_basis((2, 1, 1), (2, 0, 1)) == tail
+    assert calls["normalize_strips"] == 0
     # a factor with a ray still sums its row through normalize_strips
     assert not mul(ray, level).is_zero()
     assert calls["normalize_strips"] >= 1
