@@ -4,7 +4,8 @@ Elements are finite collections of rows, one per (sheet, level) pair, each row
 a locally finite series of basis characteristic functions whose coefficients
 are exponential polynomials in the row index over the field Q(s), q = s^2.
 Products follow the closed convolution table; a counting oracle over finite
-residue fields provides an independent check at level zero.
+residue fields checks it independently, exactly in q, wherever the right
+factor has level zero.
 """
 
 from .coeff import Coeff, CoeffDivisionError, ParseError, PoleError, one_minus_qinv

@@ -1,25 +1,30 @@
 """Ground truth by counting: exact arithmetic over F_q((t1))((t2)).
 
-Everything here works at a concrete prime q and is independent of the
-symbolic product tables.  Field elements are Laurent polynomials in t1, t2
-with coefficients mod q; every matrix this module touches stays inside that
-dense subring, so valuations, coset classification, and convolution counts
-are all exact.  Structure coefficients at level zero come out of
-product_counts, which reads the coset representatives' entry valuations and
-their multiplicities from a closed-form census and applies classify's chamber
-rule to them shifted by each target's monomial representative; the suites
-compare them against the symbolic engine evaluated at the same q.  Matrix
-literals are read and written by hecke2d.text, which owns every text format.
+Matrices and fields here work at a concrete prime q and are independent of
+the symbolic product table.  Field elements are Laurent polynomials in t1,
+t2 with coefficients mod q; every matrix this module touches stays inside
+that dense subring, so valuations, coset classification, and convolution
+counts are all exact.  Structure coefficients come out of a count over the
+right factor's cosets, which reads their entry valuations and multiplicities
+from a closed-form census and applies classify's chamber rule to them
+shifted by each target's monomial representative, so no matrix is built.
+The census's multiplicities are polynomials in q, so counted_product's
+coefficients are an identity in q, for a left factor at any level times a
+right factor at level 0; product_counts gives them at a concrete q, both
+factors at level 0.  Matrix literals are read and written by hecke2d.text,
+which owns every text format.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Iterator, Mapping, Union
 
-from .element import BasisIndex
+from .coeff import Coeff
+from .element import BasisIndex, HeckeElement, _element, _normal_rows
 
 __all__ = [
     "EnumerationError",
@@ -27,6 +32,7 @@ __all__ = [
     "INFINITE",
     "LocalFieldMatrix",
     "classify",
+    "counted_product",
     "enumerate_reps",
     "eta_matrix",
     "identity_matrix",
@@ -295,6 +301,7 @@ def enumerate_reps(a: int, i: int, q: int) -> list[LocalFieldMatrix]:
     return reps
 
 
+@lru_cache(maxsize=1024)  # read by every left factor of one right factor; never mutated
 def _census(b: int, k: int, q):
     # {entry valuations: multiplicity} of enumerate_reps(b, k, q), uncapped; a
     # family of degree d has (q-1)*q^(d-1) members. q may be Coeff.q_power(1).
@@ -306,21 +313,39 @@ def _census(b: int, k: int, q):
 
 
 def _count(x: BasisIndex, y: BasisIndex, q) -> dict:
-    # q * product_counts(x, y, q), for any q that _census takes
-    out, span, census = {}, abs(x[1]) + abs(y[1]) + 1, _census(y[0], y[1], q)
-    for c in (1, 2):
-        for m in range(-span, span + 1):
-            n, shifts = 0, (m, m, -m, -m)
-            for (va, vb, vc, vd), count in census.items():
-                # z^{-1} = [[d, -b], [-c, a]]; eta(c, m, 0) scales its rows by
-                # t1^m and t1^-m, and for c = 2 also swaps them
-                vals = (vd, vb, vc, va) if c == 1 else (vc, va, vd, vb)
-                shifted = (v if v == INFINITE else (v[0] + e, v[1]) for v, e in zip(vals, shifts))
+    # q * (chi_x * chi_y) at targets of x's level j, y at level zero, for any q
+    # that _census takes
+    a, i, j = x
+    out: dict = {}
+    for (va, vb, vc, vd), count in _census(y[0], y[1], q).items():
+        for c in (1, 2):
+            # z^{-1} = [[d, -b], [-c, a]]; eta(c, m, j) scales its rows by
+            # t1^m*t2^j and t1^-m*t2^-j, and for c = 2 also swaps them
+            vals = (vd, vb, vc, va) if c == 1 else (vc, va, vd, vb)
+            vals = [v if v == INFINITE else (v[0], v[1] + e) for v, e in zip(vals, (j, j, -j, -j))]
+            # the chamber rule reads x's index off one entry of row 1, which m
+            # raises, or minus one of row 2, which m lowers: m is one of two
+            up, down = (vals[0], vals[3]) if a == 1 else (vals[1], vals[2])
+            for m in {i - sg * v[0] for sg, v in ((1, up), (-1, down)) if v != INFINITE}:
+                shifted = (v if v == INFINITE else (v[0] + e, v[1]) for v, e in zip(vals, (m, m, -m, -m)))
                 if _chamber(*shifted) == x:
-                    n += count
-            if n:
-                out[BasisIndex(c, m, 0)] = n
-    return out
+                    out[c, m] = out.get((c, m), 0) + count
+    return {BasisIndex(c, m, j): n for (c, m), n in sorted(out.items())}
+
+
+def counted_product(x: BasisIndex, y: BasisIndex) -> HeckeElement:
+    """chi_x * chi_y by counting, exactly in q, for x at any level j and y at level 0.
+
+    The census's multiplicities are polynomials in q = Coeff.q_power(1), and
+    the sum runs over y's cosets, so the rows are finite and sit at level j.
+    """
+    x, y = BasisIndex(*x), BasisIndex(*y)
+    if y.j != 0:
+        raise EnumerationError("counting needs the right factor at level zero")
+    points: dict = {}
+    for t, n in _count(x, y, Coeff.q_power(1)).items():
+        points.setdefault((t.a, t.j), {})[t.i] = Coeff.q_power(-1) * n
+    return _element(_normal_rows(points, {}))
 
 
 def product_counts(x: BasisIndex, y: BasisIndex, q: int) -> dict[BasisIndex, Fraction]:

@@ -1,36 +1,38 @@
 """Convolution products.
 
-Three routes compute products, deliberately kept separate so they can check
-one another:
+The closed product table for a pair of basis functions chi^(a)_{i,j} *
+chi^(b)_{k,l} is written once, as the ordered branch records of _TABLE.  A
+record names its branch (p1-p7, q1-q8), the factor signs it covers, and for
+each right sheet b its output terms at level j + l: a point mass at n = i + k
+or n = i - k whose q-exponent is the least of some affine forms in (i, k),
+or a geometric run between affine bounds.  _pieces compiles the first record
+that matches into kernel pieces, a point (_Pt) or a span cut out by affine
+inequalities in (i, k, n) (_Sp), and two evaluators read them:
 
-* ``mul_basis`` is a literal transcription of the closed product table for a
-  pair of basis functions chi^(a)_{i,j} * chi^(b)_{k,l}.  Every branch works
-  with concrete integers, so min/max exponents and interval ends need no
-  symbolic care.  This is the readable reference.
+* ``_point_pair`` evaluates the pieces at integers i and k, giving one value
+  or one geometric run each.  ``mul_basis`` is this evaluator on one basis
+  pair, and ``mul`` uses it for every pair of point masses.
 
-* ``mul`` extends the table bilinearly to whole strip rows.  Each table
-  branch becomes a kernel piece: either a point mass on the anti-diagonal
-  n = i + k (or diagonal n = i - k) or a span cut out by affine inequalities
-  in (i, k, n).  When both strips of a pair are point masses, each piece is
-  evaluated at those integers i and k, giving one value or one geometric
-  run.  A ray times a point mass pins the point's index in each piece: a
-  point piece then needs no sum and a span one, over the ray's index.  Only
-  a pair of rays takes both sums, first over the inner index k (spans only),
-  then over the outer index i.  A product row that is one ray is kept as it
-  is, without the sweep.  Each sum eliminates its index with a discrete
-  antiderivative (for ratio s^alpha != 1 solve R(v) - s^{-alpha} R(v-1) =
-  P(v) of equal degree; for ratio 1 the antiderivative has degree one
-  higher) and runs from the greatest of several affine lower bounds to the
-  least of several upper bounds.  One rule picks the active pair of bounds
-  for every sum: for each (lower, upper) pair, linear conditions say where
-  that pair is active, with ties going to the bound listed first.  For the
-  inner sum the conditions become bounds on i and a window in n; for the
-  outer sum, whose bounds depend on n only, they become a window in n,
-  which is one output strip.
+* ``mul`` extends the table bilinearly to whole strip rows.  A ray times a
+  point mass pins the point's index in each piece: a point piece then needs
+  no sum and a span one, over the ray's index.  Only a pair of rays takes
+  both sums, first over the inner index k (spans only), then over the outer
+  index i.  A product row that is one ray is kept as it is, without the
+  sweep.  Each sum eliminates its index with a discrete antiderivative (for
+  ratio s^alpha != 1 solve R(v) - s^{-alpha} R(v-1) = P(v) of equal degree;
+  for ratio 1 the antiderivative has degree one higher) and runs from the
+  greatest of several affine lower bounds to the least of several upper
+  bounds.  One rule picks the active pair of bounds for every sum: for each
+  (lower, upper) pair, linear conditions say where that pair is active, with
+  ties going to the bound listed first.  For the inner sum the conditions
+  become bounds on i and a window in n; for the outer sum, whose bounds
+  depend on n only, they become a window in n, which is one output strip.
 
 * ``coeff_of_product`` computes one output coefficient by enumerating the
   finitely many contributing (i, k) pairs from support windows and summing
-  ``mul_basis`` point data, bypassing the resummation calculus entirely.
+  ``mul_basis`` point data, bypassing the resummation calculus entirely.  So
+  it checks the sums of ``mul``, while oracle.counted_product checks the
+  records themselves, exactly in q, wherever the right factor has level 0.
 
 Products vanish between strictly positive and strictly negative levels, and
 output levels add; both facts are baked into the dispatch.
@@ -38,10 +40,11 @@ output levels add; both facts are baked into the dispatch.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .coeff import Coeff, ONE, one_minus_qinv
 from .element import (
@@ -78,10 +81,132 @@ class InfiniteSupportError(ArithmeticError):
     """A contribution sum has no finite bound on one side."""
 
 
+# ---------------------------------------------------------------------------
+# the product table
+#
+# One record per table branch, first match wins.  A record names its branch
+# (p1-p7 for a left factor on sheet 1, q1-q8 on sheet 2), says which factor
+# signs it covers, and lists for each right sheet b its output terms, all at
+# level j + l.  The signs are x and y, each factor's sign (its level's, or at
+# level zero its index's, with 0 counted positive), and j and l, the signs of
+# the levels.  Exponents and bounds are affine forms in (i, k), such as
+# "2i-k-1".  A branch whose exponent depends on a sign (p3, q8) has one record
+# per sign case, under one name.
+
+Form = tuple[int, int, int]  # ci*i + ck*k + c0
+
+
+def _form(text: str) -> Form:
+    """'2i-k-1' as (2, -1, -1): the coefficients of i and of k, then the constant."""
+    acc = {"i": 0, "k": 0, "": 0}
+    for sign, digits, var in re.findall(r"([+-]?)(\d*)([ik]?)", text):
+        if digits or var:
+            acc[var] += int(sign + (digits or "1"))
+    return acc["i"], acc["k"], acc[""]
+
+
+def _forms(text: str) -> tuple[Form, ...]:
+    # comma-separated forms; "inf" or "-inf" is no bound
+    return () if text.endswith("inf") else tuple(_form(f) for f in text.split(","))
+
+
+class _Point(NamedTuple):
+    sheet: int
+    n: str  # "i+k" or "i-k"
+    exps: str  # q^(the least of these forms)
+
+
+class _Run(NamedTuple):
+    sheet: int
+    step: int  # (1 - 1/q) q^exp s^(step*n) at each n
+    exp: str
+    lows: str  # from the greatest of these ("-inf": none)
+    highs: str  # to the least of these ("inf": none)
+
+
+class _Branch(NamedTuple):
+    name: str
+    a: int
+    when: Callable[[int, int, int, int], bool]  # on the signs (x, j, y, l)
+    out: dict[int, tuple[Union[_Point, _Run], ...]]  # by right sheet b
+
+
+def _each(term: Callable[[int], Union[_Point, _Run]]) -> dict[int, tuple]:
+    # one term on each right sheet b, built from b
+    return {b: (term(b),) for b in (1, 2)}
+
+
+_TABLE: list[_Branch] = [
+    _Branch("p1", 1, lambda x, j, y, l: x > 0 and y > 0,
+            _each(lambda b: _Point(b, "i+k", "-1"))),
+    _Branch("p2", 1, lambda x, j, y, l: x < 0 and y < 0,
+            _each(lambda b: _Point(b, "i+k", "-1"))),
+    _Branch("p3", 1, lambda x, j, y, l: j == 0 and l < 0 < x,
+            _each(lambda b: _Point(b, "i+k", "2i-1"))),
+    _Branch("p3", 1, lambda x, j, y, l: j == 0 and x < 0 < l,
+            _each(lambda b: _Point(b, "i+k", "-2i-1"))),
+    _Branch("p4", 1, lambda x, j, y, l: j > 0 and l == 0 and y < 0, {
+        1: (_Point(1, "i+k", "-2k-1"), _Run(2, -2, "i-k-1", "i+k", "i-k-1")),
+        2: (_Run(1, -2, "i-k-1", "i+k+1", "i-k-1"), _Point(2, "i+k", "-2k-2")),
+    }),
+    _Branch("p5", 1, lambda x, j, y, l: j < 0 and l == 0 and y > 0, {
+        1: (_Point(1, "i+k", "2k-1"), _Run(2, 2, "-i+k", "i-k", "i+k-1")),
+        2: (_Run(1, 2, "-i+k", "i-k", "i+k"), _Point(2, "i+k", "2k")),
+    }),
+    _Branch("p6", 1, lambda x, j, y, l: j == l == 0 and x > 0 > y, {
+        1: (_Point(1, "i+k", "2i-1, -2k-1"), _Run(2, -2, "i-k-1", "i+k, -i-k", "i-k-1")),
+        2: (_Run(1, -2, "i-k-1", "i+k+1, -i-k", "i-k-1"), _Point(2, "i+k", "2i-1, -2k-2")),
+    }),
+    _Branch("p7", 1, lambda x, j, y, l: j == l == 0 and x < 0 < y, {
+        1: (_Point(1, "i+k", "-2i-1, 2k-1"), _Run(2, 2, "-i+k", "i-k", "i+k-1, -i-k-1")),
+        2: (_Run(1, 2, "-i+k", "i-k", "i+k, -i-k-1"), _Point(2, "i+k", "-2i-1, 2k")),
+    }),
+    _Branch("q1", 2, lambda x, j, y, l: j > 0 and l > 0,
+            _each(lambda b: _Run(b, -2, "i+k", "-inf", "i+k"))),
+    _Branch("q2", 2, lambda x, j, y, l: j < 0 and l < 0,
+            _each(lambda b: _Run(b, 2, "-i-k-1", "i+k+1", "inf"))),
+    _Branch("q3", 2, lambda x, j, y, l: l == 0 and x != y,
+            _each(lambda b: _Point(3 - b, "i-k", "-1"))),
+    _Branch("q4", 2, lambda x, j, y, l: j > 0 and l == 0 and y > 0, {
+        1: (_Run(1, -2, "i+k", "i-k+1", "i+k"), _Point(2, "i-k", "2k-1")),
+        2: (_Point(1, "i-k", "2k"), _Run(2, -2, "i+k", "i-k", "i+k")),
+    }),
+    _Branch("q5", 2, lambda x, j, y, l: j < 0 and l == 0 and y < 0, {
+        1: (_Run(1, 2, "-i-k-1", "i+k+1", "i-k"), _Point(2, "i-k", "-2k-1")),
+        2: (_Point(1, "i-k", "-2k-2"), _Run(2, 2, "-i-k-1", "i+k+1", "i-k-1")),
+    }),
+    _Branch("q6", 2, lambda x, j, y, l: j == 0 and l != 0 and x != y, {1: (), 2: ()}),
+    _Branch("q7", 2, lambda x, j, y, l: j == 0 and l > 0 and x > 0,
+            _each(lambda b: _Run(b, -2, "i+k", "-i+k", "i+k"))),
+    _Branch("q8", 2, lambda x, j, y, l: j == 0 and l < 0 and x < 0,
+            _each(lambda b: _Run(b, 2, "-i-k-1", "i+k+1", "-i+k-1"))),
+    _Branch("q8", 2, lambda x, j, y, l: j == l == 0 and x > 0 and y > 0, {
+        1: (_Run(1, -2, "i+k", "i-k+1, -i+k", "i+k"), _Point(2, "i-k", "2i, 2k-1")),
+        2: (_Point(1, "i-k", "2i, 2k"), _Run(2, -2, "i+k", "i-k, -i+k", "i+k")),
+    }),
+    _Branch("q8", 2, lambda x, j, y, l: j == l == 0 and x < 0 and y < 0, {
+        1: (_Run(1, 2, "-i-k-1", "i+k+1", "i-k, -i+k-1"), _Point(2, "i-k", "-2i-2, -2k-1")),
+        2: (_Point(1, "i-k", "-2i-2, -2k-2"), _Run(2, 2, "-i-k-1", "i+k+1", "-i+k-1, i-k-1")),
+    }),
+]
+
+
+def _record(a: int, js: int, ls: int, isg: int, ksg: int) -> _Branch:
+    """The first record covering sheet a, level signs js, ls and index signs isg, ksg."""
+    x, y = js or isg, ls or ksg
+    for rec in _TABLE:
+        if rec.a == a and rec.when(x, js, y, ls):
+            return rec
+    raise CaseTableError(f"no record covers sheet {a} with signs {(isg, js, ksg, ls)}")
+
+
 #: Recognized deliberate table mutations, used by verification suites as a
-#: negative control.  "flip-1e" raises the mixed-sign level-0 point exponent
-#: min(2i-1, -2k-1) to min(2i, -2k-1).
-PERTURBATIONS = (None, "flip-1e")
+#: negative control.  Each replaces one point exponent form of one record on
+#: one right sheet, so both evaluators and the engine see the same edit:
+#: "flip-1e" raises p6's mixed-sign level-0 point exponent on sheet 1,
+#: min(2i-1, -2k-1), to min(2i, -2k-1), split on n as its own forms say.
+_MUTATIONS = {"flip-1e": ("p6", 1, "2i-1", "2i")}
+PERTURBATIONS = (None, *_MUTATIONS)
 
 
 def _check_perturbation(p: Optional[str]) -> None:
@@ -110,7 +235,7 @@ def _add_run(points: dict, swept: dict, key: tuple, lo: Bound, hi: Bound, e: int
 
 
 # ---------------------------------------------------------------------------
-# literal basis-pair products
+# basis-pair products
 
 
 def mul_basis(
@@ -119,112 +244,15 @@ def mul_basis(
     *,
     perturbation: Optional[str] = None,
 ) -> HeckeElement:
-    """Product of two basis functions, straight off the closed table."""
+    """Product of two basis functions: the table's pieces evaluated at (i, k)."""
     _check_perturbation(perturbation)
-    xb, yb = _as_basis(x), _as_basis(y)
-    a, i, j = xb
-    b, k, l = yb
+    (a, i, j), (b, k, l) = _as_basis(x), _as_basis(y)
     if j * l < 0:
         return HeckeElement()
-    qp = Coeff.q_power
-    omq = one_minus_qinv()
     points: dict[tuple[int, int], dict[int, Coeff]] = {}
     swept: dict[tuple[int, int], list[Strip]] = {}
-
-    def pt(c: Coeff, aa: int, m: int, jj: int) -> None:
-        _add_run(points, swept, (aa, jj), m, m, 0, c)
-
-    def geo(c: Coeff, e: int, aa: int, lo: Bound, hi: Bound, jj: int) -> None:
-        if lo <= hi:
-            _add_run(points, swept, (aa, jj), lo, hi, e, c)
-
-    if a == 1:
-        if (j > 0 or (j == 0 and i >= 0)) and (l > 0 or (l == 0 and k >= 0)):
-            pt(qp(-1), b, i + k, j + l)
-        elif (j < 0 or (j == 0 and i < 0)) and (l < 0 or (l == 0 and k < 0)):
-            pt(qp(-1), b, i + k, j + l)
-        elif j == 0 and ((i >= 0 and l < 0) or (i < 0 and l > 0)):
-            pt(qp(2 * abs(i) - 1), b, i + k, l)
-        elif j > 0 and l == 0 and k < 0:
-            if b == 1:
-                pt(qp(-2 * k - 1), 1, i + k, j)
-                geo(omq * qp(i - k - 1), -2, 2, i + k, i - k - 1, j)
-            else:
-                geo(omq * qp(i - k - 1), -2, 1, i + k + 1, i - k - 1, j)
-                pt(qp(-2 * k - 2), 2, i + k, j)
-        elif j < 0 and l == 0 and k >= 0:
-            if b == 1:
-                pt(qp(2 * k - 1), 1, i + k, j)
-                geo(omq * qp(-i + k), 2, 2, i - k, i + k - 1, j)
-            else:
-                geo(omq * qp(-i + k), 2, 1, i - k, i + k, j)
-                pt(qp(2 * k), 2, i + k, j)
-        elif j == 0 and l == 0 and i >= 0 and k < 0:
-            first = 2 * i if perturbation == "flip-1e" else 2 * i - 1
-            if b == 1:
-                pt(qp(min(first, -2 * k - 1)), 1, i + k, 0)
-                geo(omq * qp(i - k - 1), -2, 2, max(i + k, -i - k), i - k - 1, 0)
-            else:
-                geo(omq * qp(i - k - 1), -2, 1, max(i + k + 1, -i - k), i - k - 1, 0)
-                pt(qp(min(2 * i - 1, -2 * k - 2)), 2, i + k, 0)
-        elif j == 0 and l == 0 and i < 0 and k >= 0:
-            if b == 1:
-                pt(qp(min(-2 * i - 1, 2 * k - 1)), 1, i + k, 0)
-                geo(omq * qp(-i + k), 2, 2, i - k, min(i + k - 1, -i - k - 1), 0)
-            else:
-                geo(omq * qp(-i + k), 2, 1, i - k, min(i + k, -i - k - 1), 0)
-                pt(qp(min(-2 * i - 1, 2 * k)), 2, i + k, 0)
-        else:
-            raise CaseTableError(f"no case covers {xb} * {yb}")
-    else:
-        if j > 0 and l > 0:
-            geo(omq * qp(i + k), -2, b, NEG_INF, i + k, j + l)
-        elif j < 0 and l < 0:
-            geo(omq * qp(-i - k - 1), 2, b, i + k + 1, POS_INF, j + l)
-        elif (
-            l == 0
-            and (
-                ((j > 0 or (j == 0 and i >= 0)) and k < 0)
-                or ((j < 0 or (j == 0 and i < 0)) and k >= 0)
-            )
-        ):
-            pt(qp(-1), 3 - b, i - k, j)
-        elif j > 0 and l == 0 and k >= 0:
-            if b == 1:
-                geo(omq * qp(i + k), -2, 1, i - k + 1, i + k, j)
-                pt(qp(2 * k - 1), 2, i - k, j)
-            else:
-                pt(qp(2 * k), 1, i - k, j)
-                geo(omq * qp(i + k), -2, 2, i - k, i + k, j)
-        elif j < 0 and l == 0 and k < 0:
-            if b == 1:
-                geo(omq * qp(-i - k - 1), 2, 1, i + k + 1, i - k, j)
-                pt(qp(-2 * k - 1), 2, i - k, j)
-            else:
-                pt(qp(-2 * k - 2), 1, i - k, j)
-                geo(omq * qp(-i - k - 1), 2, 2, i + k + 1, i - k - 1, j)
-        elif j == 0 and ((i >= 0 and l < 0) or (i < 0 and l > 0)):
-            pass  # both products vanish
-        elif j == 0 and i >= 0 and l > 0:
-            geo(omq * qp(i + k), -2, b, -i + k, i + k, l)
-        elif j == 0 and i < 0 and l < 0:
-            geo(omq * qp(-i - k - 1), 2, b, i + k + 1, -i + k - 1, l)
-        elif j == 0 and l == 0 and i >= 0 and k >= 0:
-            if b == 1:
-                geo(omq * qp(i + k), -2, 1, max(i - k + 1, -i + k), i + k, 0)
-                pt(qp(min(2 * i, 2 * k - 1)), 2, i - k, 0)
-            else:
-                pt(qp(min(2 * i, 2 * k)), 1, i - k, 0)
-                geo(omq * qp(i + k), -2, 2, max(i - k, -i + k), i + k, 0)
-        elif j == 0 and l == 0 and i < 0 and k < 0:
-            if b == 1:
-                geo(omq * qp(-i - k - 1), 2, 1, i + k + 1, min(i - k, -i + k - 1), 0)
-                pt(qp(min(-2 * i - 2, -2 * k - 1)), 2, i - k, 0)
-            else:
-                pt(qp(min(-2 * i - 2, -2 * k - 2)), 1, i - k, 0)
-                geo(omq * qp(-i - k - 1), 2, 2, i + k + 1, min(-i + k - 1, i - k - 1), 0)
-        else:
-            raise CaseTableError(f"no case covers {xb} * {yb}")
+    signs = (1 if i >= 0 else -1, 1 if k >= 0 else -1)
+    _point_pair(_pieces(a, b, _sgn(j), _sgn(l), *signs, perturbation), i, k, None, j + l, points, swept)
     return _element(_normal_rows(points, swept))
 
 
@@ -387,7 +415,7 @@ def _eterms_to_strip_terms(terms: list[ETerm]) -> tuple[ExpPolyTerm, ...]:
     return merge_terms(parts)
 
 
-# kernel pieces: the table as data for the strip engine
+# kernel pieces: the records compiled for the evaluator and the strip engine
 
 
 @dataclass(frozen=True)
@@ -413,7 +441,19 @@ class _Sp:
     scalar: Coeff
 
 
-@lru_cache(maxsize=None)  # a few dozen signatures; the pieces are immutable
+def _split(f1: Form, f2: Form, tk: int) -> tuple[dict, dict]:
+    """The n-windows where q^f1, then q^f2, is the lesser at n = i + tk*k; a tie goes to f1."""
+    di, dk, d0 = (u - v for u, v in zip(f1, f2))
+    if dk != tk * di or not di:
+        raise CaseTableError("a point's exponents must differ by a multiple of n")
+    if di > 0:  # f1 <= f2 where n <= -d0/di
+        t = -d0 // di
+        return {"nhi": t}, {"nlo": t + 1}
+    t = -(d0 // di)  # f1 <= f2 where n >= d0/(-di)
+    return {"nlo": t}, {"nhi": t - 1}
+
+
+@lru_cache(maxsize=None)  # 112 signatures per perturbation; the pieces are immutable
 def _pieces(
     a: int,
     b: int,
@@ -423,131 +463,29 @@ def _pieces(
     ksg: int,
     perturbation: Optional[str],
 ) -> tuple:
-    """Kernel pieces for one table family, selected by level signs and, at
-    level zero, by the index sign of the corresponding factor."""
-    qm1 = Coeff.q_power(-1)
-    qm2 = Coeff.q_power(-2)
-    omq = one_minus_qinv()
-    omq_qm1 = omq * qm1
-    if a == 1:
-        pos_x = js > 0 or (js == 0 and isg > 0)
-        neg_x = js < 0 or (js == 0 and isg < 0)
-        pos_y = ls > 0 or (ls == 0 and ksg > 0)
-        neg_y = ls < 0 or (ls == 0 and ksg < 0)
-        if js == 0 and ls == 0:
-            if isg > 0 and ksg > 0 or isg < 0 and ksg < 0:
-                return (_Pt(b, 1, 0, 0, 0, qm1),)
-            if isg > 0:  # k < 0
-                first = ONE if perturbation == "flip-1e" else qm1
-                if b == 1:
-                    return (
-                        _Pt(1, 1, 4, 0, 0, first, nhi=0),
-                        _Pt(1, 1, 0, -4, 0, qm1, nlo=1),
-                        _Sp(2, ((1, 1, 1, 0), (1, -1, -1, 0), (-1, 1, -1, -1)), 2, -2, -2, omq_qm1),
-                    )
-                return (
-                    _Sp(1, ((1, 1, 1, 1), (1, -1, -1, 0), (-1, 1, -1, -1)), 2, -2, -2, omq_qm1),
-                    _Pt(2, 1, 4, 0, 0, qm1, nhi=-1),
-                    _Pt(2, 1, 0, -4, 0, qm2, nlo=0),
-                )
-            # i < 0, k >= 0
-            if b == 1:
-                return (
-                    _Pt(1, 1, -4, 0, 0, qm1, nlo=0),
-                    _Pt(1, 1, 0, 4, 0, qm1, nhi=-1),
-                    _Sp(2, ((1, 1, -1, 0), (-1, 1, 1, -1), (-1, -1, -1, -1)), -2, 2, 2, omq),
-                )
-            return (
-                _Sp(1, ((1, 1, -1, 0), (-1, 1, 1, 0), (-1, -1, -1, -1)), -2, 2, 2, omq),
-                _Pt(2, 1, -4, 0, 0, qm1, nlo=0),
-                _Pt(2, 1, 0, 4, 0, ONE, nhi=-1),
-            )
-        if pos_x and pos_y or neg_x and neg_y:
-            return (_Pt(b, 1, 0, 0, 0, qm1),)
-        if js == 0 and ((isg > 0 and ls < 0) or (isg < 0 and ls > 0)):
-            e = 4 if isg > 0 else -4
-            return (_Pt(b, 1, e, 0, 0, qm1),)
-        if js > 0 and ls == 0 and ksg < 0:
-            if b == 1:
-                return (
-                    _Pt(1, 1, 0, -4, 0, qm1),
-                    _Sp(2, ((1, 1, 1, 0), (-1, 1, -1, -1)), 2, -2, -2, omq_qm1),
-                )
-            return (
-                _Sp(1, ((1, 1, 1, 1), (-1, 1, -1, -1)), 2, -2, -2, omq_qm1),
-                _Pt(2, 1, 0, -4, 0, qm2),
-            )
-        if js < 0 and ls == 0 and ksg > 0:
-            if b == 1:
-                return (
-                    _Pt(1, 1, 0, 4, 0, qm1),
-                    _Sp(2, ((1, 1, -1, 0), (-1, 1, 1, -1)), -2, 2, 2, omq),
-                )
-            return (
-                _Sp(1, ((1, 1, -1, 0), (-1, 1, 1, 0)), -2, 2, 2, omq),
-                _Pt(2, 1, 0, 4, 0, ONE),
-            )
-        raise CaseTableError("no kernel for sheet-1 signature")
-    # a == 2
-    if js > 0 and ls > 0:
-        return (_Sp(b, ((-1, 1, 1, 0),), 2, 2, -2, omq),)
-    if js < 0 and ls < 0:
-        return (_Sp(b, ((1, 1, 1, 1),), -2, -2, 2, omq_qm1),)
-    pos_x = js > 0 or (js == 0 and isg > 0)
-    neg_x = js < 0 or (js == 0 and isg < 0)
-    if ls == 0 and ((pos_x and ksg < 0) or (neg_x and ksg > 0)):
-        return (_Pt(3 - b, -1, 0, 0, 0, qm1),)
-    if js > 0 and ls == 0 and ksg > 0:
-        if b == 1:
-            return (
-                _Sp(1, ((1, 1, -1, 1), (-1, 1, 1, 0)), 2, 2, -2, omq),
-                _Pt(2, -1, 0, 4, 0, qm1),
-            )
-        return (
-            _Pt(1, -1, 0, 4, 0, ONE),
-            _Sp(2, ((1, 1, -1, 0), (-1, 1, 1, 0)), 2, 2, -2, omq),
-        )
-    if js < 0 and ls == 0 and ksg < 0:
-        if b == 1:
-            return (
-                _Sp(1, ((1, 1, 1, 1), (-1, 1, -1, 0)), -2, -2, 2, omq_qm1),
-                _Pt(2, -1, 0, -4, 0, qm1),
-            )
-        return (
-            _Pt(1, -1, 0, -4, 0, qm2),
-            _Sp(2, ((1, 1, 1, 1), (-1, 1, -1, -1)), -2, -2, 2, omq_qm1),
-        )
-    if js == 0 and ((isg > 0 and ls < 0) or (isg < 0 and ls > 0)):
-        return ()
-    if js == 0 and isg > 0 and ls > 0:
-        return (_Sp(b, ((1, -1, 1, 0), (-1, 1, 1, 0)), 2, 2, -2, omq),)
-    if js == 0 and isg < 0 and ls < 0:
-        return (_Sp(b, ((1, 1, 1, 1), (-1, -1, 1, -1)), -2, -2, 2, omq_qm1),)
-    if js == 0 and ls == 0 and isg > 0 and ksg > 0:
-        if b == 1:
-            return (
-                _Sp(1, ((1, 1, -1, 1), (1, -1, 1, 0), (-1, 1, 1, 0)), 2, 2, -2, omq),
-                _Pt(2, -1, 4, 0, 0, ONE, nhi=-1),
-                _Pt(2, -1, 0, 4, 0, qm1, nlo=0),
-            )
-        return (
-            _Pt(1, -1, 4, 0, 0, ONE, nhi=0),
-            _Pt(1, -1, 0, 4, 0, ONE, nlo=1),
-            _Sp(2, ((1, 1, -1, 0), (1, -1, 1, 0), (-1, 1, 1, 0)), 2, 2, -2, omq),
-        )
-    if js == 0 and ls == 0 and isg < 0 and ksg < 0:
-        if b == 1:
-            return (
-                _Sp(1, ((1, 1, 1, 1), (-1, 1, -1, 0), (-1, -1, 1, -1)), -2, -2, 2, omq_qm1),
-                _Pt(2, -1, -4, 0, 0, qm2, nlo=0),
-                _Pt(2, -1, 0, -4, 0, qm1, nhi=-1),
-            )
-        return (
-            _Pt(1, -1, -4, 0, 0, qm2, nlo=0),
-            _Pt(1, -1, 0, -4, 0, qm2, nhi=-1),
-            _Sp(2, ((1, 1, 1, 1), (-1, -1, 1, -1), (-1, 1, -1, -1)), -2, -2, 2, omq_qm1),
-        )
-    raise CaseTableError("no kernel for sheet-2 signature")
+    """Kernel pieces of the first record covering the signature, on right sheet b.
+
+    q^(ci*i + ck*k + c0) becomes ei = 2ci, ek = 2ck and the scalar q^c0, times
+    1 - 1/q for a run, whose bounds become span constraints.  A point whose
+    exponent is the least of two forms becomes two point pieces, split on n.
+    """
+    rec = _record(a, js, ls, isg, ksg)
+    name, sheet, old, new = _MUTATIONS.get(perturbation, ("", 0, "", ""))
+    pieces: list[Union[_Pt, _Sp]] = []
+    for t in rec.out[b]:
+        if isinstance(t, _Run):
+            ci, ck, c0 = _form(t.exp)
+            cons = (*((1, *f) for f in _forms(t.lows)), *((-1, *f) for f in _forms(t.highs)))
+            scalar = one_minus_qinv() * Coeff.q_power(c0)
+            pieces.append(_Sp(t.sheet, cons, 2 * ci, 2 * ck, t.step, scalar))
+            continue
+        tk, exps = _form(t.n)[1], _forms(t.exps)
+        if (rec.name, b) == (name, sheet):
+            exps = tuple(_form(new) if f == _form(old) else f for f in exps)
+        windows = _split(*exps, tk) if len(exps) == 2 else ({},)
+        for (ci, ck, c0), window in zip(exps, windows):
+            pieces.append(_Pt(t.sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), **window))
+    return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -750,27 +688,32 @@ def _pinned(pieces: tuple, sx: Strip, sy: Strip, out: list) -> None:
         _sum_outer(terms, lows, ups, window, piece.sheet, out)
 
 
-def _point_pair(pieces: tuple, sx: Strip, sy: Strip, j: int, points: dict, swept: dict) -> None:
-    """Both strips are point masses: evaluate each piece at i = sx.lo, k = sy.lo into level j.
+def _point_pair(
+    pieces: tuple, i: int, k: int, c: Optional[Coeff], j: int, points: dict, swept: dict
+) -> None:
+    """Each piece at the integers i and k, times c (None for 1), into level j.
 
     A point piece adds one value at n = i + tk*k inside its window; a span
     adds a geometric run between its constraints evaluated at (i, k).
     """
-    i, k = sx.lo, sy.lo
-    c = sx.terms[0].poly.coeffs[0] * sy.terms[0].poly.coeffs[0]  # see element._point
     for piece in pieces:
         if isinstance(piece, _Pt):
             lo = hi = i + piece.tk * k
             if not piece.nlo <= lo <= piece.nhi:
                 continue
         else:
-            ends = [(sense, ci * i + ck * k + c0) for sense, ci, ck, c0 in piece.cons]
-            lo = max((v for sense, v in ends if sense > 0), default=NEG_INF)
-            hi = min((v for sense, v in ends if sense < 0), default=POS_INF)
+            lo, hi = NEG_INF, POS_INF
+            for sense, ci, ck, c0 in piece.cons:
+                v = ci * i + ck * k + c0
+                if sense > 0 and v > lo:
+                    lo = v
+                elif sense < 0 and v < hi:
+                    hi = v
             if lo > hi:
                 continue
-        w = piece.scalar * c * Coeff.s_power(piece.ei * i + piece.ek * k)
-        _add_run(points, swept, (piece.sheet, j), lo, hi, piece.en, w)
+        w = piece.scalar if c is None else piece.scalar * c
+        e = piece.ei * i + piece.ek * k
+        _add_run(points, swept, (piece.sheet, j), lo, hi, piece.en, w * Coeff.s_power(e) if e else w)
 
 
 def _sgn(v: int) -> int:
@@ -795,7 +738,8 @@ def mul(
                     signs = (1 if sx.lo >= 0 else -1, 1 if sy.lo >= 0 else -1)
                     pieces = _pieces(kx.a, ky.a, _sgn(j), _sgn(l), *signs, perturbation)
                     if sx.lo == sx.hi and sy.lo == sy.hi:
-                        _point_pair(pieces, sx, sy, j + l, points, swept)
+                        c = sx.terms[0].poly.coeffs[0] * sy.terms[0].poly.coeffs[0]  # element._point
+                        _point_pair(pieces, sx.lo, sy.lo, c, j + l, points, swept)
                         continue
                     emitted: list = []
                     if sx.lo == sx.hi or sy.lo == sy.hi:

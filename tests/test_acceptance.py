@@ -22,6 +22,7 @@ from hecke2d import (
     run_suite,
 )
 from hecke2d.element import NEG_INF, POS_INF
+from hecke2d.product import _record
 
 
 def _verdict(n: int, ok: bool, desc: str, detail: str = "") -> None:
@@ -39,46 +40,15 @@ def test_criterion_01_level_zero_oracle_equivalence():
     _verdict(
         1,
         ok,
-        f"counting oracle matches the symbolic table on all level-0 pairs "
-        f"|i|,|k|<=2, q in {{2,3}} ({report.cases} cases, {elapsed:.1f}s)",
+        f"counting oracle matches the symbolic table, exactly in q, on all pairs "
+        f"|i|,|k|<=2 with levels j in {{0,+-1}} and l = 0, census checked at "
+        f"q in {{2,3}} ({report.cases} cases, {elapsed:.1f}s)",
         report.text(),
     )
 
 
-def _branch(a: int, i: int, j: int, k: int, l: int) -> str:
-    # mirrors the product table's case analysis, one label per code branch
-    if a == 1:
-        if (j > 0 or (j == 0 and i >= 0)) and (l > 0 or (l == 0 and k >= 0)):
-            return "p1"
-        if (j < 0 or (j == 0 and i < 0)) and (l < 0 or (l == 0 and k < 0)):
-            return "p2"
-        if j == 0 and ((i >= 0 and l < 0) or (i < 0 and l > 0)):
-            return "p3"
-        if j > 0 and l == 0 and k < 0:
-            return "p4"
-        if j < 0 and l == 0 and k >= 0:
-            return "p5"
-        if j == 0 and l == 0 and i >= 0 and k < 0:
-            return "p6"
-        return "p7"
-    if j > 0 and l > 0:
-        return "q1"
-    if j < 0 and l < 0:
-        return "q2"
-    if l == 0 and (
-        ((j > 0 or (j == 0 and i >= 0)) and k < 0)
-        or ((j < 0 or (j == 0 and i < 0)) and k >= 0)
-    ):
-        return "q3"
-    if j > 0 and l == 0 and k >= 0:
-        return "q4"
-    if j < 0 and l == 0 and k < 0:
-        return "q5"
-    if j == 0 and ((i >= 0 and l < 0) or (i < 0 and l > 0)):
-        return "q6"
-    if j == 0 and i >= 0 and l > 0:
-        return "q7"
-    return "q8"
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
 
 
 _ALL_BRANCHES = {f"p{n}" for n in range(1, 8)} | {f"q{n}" for n in range(1, 9)}
@@ -139,7 +109,8 @@ def test_criterion_02_two_path_product_agreement():
                         for l in (-1, 0, 1):
                             if j * l < 0:
                                 continue
-                            seen.add(_branch(a, i, j, k, l))
+                            signs = (_sign(j), _sign(l), 1 if i >= 0 else -1, 1 if k >= 0 else -1)
+                            seen.add(_record(a, *signs).name)
                             bad = _two_path_check(chi(a, i, j), chi(b, k, l), rng)
                             problems.extend(bad)
                             pairs += 1

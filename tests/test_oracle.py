@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from hecke2d import (
     BasisIndex,
-    Coeff,
     EnumerationError,
     FieldElem2,
     LocalFieldMatrix,
@@ -276,22 +275,17 @@ def test_census_matches_enumerated_valuations(q, bound):
 
 def test_counts_match_the_table_for_every_q():
     # q = s^2 symbolic: each count is a polynomial in q, so this is an
-    # identity in q, not a check at sample values
-    q = Coeff.q_power(1)
-    for a, b in itertools.product((1, 2), repeat=2):
-        for i, k in itertools.product(range(-6, 7), repeat=2):
-            x, y = BasisIndex(a, i, 0), BasisIndex(b, k, 0)
-            counts, table = oracle._count(x, y, q), mul_basis(x, y)
-            span = abs(i) + abs(k) + 1
-            assert all(
-                key.j == 0 and -span <= st.lo and st.hi <= span
-                for key, series in table.rows
-                for st in series.strips
-            ), (x, y)
-            for c in (1, 2):
-                for m in range(-span, span + 1):
-                    want = table.coefficient_at((c, 0), m)
-                    assert counts.get(BasisIndex(c, m, 0), 0) / q == want, (x, y, c, m)
+    # identity in q, not a check at sample values; 676 level-0 pairs, then
+    # 1296 with the left factor at level j != 0
+    checked = 0
+    for indices, levels in [(range(-6, 7), (0,)), (range(-4, 5), (-2, -1, 1, 2))]:
+        for a, b in itertools.product((1, 2), repeat=2):
+            for i, k in itertools.product(indices, repeat=2):
+                for j in levels:
+                    x, y = BasisIndex(a, i, j), BasisIndex(b, k, 0)
+                    assert oracle.counted_product(x, y) == mul_basis(x, y), (x, y)
+                    checked += 1
+    assert checked == 676 + 1296
 
 
 def test_product_counts_builds_no_matrix_products(monkeypatch):
@@ -340,3 +334,8 @@ def test_enumeration_refuses_more_than_the_rep_cap():
     for a, i, q in [(1, 4, 17), (2, 3, 7), (2, -4, 7), (1, -4, 7)]:
         with pytest.raises(EnumerationError, match="cosets"):
             enumerate_reps(a, i, q)
+
+
+def test_counted_product_needs_a_level_zero_right_factor():
+    with pytest.raises(EnumerationError, match="level zero"):
+        oracle.counted_product((1, 0, 0), (1, 0, 1))

@@ -5,6 +5,7 @@ everything else is pinned by closed forms checked through two independent
 evaluation paths.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -36,7 +37,7 @@ from hecke2d import (
     theta_monomial,
     zero_element,
 )
-from hecke2d import element, product
+from hecke2d import element, oracle, product
 from hecke2d.coeff import ONE, Q
 from hecke2d.element import NEG_INF, POS_INF, _normal_rows, normalize_strips
 from hecke2d.product import (
@@ -228,6 +229,12 @@ def test_perturbation_negative_control():
     assert mul_basis(BasisIndex(1, 1, 0), BasisIndex(1, 1, 0), perturbation="flip-1e") == mul_basis(
         BasisIndex(1, 1, 0), BasisIndex(1, 1, 0)
     )
+    # mul and mul_basis read one definition, min(2i, -2k-1), split where its
+    # own forms cross: at k = -i it is 2i-1, the unperturbed exponent
+    for i in (1, 2, 3):
+        x, y = (1, i, 0), (1, -i, 0)
+        bent = mul(chi(*x), chi(*y), perturbation="flip-1e")
+        assert bent == mul_basis(x, y, perturbation="flip-1e") == mul_basis(x, y), i
 
 
 def test_infinite_support_error_exists():
@@ -297,7 +304,7 @@ def test_engine_matches_point_kernel_on_point_strips():
                             for piece in pieces:
                                 summed = _sum_point if isinstance(piece, _Pt) else _sum_span
                                 summed(piece, sx, sy, engine)
-                            _point_pair(pieces, sx, sy, js + ls, points, swept)
+                            _point_pair(pieces, i, k, cx * cy, js + ls, points, swept)
                             kernel = {key.a: row.strips for key, row in _normal_rows(points, swept)}
                             assert _rows(engine) == kernel, (a, b, js, ls, i, k, pieces)
                             checked += bool(points or swept)
@@ -444,3 +451,43 @@ def test_memoised_pieces_keep_perturbations_apart():
     for p in PERTURBATIONS:
         assert got[p][::2] == got[p][1::2] == _products_in_new_process(pairs, p)
     assert got[None] != got["flip-1e"]
+
+
+def _level_zero_instances(rec):
+    # the pairs |i|,|k| <= 2, j in {0, +-1}, l = 0 whose product reads rec
+    for b, i, j, k in itertools.product((1, 2), range(-2, 3), (-1, 0, 1), range(-2, 3)):
+        signs = ((j > 0) - (j < 0), 0, 1 if i >= 0 else -1, 1 if k >= 0 else -1)
+        if product._record(rec.a, *signs) is rec:
+            yield BasisIndex(rec.a, i, j), BasisIndex(b, k, 0)
+
+
+def _shifted(term):
+    # the term with the constant of its (first) exponent form raised by 1
+    if isinstance(term, product._Run):
+        return term._replace(exp=term.exp + "+1")
+    first, *rest = term.exps.split(",")
+    return term._replace(exps=",".join([first + "+1", *rest]))
+
+
+def test_counting_catches_a_shifted_exponent_in_every_record_it_reaches():
+    reached, unreached = set(), set()
+    for n, rec in enumerate(product._TABLE):
+        pairs = list(_level_zero_instances(rec))
+        (reached if pairs else unreached).add(rec.name)
+        for b, terms in rec.out.items() if pairs else ():
+            for t, term in enumerate(terms):
+                out = {**rec.out, b: (*terms[:t], _shifted(term), *terms[t + 1:])}
+                product._TABLE[n] = rec._replace(out=out)
+                product._pieces.cache_clear()
+                try:
+                    caught = [
+                        (x, y) for x, y in pairs
+                        if y.a == b and oracle.counted_product(x, y) != mul_basis(x, y)
+                    ]
+                finally:
+                    product._TABLE[n] = rec
+                    product._pieces.cache_clear()
+                assert caught, (rec.name, b, term)
+    assert reached == {"p1", "p2", "p4", "p5", "p6", "p7", "q3", "q4", "q5", "q8"}
+    # no level-0 right factor reaches these: a shifted exponent there goes uncounted
+    assert unreached - reached == {"p3", "q1", "q2", "q6", "q7"}

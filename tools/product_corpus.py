@@ -1,10 +1,14 @@
-"""Print one sha256 over a fixed corpus of products, to compare two checkouts.
+"""Print one sha256 per perturbation over a fixed corpus of products, to
+compare two checkouts.
 
 The corpus is every ordered pair of the identity_assoc atom pool (58 atoms)
 under each perturbation, each distinct nonzero pair product (unperturbed) times
 every atom on both sides, and theta_monomial(i, j) for i in -4..3, j in -3..3.
-Each product adds its element_to_json text, keys sorted, to the digest, so two
-checkouts that print the same digest gave byte-identical products.
+Each product adds its element_to_json text, keys sorted, to the digest of the
+perturbation it was computed under (the last two parts are unperturbed), so
+two checkouts that print the same line for a perturbation gave byte-identical
+products under it.  A change to one perturbation can so show that the
+unperturbed corpus is unchanged.
 
     python3 tools/product_corpus.py
 
@@ -25,7 +29,7 @@ from hecke2d.suites import _atom_pool  # noqa: E402
 
 
 def corpus():
-    """Yield every product of the corpus, in a fixed order."""
+    """Yield (perturbation, product) for the whole corpus, in a fixed order."""
     atoms = [x for _, x in _atom_pool()]
     distinct = {}
     for p in PERTURBATIONS:
@@ -34,25 +38,26 @@ def corpus():
                 prod = mul(x, y, perturbation=p)
                 if p is None and prod:
                     distinct.setdefault(prod, None)
-                yield prod
+                yield p, prod
     for prod in distinct:
         for atom in atoms:
-            yield mul(prod, atom)
-            yield mul(atom, prod)
+            yield None, mul(prod, atom)
+            yield None, mul(atom, prod)
     for i in range(-4, 4):
         for j in range(-3, 4):
-            yield theta_monomial(i, j)
+            yield None, theta_monomial(i, j)
 
 
 def main() -> None:
     start = time.perf_counter()
-    digest = hashlib.sha256()
-    count = 0
-    for prod in corpus():
-        digest.update(json.dumps(element_to_json(prod), sort_keys=True).encode() + b"\n")
-        count += 1
-    print(f"{count} products in {time.perf_counter() - start:.1f} s")
-    print(digest.hexdigest())
+    digests = {p: hashlib.sha256() for p in PERTURBATIONS}
+    counts = dict.fromkeys(PERTURBATIONS, 0)
+    for p, prod in corpus():
+        digests[p].update(json.dumps(element_to_json(prod), sort_keys=True).encode() + b"\n")
+        counts[p] += 1
+    print(f"{sum(counts.values())} products in {time.perf_counter() - start:.1f} s")
+    for p in PERTURBATIONS:
+        print(f"{p}: {counts[p]} products, sha256 {digests[p].hexdigest()}")
 
 
 if __name__ == "__main__":
