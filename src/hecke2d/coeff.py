@@ -49,6 +49,7 @@ class ParseError(ValueError):
 
 _PZERO: tuple[int, ...] = ()
 _PONE: tuple[int, ...] = (1,)
+_MONE: tuple[int, ...] = (-1,)
 
 
 def _ptrim(cs: Iterable[int]) -> tuple[int, ...]:
@@ -215,7 +216,7 @@ class Coeff:
     positive leading coefficient and gcd(n, d) = 1 in Z[s]; zero is s^0 * 0/1.
     Construction always reduces and values are never modified afterwards, so
     structural equality and hashing agree with equality in the field; a
-    monomial c * s^k costs O(1) whatever k is.
+    monomial c * s^k costs O(1) whatever k is, and so does a power of +-s^k.
     """
 
     __slots__ = ("_v",)
@@ -358,6 +359,8 @@ class Coeff:
             return ONE
         k, n, d = (self if e > 0 else self._inverse())._v
         e = abs(e)
+        if d == _PONE and n in (_PONE, _MONE):  # (+-s^k)^e in O(1)
+            return _make(k * e, n if e & 1 else _PONE, _PONE)
         size = len(n) + len(d) - 2 + max(abs(c) for c in n + d).bit_length() - 1
         if size * e > _MAX_POWER_SIZE:
             raise CoeffError(f"power too large: exponent {e} on a base of size {size}")

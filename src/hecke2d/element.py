@@ -13,9 +13,9 @@ part, and at most one ray, whose terms are the unique ones of the row's tail.
 Equal elements therefore have equal rows, so equality is structural and
 elements are hashable.  A finite row whose pieces cover few indices is summed
 index by index; any other row is swept from one piece end to the next.
-A product instead sums its point values in a map and reads a row with no ray
-or wide run straight off it, and keeps a row that is one ray nonzero at its
-end; a nonzero multiple of a normal form is one.
+A sum or a product instead adds its point values in one map, in one pass,
+and reads a row with no ray or wide run straight off it; it keeps a row that
+is one ray nonzero at its end.  A nonzero multiple of a normal form is one.
 """
 
 from __future__ import annotations
@@ -24,28 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .coeff import Coeff, CoeffError, ParseError
+from .coeff import ZERO, Coeff, CoeffError, ParseError
 
 __all__ = [
-    "NEG_INF",
-    "POS_INF",
-    "Bound",
-    "ShapeError",
-    "IndexPoly",
-    "ExpPolyTerm",
-    "Strip",
-    "RowKey",
-    "RowSeries",
-    "BasisIndex",
-    "HeckeElement",
-    "zero_element",
-    "add",
-    "scale",
-    "equals",
-    "coefficient_at",
-    "level_projection",
-    "values_at_q",
-    "element_to_json",
+    "NEG_INF", "POS_INF", "Bound", "ShapeError", "IndexPoly", "ExpPolyTerm", "Strip",
+    "RowKey", "RowSeries", "BasisIndex", "HeckeElement", "zero_element", "add", "scale",
+    "equals", "coefficient_at", "level_projection", "values_at_q", "element_to_json",
     "element_from_json",
 ]
 
@@ -123,7 +107,7 @@ class IndexPoly:
             return IndexPoly(tuple(x * c for x in self.coeffs))
         if not self.coeffs or not other.coeffs:
             return IndexPoly()
-        out = [Coeff() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -133,7 +117,7 @@ class IndexPoly:
 
     def eval(self, m: int) -> Coeff:
         cs = self.coeffs
-        acc = cs[-1] if cs else Coeff()
+        acc = cs[-1] if cs else ZERO
         for c in reversed(cs[:-1]):
             acc = acc * m + c
         return acc
@@ -199,7 +183,7 @@ def merge_terms(parts: Iterable[tuple[int, IndexPoly]]) -> Terms:
 
 
 def terms_value(terms: Terms, m: int) -> Coeff:
-    acc = Coeff()
+    acc = ZERO
     for e, p in terms:
         v = p.eval(m)
         acc = acc + (v * Coeff.s_power(e * m) if e * m else v)
@@ -236,7 +220,7 @@ class Strip:
     def value_at(self, m: int) -> Coeff:
         if self.lo <= m <= self.hi:
             return terms_value(self.terms, m)
-        return Coeff()
+        return ZERO
 
 
 #: Widest finite part a row may span, in indices: finite runs are stored as
@@ -387,7 +371,7 @@ class RowSeries:
         for s in self.strips:
             if s.lo <= m <= s.hi:
                 return terms_value(s.terms, m)
-        return Coeff()
+        return ZERO
 
     @property
     def support_min(self) -> Bound:
@@ -456,6 +440,23 @@ def _normal_rows(points: Mapping, swept: Mapping) -> tuple[tuple[RowKey, RowSeri
     return tuple(built)
 
 
+def _sum(xs: Iterable["HeckeElement"]) -> "HeckeElement":
+    """The sum of elements in one pass: their point values add up in one map
+    {key: {m: value}}, their rays wait in swept, and _normal_rows then builds
+    each row once, so a sum of k elements costs time linear in k."""
+    points: dict[RowKey, dict[int, Coeff]] = {}
+    swept: dict[RowKey, list[Strip]] = {}
+    for x in xs:
+        for key, row in x.rows:
+            for s in row.strips:
+                if s.lo == s.hi:  # a point mass: its value is its one coefficient
+                    acc, c = points.setdefault(key, {}), s.terms[0].poly.coeffs[0]
+                    acc[s.lo] = acc[s.lo] + c if s.lo in acc else c
+                else:
+                    swept.setdefault(key, []).append(s)
+    return _element(_normal_rows(points, swept))
+
+
 def _element(rows: tuple[tuple[RowKey, RowSeries], ...]) -> HeckeElement:
     """The element with these rows, which must be sorted and in normal form."""
     out = object.__new__(HeckeElement)
@@ -514,7 +515,7 @@ class HeckeElement:
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        return HeckeElement([(k, r.strips) for src in (self, other) for k, r in src.rows])
+        return _sum((self, other))
 
     def __neg__(self) -> "HeckeElement":
         return self.scale(Coeff.integer(-1))
@@ -531,7 +532,9 @@ class HeckeElement:
         # a nonzero multiple of a normal form is one: same ends, no new zeros
         return _element(tuple(
             (key, RowSeries(tuple(
-                Strip(s.lo, s.hi, tuple((e, p * c) for e, p in s.terms)) for s in row.strips
+                _point(s.lo, s.terms[0].poly.coeffs[0] * c) if s.lo == s.hi
+                else Strip(s.lo, s.hi, tuple((e, p * c) for e, p in s.terms))
+                for s in row.strips
             )))
             for key, row in self.rows
         ))

@@ -19,24 +19,18 @@ from .element import (
     HeckeElement,
     IndexPoly,
     POS_INF,
+    RowKey,
+    RowSeries,
     Strip,
     _check_basis,
     _element,
     _normal_rows,
+    _point,
 )
 
 __all__ = [
-    "WeylElement",
-    "chi",
-    "iota",
-    "theta",
-    "phi",
-    "preset",
-    "theta_monomial",
-    "weyl_identity",
-    "weyl_mul",
-    "weyl_word",
-    "FIXED_PRESET_NAMES",
+    "WeylElement", "chi", "iota", "theta", "phi", "preset", "theta_monomial",
+    "weyl_identity", "weyl_mul", "weyl_word", "FIXED_PRESET_NAMES",
 ]
 
 _Q = Coeff.q_power(1)
@@ -48,7 +42,7 @@ def chi(a: int, i: int, j: int) -> HeckeElement:
     if a not in (1, 2):
         raise ValueError(f"sheet must be 1 or 2, got {a}")
     _check_basis(a, i, j)
-    return _element(_normal_rows({(a, j): {i: ONE}}, {}))
+    return _element(((RowKey(a, j), RowSeries((_point(i, ONE),))),))
 
 
 def iota() -> HeckeElement:
@@ -62,12 +56,9 @@ def theta(i: int, j: int) -> HeckeElement:
     if (i, j) == (0, 1):
         return chi(1, 0, 1)
     if (i, j) == (-1, 0):
-        return (
-            chi(1, -1, 0)
-            - chi(2, -1, 0).scale(_QM1)
-            - chi(2, 0, 0).scale(_QM1)
-            + chi(1, 0, 0).scale(_Q * (_Q + Coeff.q_power(-1) - ONE - ONE))
-        )
+        # chi(1,-1,0) - (q-1) chi(2,-1,0) - (q-1) chi(2,0,0) + (q-1)^2 chi(1,0,0)
+        points = {(1, 0): {-1: ONE, 0: _QM1 * _QM1}, (2, 0): {-1: -_QM1, 0: -_QM1}}
+        return _element(_normal_rows(points, {}))
     if (i, j) == (0, -1):
         # chi(1,0,-1) minus (q-1) q^m on the sheet-2 ray m >= 0
         tail = Strip(0, POS_INF, (ExpPolyTerm(2, IndexPoly.constant(-_QM1)),))

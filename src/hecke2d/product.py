@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .coeff import Coeff, ONE, one_minus_qinv
+from .coeff import ONE, ZERO, Coeff, one_minus_qinv
 from .element import (
     BasisIndex,
     Bound,
@@ -407,9 +407,9 @@ def _eterms_to_strip_terms(terms: list[ETerm]) -> tuple[ExpPolyTerm, ...]:
         for key, c in p.items():
             if key[_I] or key[_K]:
                 raise CaseTableError("unsummed index in output polynomial")
-            deg[key[_N]] = deg.get(key[_N], Coeff()) + c
+            deg[key[_N]] = deg.get(key[_N], ZERO) + c
         width = max(deg) + 1 if deg else 0
-        ip = IndexPoly([deg.get(d, Coeff()) for d in range(width)])
+        ip = IndexPoly([deg.get(d, ZERO) for d in range(width)])
         if not ip.is_zero():
             parts.append((exps[_N], ip))
     return merge_terms(parts)
@@ -797,7 +797,7 @@ def coeff_of_product(
 ) -> Coeff:
     """One coefficient of x*y, summed pointwise over contributing basis pairs."""
     t = _as_basis(target)
-    total = Coeff()
+    total = ZERO
     for kx, rx in x.rows:
         for ky, ry in y.rows:
             j, l = kx.j, ky.j

@@ -8,6 +8,8 @@ Every value the parser builds has a degree: 1 for an element atom and for
 ``m`` if that is larger; a sum takes the larger degree, a product adds them and
 ``^k`` multiplies by |k|, counting an element or a term in ``m`` as at least 1.
 A product or power whose degree would exceed 16 is refused before it is built.
+The element addends of a sum are added in one pass when the sum ends, so a
+k-term sum costs time linear in k, and a power of ``s`` or ``q`` costs O(1).
 ``parse_element`` and ``format_element`` round-trip exactly, so every printed
 element is valid input again.  ``parse_scalar`` reads the same grammar and
 requires a scalar result; ``Coeff.parse`` is that function.
@@ -35,6 +37,7 @@ from .element import (
     POS_INF,
     ShapeError,
     Strip,
+    _sum,
     element_to_json,
     merge_terms,
     zero_element,
@@ -82,31 +85,24 @@ class _Token(NamedTuple):
     pos: int
 
 
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\.\.|[-+*/^(),:\[\]]")
+# whitespace matches no group, so finditer skips it; any other character that
+# starts no token is caught by "bad"
+_TOKEN_RE = re.compile(
+    r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>\.\.|[-+*/^(),:\[\]])|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ExprError(f"unexpected character {text[pos]!r}", pos)
-        lexeme = match.group()
-        if lexeme[0].isdigit():
-            if len(lexeme) > _MAX_DIGITS:
-                raise ExprError(f"integer literal longer than {_MAX_DIGITS} digits", pos)
-            kind = "int"
-        elif lexeme[0].isalpha():
-            kind = "name"
-        else:
-            kind = "op"
-        out.append(_Token(kind, lexeme, pos))
-        pos = match.end()
-    out.append(_Token("end", "", len(text)))
+    new = tuple.__new__
+    for match in _TOKEN_RE.finditer(text):
+        kind, lexeme, pos = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ExprError(f"unexpected character {lexeme!r}", pos)
+        if kind == "int" and len(lexeme) > _MAX_DIGITS:
+            raise ExprError(f"integer literal longer than {_MAX_DIGITS} digits", pos)
+        out.append(new(_Token, (kind, lexeme, pos)))
+    out.append(new(_Token, ("end", "", len(text))))
     return out
 
 
@@ -127,8 +123,7 @@ def _negate(value: _Value) -> _Value:
 
 
 def _combine_add(a: _Value, b: _Value, pos: int) -> _Value:
-    if isinstance(a, HeckeElement) and isinstance(b, HeckeElement):
-        return a + b
+    # scalars only: _ElementParser.expr adds up element addends itself
     if isinstance(a, HeckeElement) or isinstance(b, HeckeElement):
         raise ExprError("cannot add a scalar to an element", pos)
     if isinstance(a, Coeff) and isinstance(b, Coeff):
@@ -218,13 +213,18 @@ class _ElementParser:
 
     def expr(self, in_strip: bool) -> _Rule:
         value, degree = self.term(in_strip)
+        addends = [value]  # of a sum of elements, added up once when it ends
         while self.at_op("+", "-"):
             tok = self.take()
             rhs, rhs_degree = self.term(in_strip)
             if tok.text == "-":
                 rhs = _negate(rhs)
-            value, degree = _combine_add(value, rhs, tok.pos), max(degree, rhs_degree)
-        return value, degree
+            if isinstance(value, HeckeElement) and isinstance(rhs, HeckeElement):
+                addends.append(rhs)
+            else:
+                value = _combine_add(value, rhs, tok.pos)
+            degree = max(degree, rhs_degree)
+        return (_sum(addends) if len(addends) > 1 else value), degree
 
     def term(self, in_strip: bool) -> _Rule:
         value, degree = self.factor(in_strip)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from hecke2d import chi, element_from_json, iota, mul, phi, theta, zero_element
+from hecke2d import text
 from hecke2d.cli import ExprError, format_element, main, parse_element
+from hecke2d.suites import _atom_pool
 
 
 def test_parse_scalar_weighted_atom():
@@ -275,3 +278,80 @@ def test_repeated_calls_in_one_process_print_what_fresh_calls_print(capsys):
             status = exc.code
         out = capsys.readouterr()
         assert (status, out.out, out.err) == _fresh_call(argv), argv
+
+
+_OLD_TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\.\.|[-+*/^(),:\[\]]")
+
+
+def _reference_tokenize(s):
+    """The per-character tokenizer that text._tokenize replaced, as a reference."""
+    out, pos = [], 0
+    while pos < len(s):
+        if s[pos].isspace():
+            pos += 1
+            continue
+        match = _OLD_TOKEN_RE.match(s, pos)
+        if match is None:
+            raise ExprError(f"unexpected character {s[pos]!r}", pos)
+        lexeme = match.group()
+        if lexeme[0].isdigit():
+            if len(lexeme) > text._MAX_DIGITS:
+                raise ExprError(f"integer literal longer than {text._MAX_DIGITS} digits", pos)
+            kind = "int"
+        elif lexeme[0].isalpha():
+            kind = "name"
+        else:
+            kind = "op"
+        out.append(text._Token(kind, lexeme, pos))
+        pos = match.end()
+    out.append(text._Token("end", "", len(s)))
+    return out
+
+
+def _tokens_or_error(tokenize, s):
+    try:
+        return tokenize(s)
+    except ExprError as err:
+        return str(err)
+
+
+def _readme_arguments():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [ln for ln in readme.read_text().splitlines() if ln.startswith("hecke2d ")]
+    return [arg for ln in lines for arg in re.findall(r"'([^']*)'", ln)]
+
+
+_TOKENIZER_CASES = [
+    "[[t1*t2,0],[0,t1^-1*t2^-1]]",
+    "[[1,1],[t1,1+t1]]",
+    "[[2*t1^1*t2^-2,2*t1^1*t2^-2 + 2*t1*t1^1*t2^-2],[0,2*t1^-1*t2^2]]",
+    "[[0,t2],[-t2^-1,0]] ",
+    "chi(1,0,0)\u00a0+\u2003chi(2,0,0)\u3000\u2028",
+    "\u2028phi2\x1c*\x1fphi1\u0085\t\n",
+    "chi(1,0,0)\u200b",  # zero width space is not whitespace
+    "chi(1,0,0) # note",
+    "strip(1,0,0..2: 1)",
+    "strip(1,0,0...2: 1)",
+    "1..2 . 3",
+    "\u0663*chi(1,0,0)",  # a digit outside ASCII
+    "x\u00e9",
+    "",
+    "   ",
+    "1" * 4300 + "*chi(1,0,0)",
+    "1" * 4301 + "*chi(1,0,0)",
+    "chi(1,0,0) + " + "7" * 4301 + " @",
+    "chi(1,0,0) @ " + "7" * 4301,
+    "t" + "1" * 5000,
+]
+
+
+def test_tokenizer_matches_its_reference_on_readme_products_and_literals():
+    readme = _readme_arguments()
+    assert "phi2 * phi2" in readme and "[[0,t2],[-t2^-1,0]]" in readme
+    pool = [x for _, x in _atom_pool()]
+    products = [format_element(mul(x, y)) for x in pool for y in pool]
+    for s in [*readme, *products, *_TOKENIZER_CASES]:
+        want = _tokens_or_error(_reference_tokenize, s)
+        assert _tokens_or_error(text._tokenize, s) == want, s
+    errors = [s for s in _TOKENIZER_CASES if isinstance(_tokens_or_error(text._tokenize, s), str)]
+    assert len(errors) == 8

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hecke2d import Coeff, CoeffDivisionError, ParseError, PoleError, one_minus_qinv
-from hecke2d.coeff import ONE, Q, S, ZERO
+from hecke2d.coeff import ONE, Q, S, ZERO, CoeffError
 
 
 def _from_ints(nums: list[int], dens: list[int]) -> Coeff:
@@ -101,6 +101,31 @@ def test_pow_matches_repeated_product():
     assert x**0 == ONE
     assert x**3 == x * x * x
     assert x**-2 == ONE / (x * x)
+
+
+@pytest.mark.parametrize("base", [S, -S, Q, -Q, Coeff.s_power(-3)], ids=str)
+@pytest.mark.parametrize("e", [-7, 0, 1, 250])
+def test_monomial_powers_equal_repeated_products(base, e):
+    want = ONE
+    for _ in range(abs(e)):
+        want = want * (base if e > 0 else ONE / base)
+    got = base**e
+    assert got == want and got._v == want._v
+
+
+@pytest.mark.parametrize(
+    "base,e,message",
+    [
+        (S + ONE, 1025, "power too large: exponent 1025 on a base of size 1"),
+        (Coeff.integer(2) * S, -1025, "power too large: exponent 1025 on a base of size 1"),
+        (Coeff.integer(-3), 1025, "power too large: exponent 1025 on a base of size 1"),
+        ((Q + ONE) / S, -513, "power too large: exponent 513 on a base of size 2"),
+    ],
+)
+def test_non_monomial_powers_keep_their_refusal(base, e, message):
+    with pytest.raises(CoeffError) as err:
+        base**e
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("text,e", [("s^4000", 4000), ("s^-4000", -4000), ("q^2000", 4000)])

@@ -28,6 +28,7 @@ from hecke2d import (
     theta,
     zero_element,
 )
+from hecke2d import element
 from hecke2d.cli import main, parse_element
 from hecke2d.coeff import ONE, Q
 from hecke2d.element import (
@@ -37,6 +38,7 @@ from hecke2d.element import (
     RowSeries,
     _element,
     _normal_rows,
+    _sum,
     merge_terms,
     normalize_strips,
     terms_value,
@@ -508,7 +510,9 @@ def test_point_map_rows_match_the_checked_constructor(runs):
 @settings(max_examples=40, deadline=None)
 @given(
     _runs(widths=(1, 2, 5)),
-    st.sampled_from([theta(0, -1), theta_monomial(-2, -2), mul(phi(2), theta(0, -1))]),
+    st.sampled_from(
+        [theta(0, -1), theta_monomial(-2, -2), mul(phi(2), theta(0, -1)), mul(phi(2), phi(2))]
+    ),
     _values,
 )
 def test_scale_keeps_the_normal_form(runs, ray, c):
@@ -557,3 +561,73 @@ def test_lone_ray_rows_equal_their_swept_normal_form(end, up, parts, vanish_at_e
     ((_, row),) = _normal_rows({}, {key: [ray]})
     assert row.strips == normalize_strips([ray])
     assert (row.strips == (ray,)) == (not terms_value(terms, end).is_zero())
+
+
+_SUMMANDS = [
+    theta(0, -1), mul(phi(2), phi(2)), theta(-1, 0), theta_monomial(-2, -2),
+    mul(phi(2), theta(0, -1)), chi(2, 3, -2), 3 * chi(1, 0, 0), chi(2, 1, 0),
+]
+
+
+def _summed_by_the_constructor(xs):
+    # the sum's strips, normalised again by the checked constructor
+    return HeckeElement([(k, r.strips) for x in xs for k, r in x.rows])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_one_pass_sum_equals_pairwise_sums_and_the_checked_constructor(n):
+    for start in range(len(_SUMMANDS)):
+        xs = (_SUMMANDS * 2)[start:start + n]
+        got = _sum(xs)
+        pairwise = xs[0]
+        for x in xs[1:]:
+            pairwise = pairwise + x
+        assert got.rows == pairwise.rows == _summed_by_the_constructor(xs).rows
+
+
+def test_one_pass_sums_that_cancel_reach_zero():
+    for x in _SUMMANDS:
+        assert _sum([x, -x]).is_zero() and (x - x).is_zero()
+    ray, rr = theta(0, -1), mul(phi(2), phi(2))
+    assert _sum([ray, rr, -ray]) == rr
+    assert _sum([ray, chi(2, 5, -1), -ray, -chi(2, 5, -1)]).rows == ()
+    assert _sum([]).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_runs(widths=(1, 2, 5)), _runs(widths=(1, 2, 5)))
+def test_one_pass_sum_of_random_rows_matches_the_checked_constructor(runs, more):
+    try:
+        xs = [_checked(runs), _checked(more), _checked(runs[:1])]
+    except ShapeError:
+        assume(False)
+    try:
+        want = _summed_by_the_constructor(xs)
+    except ShapeError as err:
+        with pytest.raises(ShapeError) as got:
+            _sum(xs)
+        assert str(got.value) == str(err)
+        return
+    assert _sum(xs).rows == want.rows
+
+
+def test_a_long_sum_is_normalised_once(monkeypatch):
+    calls = []
+    text = " + ".join(f"{n % 3 + 1}*chi({n % 2 + 1},{n - 10},0)" for n in range(19)) + " + phi2"
+    want = parse_element(text)
+    monkeypatch.setattr(element, "_normal_rows", lambda *a: calls.append(a) or _normal_rows(*a))
+    assert parse_element(text) == want
+    assert len(calls) == 1
+
+
+def test_a_sum_too_wide_is_refused_when_its_expression_ends(capsys):
+    assert main(["coeff", "chi(1,0,0) + chi(1,600,0) + chi(1,1100,0)", "--at", "1,0,0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: finite part of a row spans more than 1024 indices\n"
+    )
+    # the whole expression is read before its sum is built: a later error wins,
+    # and a wide stretch that cancels before the end is no error
+    assert main(["coeff", "chi(1,0,0) + chi(1,1100,0) + q", "--at", "1,0,0"]) == 2
+    assert "cannot add a scalar to an element (column 28)" in capsys.readouterr().err
+    assert main(["coeff", "chi(1,0,0) + chi(1,1100,0) - chi(1,1100,0)", "--at", "1,0,0"]) == 0
+    assert capsys.readouterr().out == "1\n"

@@ -453,12 +453,12 @@ def test_memoised_pieces_keep_perturbations_apart():
     assert got[None] != got["flip-1e"]
 
 
-def _level_zero_instances(rec):
-    # the pairs |i|,|k| <= 2, j in {0, +-1}, l = 0 whose product reads rec
-    for b, i, j, k in itertools.product((1, 2), range(-2, 3), (-1, 0, 1), range(-2, 3)):
-        signs = ((j > 0) - (j < 0), 0, 1 if i >= 0 else -1, 1 if k >= 0 else -1)
-        if product._record(rec.a, *signs) is rec:
-            yield BasisIndex(rec.a, i, j), BasisIndex(b, k, 0)
+def _instances(rec, ls):
+    # the pairs |i|,|k| <= 2, j in {0, +-1}, l in ls whose product reads rec
+    for b, i, j, k, l in itertools.product((1, 2), range(-2, 3), (-1, 0, 1), range(-2, 3), ls):
+        signs = ((j > 0) - (j < 0), (l > 0) - (l < 0), 1 if i >= 0 else -1, 1 if k >= 0 else -1)
+        if j * l >= 0 and product._record(rec.a, *signs) is rec:
+            yield BasisIndex(rec.a, i, j), BasisIndex(b, k, l)
 
 
 def _shifted(term):
@@ -469,25 +469,64 @@ def _shifted(term):
     return term._replace(exps=",".join([first + "+1", *rest]))
 
 
+def _shifts_caught(n, rec, pairs, differs):
+    """Each term of rec = _TABLE[n] shifted in turn: (b, term, the pairs on
+    right sheet b where differs(x, y) under the shift)."""
+    found = []
+    for b, terms in rec.out.items():
+        for t, term in enumerate(terms):
+            out = {**rec.out, b: (*terms[:t], _shifted(term), *terms[t + 1:])}
+            product._TABLE[n] = rec._replace(out=out)
+            product._pieces.cache_clear()
+            try:
+                found.append((b, term, [(x, y) for x, y in pairs if y.a == b and differs(x, y)]))
+            finally:
+                product._TABLE[n] = rec
+                product._pieces.cache_clear()
+    return found
+
+
 def test_counting_catches_a_shifted_exponent_in_every_record_it_reaches():
     reached, unreached = set(), set()
+    counted_differs = lambda x, y: oracle.counted_product(x, y) != mul_basis(x, y)
     for n, rec in enumerate(product._TABLE):
-        pairs = list(_level_zero_instances(rec))
+        pairs = list(_instances(rec, (0,)))
         (reached if pairs else unreached).add(rec.name)
-        for b, terms in rec.out.items() if pairs else ():
-            for t, term in enumerate(terms):
-                out = {**rec.out, b: (*terms[:t], _shifted(term), *terms[t + 1:])}
-                product._TABLE[n] = rec._replace(out=out)
-                product._pieces.cache_clear()
-                try:
-                    caught = [
-                        (x, y) for x, y in pairs
-                        if y.a == b and oracle.counted_product(x, y) != mul_basis(x, y)
-                    ]
-                finally:
-                    product._TABLE[n] = rec
-                    product._pieces.cache_clear()
-                assert caught, (rec.name, b, term)
+        for b, term, caught in _shifts_caught(n, rec, pairs, counted_differs) if pairs else ():
+            assert caught, (rec.name, b, term)
     assert reached == {"p1", "p2", "p4", "p5", "p6", "p7", "q3", "q4", "q5", "q8"}
     # no level-0 right factor reaches these: a shifted exponent there goes uncounted
     assert unreached - reached == {"p3", "q1", "q2", "q6", "q7"}
+
+
+def _frozen(name, x, y):
+    """The basis products of the records that counting misses, written out
+    term by term at level j + l (q6 is zero); each right sheet b gets:"""
+    (_, i, j), (b, k, l) = x, y
+    if name == "p3":  # a point q^(2|i|-1) at i + k
+        return chi(b, i + k, l).scale(Coeff.q_power(2 * abs(i) - 1))
+    if name == "q1":  # (1 - 1/q) q^(i+k-m) at each m <= i + k
+        c = _OMQ * Coeff.q_power(i + k)
+        return _ray(b, j + l, NEG_INF, i + k, -2, IndexPoly.constant(c))
+    if name == "q2":  # (1 - 1/q) q^(m-i-k-1) at each m >= i + k + 1
+        c = _OMQ * Coeff.q_power(-i - k - 1)
+        return _ray(b, j + l, i + k + 1, POS_INF, 2, IndexPoly.constant(c))
+    # q7: (1 - 1/q) q^(i+k-m) at each k - i <= m <= k + i
+    run = range(k - i, k + i + 1)
+    return sum((chi(b, m, l).scale(_OMQ * Coeff.q_power(i + k - m)) for m in run), zero_element())
+
+
+def test_frozen_forms_catch_a_shifted_exponent_in_every_record_counting_misses():
+    checked = set()
+    for n, rec in enumerate(product._TABLE):
+        if rec.name not in ("p3", "q1", "q2", "q7"):
+            continue
+        pairs = list(_instances(rec, (-2, -1, 1, 2)))
+        for x, y in pairs:
+            assert mul_basis(x, y) == _frozen(rec.name, x, y), (x, y)
+        frozen_differs = lambda x, y: mul_basis(x, y) != _frozen(rec.name, x, y)
+        for b, term, caught in _shifts_caught(n, rec, pairs, frozen_differs):
+            assert caught, (rec.name, b, term)
+            checked.add((rec.name, b))
+    # q2's ray on right sheet 1 and q1's on sheet 2 are among them
+    assert checked == {(name, b) for name in ("p3", "q1", "q2", "q7") for b in (1, 2)}
