@@ -24,7 +24,7 @@ from random import Random
 from typing import Iterator, Mapping, Union
 
 from .coeff import Coeff
-from .element import BasisIndex, HeckeElement, _element, _normal_rows
+from .element import BasisIndex, HeckeElement, _element, _is_int, _normal_rows
 
 __all__ = [
     "EnumerationError",
@@ -333,13 +333,21 @@ def _count(x: BasisIndex, y: BasisIndex, q) -> dict:
     return {BasisIndex(c, m, j): n for (c, m), n in sorted(out.items())}
 
 
+def _label(x: BasisIndex) -> BasisIndex:
+    # a sheet 1 or 2 and two integers; a bool is not an integer here
+    b = BasisIndex(*x)
+    if b.a not in (1, 2) or not all(map(_is_int, b)):
+        raise EnumerationError(f"a label is a sheet 1 or 2 and two integers, got {tuple(x)!r}")
+    return b
+
+
 def counted_product(x: BasisIndex, y: BasisIndex) -> HeckeElement:
     """chi_x * chi_y by counting, exactly in q, for x at any level j and y at level 0.
 
     The census's multiplicities are polynomials in q = Coeff.q_power(1), and
     the sum runs over y's cosets, so the rows are finite and sit at level j.
     """
-    x, y = BasisIndex(*x), BasisIndex(*y)
+    x, y = _label(x), _label(y)
     if y.j != 0:
         raise EnumerationError("counting needs the right factor at level zero")
     points: dict = {}
@@ -360,16 +368,12 @@ def product_counts(x: BasisIndex, y: BasisIndex, q: int) -> dict[BasisIndex, Fra
     enumerate_reps's domain, whose cap bounds the domain, not the work.
     Keys are emitted in sorted label order and zero coefficients are dropped.
     """
-    if any(isinstance(v, bool) for v in (*x, *y)):
-        raise EnumerationError(f"labels must be integers, got {tuple(x)} and {tuple(y)}")
-    (a, i, j), (b, k, l) = BasisIndex(*x), BasisIndex(*y)
-    if a not in (1, 2):
-        raise EnumerationError(f"sheet must be 1 or 2, got {a!r}")
-    if j != 0 or l != 0:
+    x, y = _label(x), _label(y)
+    if x.j != 0 or y.j != 0:
         raise EnumerationError("counting products requires both levels zero")
-    _check_index(i)
-    _check_cell(b, k, q)
-    return {t: Fraction(n, q) for t, n in _count(BasisIndex(*x), BasisIndex(*y), q).items()}
+    _check_index(x.i)
+    _check_cell(y.a, y.i, q)
+    return {t: Fraction(n, q) for t, n in _count(x, y, q).items()}
 
 
 # ---------------------------------------------------------------------------

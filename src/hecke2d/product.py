@@ -13,20 +13,21 @@ inequalities in (i, k, n) (_Sp), and two evaluators read them:
   or one geometric run each.  ``mul_basis`` is this evaluator on one basis
   pair, and ``mul`` uses it for every pair of point masses.
 
-* ``mul`` extends the table bilinearly to whole strip rows.  A ray times a
-  point mass pins the point's index in each piece: a point piece then needs
-  no sum and a span one, over the ray's index.  Only a pair of rays takes
-  both sums, first over the inner index k (spans only), then over the outer
-  index i.  A product row that is one ray is kept as it is, without the
-  sweep.  Each sum eliminates its index with a discrete antiderivative (for
-  ratio s^alpha != 1 solve R(v) - s^{-alpha} R(v-1) = P(v) of equal degree;
-  for ratio 1 the antiderivative has degree one higher) and runs from the
-  greatest of several affine lower bounds to the least of several upper
-  bounds.  One rule picks the active pair of bounds for every sum: for each
-  (lower, upper) pair, linear conditions say where that pair is active, with
-  ties going to the bound listed first.  For the inner sum the conditions
-  become bounds on i and a window in n; for the outer sum, whose bounds
-  depend on n only, they become a window in n, which is one output strip.
+* ``mul`` extends the table bilinearly to whole strip rows.  One routine,
+  ``_strip_pair``, serves every pair with a ray: it puts in a point mass's
+  index, lets a point piece's n = i + tk*k fix one more index, and sums what
+  is left, the inner index k first, then the outer index i.  A product row
+  that is one ray is kept as it is, without the sweep.  Every constraint (a
+  strip's ends, a span's bounds, a point's window) is one affine form
+  ci*i + ck*k + cn*n + c0 >= 0.  Each sum eliminates its index with a
+  discrete antiderivative (for ratio s^alpha != 1 solve
+  R(v) - s^{-alpha} R(v-1) = P(v) of equal degree; for ratio 1 the
+  antiderivative has degree one higher) and runs from the greatest of the
+  lower bounds its forms set to the least of the upper ones.  One rule picks
+  the active pair of bounds for every sum: for each (lower, upper) pair,
+  forms say where that pair is active, with ties going to the bound listed
+  first.  They pass on to the next sum; those in n alone cut the output
+  window, and each case left is one output strip.
 
 * ``coeff_of_product`` computes one output coefficient by enumerating the
   finitely many contributing (i, k) pairs from support windows and summing
@@ -260,12 +261,17 @@ def mul_basis(
 # the strip engine
 #
 # Working representation: a summand term is s^(ei*i + ek*k + en*n) * P(i,k,n)
-# with P a polynomial over Coeff, stored as {(di,dk,dn): Coeff}.
+# with P a polynomial over Coeff, stored as {(di,dk,dn): Coeff}.  Every
+# constraint is one affine form (ci, ck, cn, c0), meaning
+# ci*i + ck*k + cn*n + c0 >= 0; a bound on an index, and an index's value
+# when it is pinned or eliminated, is a form with that index's slot 0.
 
 _I, _K, _N = 0, 1, 2
 
 MPoly = dict[tuple[int, int, int], Coeff]
 ETerm = tuple[tuple[int, int, int], MPoly]
+Aff = tuple[int, int, int, int]
+_MONOMIAL = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))  # i, k, n and 1 as MPoly keys
 
 
 def _mp_acc(out: MPoly, key: tuple[int, int, int], v: Coeff) -> None:
@@ -284,8 +290,6 @@ def _mp_add_into(acc: MPoly, p: MPoly, factor: Optional[Coeff] = None) -> None:
 
 
 def _mp_scale(p: MPoly, c: Coeff) -> MPoly:
-    if c.is_zero():
-        return {}
     return {k: v * c for k, v in p.items()}
 
 
@@ -297,32 +301,26 @@ def _mp_mul(a: MPoly, b: MPoly) -> MPoly:
     return out
 
 
-def _mp_from_poly(p: IndexPoly, var: int) -> MPoly:
+def _mp_from_poly(p: IndexPoly, var: int, w: Optional[Coeff] = None) -> MPoly:
+    # p (times w) as a polynomial in the index var
     out: MPoly = {}
     for d, c in enumerate(p.coeffs):
         if not c.is_zero():
             key = [0, 0, 0]
             key[var] = d
-            out[tuple(key)] = c
+            out[tuple(key)] = c if w is None else c * w
     return out
 
 
-def _mp_subst(p: MPoly, var: int, lin: dict[int, int], const: int) -> MPoly:
-    """Substitute var -> sum(lin[v] * x_v) + const."""
+def _mp_subst(p: MPoly, var: int, aff: Aff) -> MPoly:
+    """Substitute var -> ci*i + ck*k + cn*n + c0 = aff (aff[var] == 0)."""
     if not p:
         return {}
-    aff: MPoly = {}
-    if const:
-        aff[(0, 0, 0)] = Coeff.integer(const)
-    for v, cv in lin.items():
-        if cv:
-            key = [0, 0, 0]
-            key[v] = 1
-            aff[tuple(key)] = Coeff.integer(cv)
+    lin = {_MONOMIAL[v]: Coeff.integer(c) for v, c in enumerate(aff) if c}
     maxd = max(k[var] for k in p)
     pows: list[MPoly] = [{(0, 0, 0): ONE}]
     for _ in range(maxd):
-        pows.append(_mp_mul(pows[-1], aff))
+        pows.append(_mp_mul(pows[-1], lin))
     out: MPoly = {}
     for key, c in p.items():
         d = key[var]
@@ -333,18 +331,26 @@ def _mp_subst(p: MPoly, var: int, lin: dict[int, int], const: int) -> MPoly:
     return out
 
 
-def _term_subst(term: ETerm, var: int, lin: dict[int, int], const: int) -> ETerm:
+def _term_subst(term: ETerm, var: int, aff: Aff) -> ETerm:
     # replaces var by an affine form, moving its s-exponent onto the others
     exps, p = term
     alpha = exps[var]
-    new = list(exps)
+    new = [exps[0] + alpha * aff[0], exps[1] + alpha * aff[1], exps[2] + alpha * aff[2]]
     new[var] = 0
-    for v, cv in lin.items():
-        new[v] += alpha * cv
-    p2 = _mp_subst(p, var, lin, const)
-    if alpha * const:
-        p2 = _mp_scale(p2, Coeff.s_power(alpha * const))
+    p2 = _mp_subst(p, var, aff)
+    if alpha * aff[3]:
+        p2 = _mp_scale(p2, Coeff.s_power(alpha * aff[3]))
     return (tuple(new), p2)
+
+
+def _subst(f: Aff, var: int, aff: Aff) -> Aff:
+    """The form f with var replaced by the affine form aff (aff[var] == 0)."""
+    c = f[var]
+    if not c:
+        return f
+    g = [f[0] + c * aff[0], f[1] + c * aff[1], f[2] + c * aff[2], f[3] + c * aff[3]]
+    g[var] = 0
+    return tuple(g)
 
 
 def _merge_eterms(terms: Iterable[ETerm]) -> list[ETerm]:
@@ -426,31 +432,29 @@ class _Pt:
     ek: int
     en: int
     scalar: Coeff
-    nlo: Bound = NEG_INF
-    nhi: Bound = POS_INF
+    forms: tuple[Aff, ...] = ()  # its n-window, if its exponent was split
 
 
 @dataclass(frozen=True)
 class _Sp:
     sheet: int
-    # each constraint: (sense, ci, ck, c0); sense +1 means n >= ci*i+ck*k+c0
-    cons: tuple[tuple[int, int, int, int], ...]
+    forms: tuple[Aff, ...]  # its bounds on n, each cn = +-1
     ei: int
     ek: int
     en: int
     scalar: Coeff
 
 
-def _split(f1: Form, f2: Form, tk: int) -> tuple[dict, dict]:
+def _split(f1: Form, f2: Form, tk: int) -> tuple[tuple[Aff], tuple[Aff]]:
     """The n-windows where q^f1, then q^f2, is the lesser at n = i + tk*k; a tie goes to f1."""
     di, dk, d0 = (u - v for u, v in zip(f1, f2))
     if dk != tk * di or not di:
         raise CaseTableError("a point's exponents must differ by a multiple of n")
     if di > 0:  # f1 <= f2 where n <= -d0/di
         t = -d0 // di
-        return {"nhi": t}, {"nlo": t + 1}
+        return ((0, 0, -1, t),), ((0, 0, 1, -t - 1),)
     t = -(d0 // di)  # f1 <= f2 where n >= d0/(-di)
-    return {"nlo": t}, {"nhi": t - 1}
+    return ((0, 0, 1, -t),), ((0, 0, -1, t - 1),)
 
 
 @lru_cache(maxsize=None)  # 112 signatures per perturbation; the pieces are immutable
@@ -466,8 +470,9 @@ def _pieces(
     """Kernel pieces of the first record covering the signature, on right sheet b.
 
     q^(ci*i + ck*k + c0) becomes ei = 2ci, ek = 2ck and the scalar q^c0, times
-    1 - 1/q for a run, whose bounds become span constraints.  A point whose
-    exponent is the least of two forms becomes two point pieces, split on n.
+    1 - 1/q for a run, whose bounds f become the forms n - f >= 0 and
+    f - n >= 0.  A point whose exponent is the least of two forms becomes two
+    point pieces, split on n.
     """
     rec = _record(a, js, ls, isg, ksg)
     name, sheet, old, new = _MUTATIONS.get(perturbation, ("", 0, "", ""))
@@ -475,81 +480,57 @@ def _pieces(
     for t in rec.out[b]:
         if isinstance(t, _Run):
             ci, ck, c0 = _form(t.exp)
-            cons = (*((1, *f) for f in _forms(t.lows)), *((-1, *f) for f in _forms(t.highs)))
+            lows = ((-u, -v, 1, -w) for u, v, w in _forms(t.lows))
+            forms = (*lows, *((u, v, -1, w) for u, v, w in _forms(t.highs)))
             scalar = one_minus_qinv() * Coeff.q_power(c0)
-            pieces.append(_Sp(t.sheet, cons, 2 * ci, 2 * ck, t.step, scalar))
+            pieces.append(_Sp(t.sheet, forms, 2 * ci, 2 * ck, t.step, scalar))
             continue
         tk, exps = _form(t.n)[1], _forms(t.exps)
         if (rec.name, b) == (name, sheet):
             exps = tuple(_form(new) if f == _form(old) else f for f in exps)
-        windows = _split(*exps, tk) if len(exps) == 2 else ({},)
+        windows = _split(*exps, tk) if len(exps) == 2 else ((),)
         for (ci, ck, c0), window in zip(exps, windows):
-            pieces.append(_Pt(t.sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), **window))
+            pieces.append(_Pt(t.sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), window))
     return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
 # summing between affine bounds
 #
-# Both sums, over the inner index k and then the outer index i, run from the
-# greatest of several lower bounds to the least of several upper bounds.  A
-# bound is one affine form (ci, cn, c0) = ci*i + cn*n + c0; bounds on i have
-# ci = 0.  One rule picks the active pair of bounds for both sums.
-
-Aff = tuple[int, int, int]
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+# One routine, _strip_pair, serves every strip pair with a ray, and one, _sum,
+# takes every sum, over the inner index k and then the outer index i, from the
+# greatest of several lower bounds to the least of several upper bounds.  Every
+# constraint is one form (ci, ck, cn, c0) >= 0: a strip's ends, a span's
+# bounds, a point's n-window, and the conditions of an active pair.  A form
+# bounds the index it holds with coefficient +-1, or +-2 when its other
+# coefficients are even; one rule picks the active pair of bounds.
 
 
-def _norm_cond(di: int, dn: int, d0: int) -> tuple[bool, Aff]:
-    """Turn di*i + dn*n + d0 >= 0 (di != 0) into (is_lower, bound on i)."""
-    if abs(di) > 2 or (abs(di) == 2 and dn % 2):
+def _limits(s: Strip, var: int) -> list[Aff]:
+    """lo <= var <= hi of the strip s as forms; an infinite end bounds nothing."""
+    out = []
+    for sense, end in ((1, s.lo), (-1, s.hi)):
+        if isinstance(end, int):
+            f = [0, 0, 0, -sense * end]
+            f[var] = sense
+            out.append(tuple(f))
+    return out
+
+
+def _bound(f: Aff, var: int) -> Aff:
+    """The bound on var that f >= 0 sets: a lower one if f[var] > 0, else an upper one."""
+    c = f[var]
+    if abs(c) > 2 or (abs(c) == 2 and any(u % 2 for v, u in enumerate(f[:3]) if v != var)):
         raise CaseTableError("bound comparison outside the supported geometry")
-    if di > 0:
-        if di == 1:
-            return True, (0, -dn, -d0)
-        return True, (0, -dn // 2, _ceil_div(-d0, 2))
-    if di == -1:
-        return False, (0, dn, d0)
-    return False, (0, dn // 2, d0 // 2)
-
-
-def _apply_conds(conds: Iterable[Aff], window: tuple[Bound, Bound] = (NEG_INF, POS_INF)):
-    """Split conditions (forms that must be >= 0) into i-bounds and a
-    narrowed n-window; None if they cannot all hold."""
-    lows: list[Aff] = []
-    ups: list[Aff] = []
-    wlo, whi = window
-    for di, dn, d0 in conds:
-        if di == 0:
-            if dn == 0:
-                if d0 < 0:
-                    return None
-            elif dn > 0:
-                wlo = max(wlo, _ceil_div(-d0, dn))
-            else:
-                whi = min(whi, d0 // (-dn))
-            continue
-        is_lower, bound = _norm_cond(di, dn, d0)
-        (lows if is_lower else ups).append(bound)
-    if wlo > whi:
-        return None
-    return lows, ups, (wlo, whi)
-
-
-def _add_bounds(lows: list[Aff], ups: list[Aff], lo: Bound, hi: Bound, cn: int = 0) -> None:
-    """Record lo + cn*n <= index <= hi + cn*n; an infinite end bounds nothing."""
-    if isinstance(lo, int):
-        lows.append((0, cn, lo))
-    if isinstance(hi, int):
-        ups.append((0, cn, hi))
+    # c*var + rest >= 0 is var >= ceil(-rest/c) for c > 0, var <= floor(rest/-c) for c < 0
+    g = [-(u // c) if c > 0 else u // -c for u in f]
+    g[var] = 0
+    return tuple(g)
 
 
 def _diff(a: Aff, b: Aff, strict: bool = False) -> Aff:
     # the form a - b, which is >= 0 exactly where a >= b (a > b if strict)
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2] - strict)
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3] - strict)
 
 
 def _active_pairs(lows: list[Aff], ups: list[Aff], index: str):
@@ -576,8 +557,8 @@ def _between(ants: list[ETerm], var: int, lo: Aff, hi: Aff) -> list[ETerm]:
     """[R]_{lo-1}^{hi}: each antiderivative at var = hi minus at var = lo - 1."""
     out: list[ETerm] = []
     for ant in ants:
-        out.append(_term_subst(ant, var, {_I: hi[0], _N: hi[1]}, hi[2]))
-        exps, p = _term_subst(ant, var, {_I: lo[0], _N: lo[1]}, lo[2] - 1)
+        out.append(_term_subst(ant, var, hi))
+        exps, p = _term_subst(ant, var, (*lo[:3], lo[3] - 1))
         out.append((exps, _mp_scale(p, Coeff.integer(-1))))
     return _merge_eterms(out)
 
@@ -587,105 +568,90 @@ def _summand(piece: Union[_Pt, _Sp], sx: Strip, sy: Strip) -> list[ETerm]:
     terms: list[ETerm] = []
     for ex, px in sx.terms:
         for ey, py in sy.terms:
-            poly = _mp_mul(_mp_from_poly(px, _I), _mp_from_poly(py, _K))
-            exps = (ex + piece.ei, ey + piece.ek, piece.en)
-            terms.append((exps, _mp_scale(poly, piece.scalar)))
+            poly = _mp_mul(_mp_from_poly(px, _I, piece.scalar), _mp_from_poly(py, _K))
+            terms.append(((ex + piece.ei, ey + piece.ek, piece.en), poly))
     return _merge_eterms(terms)
 
 
-def _sum_outer(
-    terms: list[ETerm],
-    lows: list[Aff],
-    ups: list[Aff],
-    window: tuple[Bound, Bound],
-    sheet: int,
-    out: list,
-) -> None:
-    """Sum the outer index between bounds affine in n, one strip per active pair."""
-    if not terms:
-        return
-    ants = [(t[0], _antiderivative(t, _I)) for t in terms]
-    for lo, hi, conds in _active_pairs(lows, ups, "outer"):
-        applied = _apply_conds(conds, window)  # ci = 0: only the window narrows
-        if applied is None:
+def _window(forms: Iterable[Aff]) -> Optional[tuple[Bound, Bound]]:
+    """The n-window that the forms in n alone leave, or None if it is empty."""
+    lo, hi = NEG_INF, POS_INF
+    for ci, ck, cn, c0 in forms:
+        if ci or ck:
             continue
-        st = _eterms_to_strip_terms(_between(ants, _I, lo, hi))
+        if cn > 0:
+            lo = max(lo, -(c0 // cn))
+        elif cn < 0:
+            hi = min(hi, c0 // -cn)
+        elif c0 < 0:
+            return None
+    return (lo, hi) if lo <= hi else None
+
+
+def _sum(terms: list[ETerm], indices: list[int], forms: list[Aff], sheet: int, out: list) -> None:
+    """Sum terms over indices, the first innermost, where every form is >= 0.
+
+    A sum splits the forms into its index's lower and upper bounds and the
+    rest, which go on to the next sum with each active pair's conditions; the
+    forms in n alone cut the output window and drop an empty case before its
+    antiderivative is evaluated.  With no index left, the terms are one output
+    strip (sheet, lo, hi, terms).
+    """
+    window = _window(forms)
+    if not terms or window is None:
+        return
+    if not indices:
+        st = _eterms_to_strip_terms(terms)
         if st:
-            out.append((sheet, *applied[2], st))
-
-
-def _sum_point(piece: _Pt, sx: Strip, sy: Strip, out: list) -> None:
-    # k = tk * (n - i) leaves only the outer sum
-    lin = {_I: -piece.tk, _N: piece.tk}
-    terms = _merge_eterms(_term_subst(t, _K, lin, 0) for t in _summand(piece, sx, sy))
+            out.append((sheet, *window, st))
+        return
+    var, outer = indices[0], indices[1:]
     lows: list[Aff] = []
     ups: list[Aff] = []
-    _add_bounds(lows, ups, sx.lo, sx.hi)
-    if piece.tk == 1:  # k = n - i in [ylo, yhi]  =>  n - yhi <= i <= n - ylo
-        _add_bounds(lows, ups, -sy.hi, -sy.lo, 1)
-    else:  # k = i - n in [ylo, yhi]  =>  n + ylo <= i <= n + yhi
-        _add_bounds(lows, ups, sy.lo, sy.hi, 1)
-    _sum_outer(terms, lows, ups, (piece.nlo, piece.nhi), piece.sheet, out)
+    rest: list[Aff] = []
+    for f in forms:
+        if f[var]:
+            (lows if f[var] > 0 else ups).append(_bound(f, var))
+        else:
+            rest.append(f)
+    ants = [(t[0], _antiderivative(t, var)) for t in terms]
+    for lo, hi, conds in _active_pairs(lows, ups, "inner" if outer else "outer"):
+        conds += rest
+        if _window(conds):
+            _sum(_between(ants, var, lo, hi), outer, conds, sheet, out)
 
 
-def _sum_span(piece: _Sp, sx: Strip, sy: Strip, out: list) -> None:
-    base = _summand(piece, sx, sy)
-    if not base:
-        return
-    klows: list[Aff] = []
-    kups: list[Aff] = []
-    _add_bounds(klows, kups, sy.lo, sy.hi)
-    for sense, ci, ck, c0 in piece.cons:
-        if ck not in (1, -1):
-            raise CaseTableError("span constraint must have inner coefficient +-1")
-        # sense * (n - ci*i - ck*k - c0) >= 0 bounds k by ck * (n - ci*i - c0)
-        bound = (-ci, 1, -c0) if ck == 1 else (ci, -1, c0)
-        (kups if sense == ck else klows).append(bound)
-    ants = [(t[0], _antiderivative(t, _K)) for t in base]
-    for lo, hi, conds in _active_pairs(klows, kups, "inner"):
-        applied = _apply_conds(conds)
-        if applied is None:
-            continue
-        ilows, iups, window = applied
-        _add_bounds(ilows, iups, sx.lo, sx.hi)
-        _sum_outer(_between(ants, _K, lo, hi), ilows, iups, window, piece.sheet, out)
+def _strip_pair(piece: Union[_Pt, _Sp], sx: Strip, sy: Strip, out: list) -> None:
+    """One piece over a strip pair with a ray, as output strips into out.
 
-
-def _pinned(pieces: tuple, sx: Strip, sy: Strip, out: list) -> None:
-    """Exactly one strip is a point mass: pin its index p in each piece and
-    sum over the ray's index r, held in the outer slot, at most once.
-
-    A point piece fixes r = u*n + v, so it needs no sum: its output strip is
-    the ray's ends carried to n and cut to the piece's window.  A span's
-    constraints at the pinned index bound r affinely in n, for one outer sum.
+    A point mass puts in its index p: its value, s^(e*p) and the piece's
+    scalar fold into one Coeff that scales the other strip's terms.  A point
+    piece's n = i + tk*k then fixes one more index, k = tk*(n - i), or
+    i = n - tk*k when k is pinned, and _sum sums what is left, k first.
     """
-    x_ray = sx.lo != sx.hi
-    ray, point = (sx, sy) if x_ray else (sy, sx)
-    p, c = point.lo, point.terms[0].poly.coeffs[0]  # see element._point
-    for piece in pieces:
-        er, ep = (piece.ei, piece.ek) if x_ray else (piece.ek, piece.ei)
-        w = piece.scalar * c * Coeff.s_power(ep * p)
-        terms = [((e + er, 0, piece.en), _mp_scale(_mp_from_poly(q, _I), w)) for e, q in ray.terms]
-        if isinstance(piece, _Pt):
-            # n = i + tk*k gives i = n - tk*p, or k = tk*(n - p)
-            u, v = (1 if x_ray else piece.tk), -piece.tk * p
-            ends = (u * (ray.lo - v), u * (ray.hi - v))
-            lo, hi = max(piece.nlo, min(ends)), min(piece.nhi, max(ends))
-            if lo <= hi:  # r -> u*n + v is invertible, so the ray's terms stay nonzero
-                st = _eterms_to_strip_terms([_term_subst(t, _I, {_N: u}, v) for t in terms])
-                out.append((piece.sheet, lo, hi, st))
-            continue
-        conds = []
-        for sense, ci, ck, c0 in piece.cons:
-            cr, cp = (ci, ck) if x_ray else (ck, ci)
-            # sense * (n - cr*r - cp*p - c0) >= 0
-            conds.append((-sense * cr, sense, -sense * (cp * p + c0)))
-        applied = _apply_conds(conds)
-        if applied is None:
-            continue
-        lows, ups, window = applied
-        _add_bounds(lows, ups, ray.lo, ray.hi)
-        _sum_outer(terms, lows, ups, window, piece.sheet, out)
+    rel = (1, piece.tk, -1, 0) if isinstance(piece, _Pt) else None  # i + tk*k - n = 0
+    if sx.lo != sx.hi and sy.lo != sy.hi:
+        indices, terms = [_K, _I], _summand(piece, sx, sy)
+        forms = [*piece.forms, *_limits(sx, _I), *_limits(sy, _K)]
+    else:
+        var, pin, point, ray = (_I, _K, sy, sx) if sy.lo == sy.hi else (_K, _I, sx, sy)
+        indices, exps = [var], [piece.ei, piece.ek, piece.en]
+        e, exps[pin], at = exps[pin] * point.lo, 0, (0, 0, 0, point.lo)
+        w = piece.scalar * point.terms[0].poly.coeffs[0]  # see element._point
+        w = w * Coeff.s_power(e) if e else w
+        terms = []
+        for er, poly in ray.terms:
+            te = list(exps)
+            te[var] += er
+            terms.append((tuple(te), _mp_from_poly(poly, var, w)))
+        forms = [_subst(f, pin, at) for f in piece.forms] + _limits(ray, var)
+        rel = rel and _subst(rel, pin, at)
+    if rel:  # solve for k, or for i when k is pinned (its coefficient is +-1)
+        var = indices.pop(0)
+        at = _bound(rel, var)  # rel >= 0 bounds var by exactly its value at rel = 0
+        terms = [_term_subst(t, var, at) for t in terms]
+        forms = [_subst(f, var, at) for f in forms]
+    _sum(terms, indices, forms, piece.sheet, out)
 
 
 def _point_pair(
@@ -694,23 +660,24 @@ def _point_pair(
     """Each piece at the integers i and k, times c (None for 1), into level j.
 
     A point piece adds one value at n = i + tk*k inside its window; a span
-    adds a geometric run between its constraints evaluated at (i, k).
+    adds a geometric run between its forms' bounds on n at (i, k).
     """
     for piece in pieces:
+        lo, hi = NEG_INF, POS_INF
+        for ci, ck, cn, c0 in piece.forms:
+            v = ci * i + ck * k + c0  # cn = +-1: n >= -v or n <= v
+            if cn > 0:
+                if -v > lo:
+                    lo = -v
+            elif v < hi:
+                hi = v
         if isinstance(piece, _Pt):
-            lo = hi = i + piece.tk * k
-            if not piece.nlo <= lo <= piece.nhi:
+            n = i + piece.tk * k
+            if not lo <= n <= hi:
                 continue
-        else:
-            lo, hi = NEG_INF, POS_INF
-            for sense, ci, ck, c0 in piece.cons:
-                v = ci * i + ck * k + c0
-                if sense > 0 and v > lo:
-                    lo = v
-                elif sense < 0 and v < hi:
-                    hi = v
-            if lo > hi:
-                continue
+            lo = hi = n
+        elif lo > hi:
+            continue
         w = piece.scalar if c is None else piece.scalar * c
         e = piece.ei * i + piece.ek * k
         _add_run(points, swept, (piece.sheet, j), lo, hi, piece.en, w * Coeff.s_power(e) if e else w)
@@ -742,12 +709,8 @@ def mul(
                         _point_pair(pieces, sx.lo, sy.lo, c, j + l, points, swept)
                         continue
                     emitted: list = []
-                    if sx.lo == sx.hi or sy.lo == sy.hi:
-                        _pinned(pieces, sx, sy, emitted)
-                    else:
-                        for piece in pieces:
-                            summed = _sum_point if isinstance(piece, _Pt) else _sum_span
-                            summed(piece, sx, sy, emitted)
+                    for piece in pieces:
+                        _strip_pair(piece, sx, sy, emitted)
                     for sheet, lo, hi, st in emitted:
                         swept.setdefault((sheet, j + l), []).append(Strip(lo, hi, st))
     return _element(_normal_rows(points, swept))

@@ -567,10 +567,13 @@ def run_suite(
         raise ValueError("level_bound must be nonnegative")
     if cases is not None and cases < 0:
         raise ValueError("cases must be nonnegative")
+    qs = tuple(qs)
+    if not qs:
+        raise ValueError("qs must name at least one q")
     params = _Params(
         index_bound=index_bound,
         level_bound=level_bound,
-        qs=tuple(qs),
+        qs=qs,
         seed=seed,
         cases=cases,
         perturbation=perturbation,

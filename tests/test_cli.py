@@ -67,6 +67,12 @@ def test_parse_errors_carry_position():
         ("theta(2,0)", "theta is defined for"),
         ("chi(1,0,0) @", "unexpected character"),
         ("strip(1,1,0..inf: 1)", "level"),
+        ("strip(1,0,0..1: m*chi(1,0,0))", "cannot multiply an element by a term in m"),
+        ("chi(1,0,0)/chi(1,0,0)", "division is only defined by a scalar"),
+        ("strip(1,0,0..1: q^(2*q))", "expected 'm' after '*'"),
+        ("strip(1,0,0..1: m^0)", "must be positive"),
+        ("strip(1,0,0..1: (q+1)^m)", "bare q or s"),
+        ("strip(1,0,x..1: 1)", "expected an integer or 'inf'"),
     ]:
         with pytest.raises(ExprError) as err:
             parse_element(text)

@@ -231,6 +231,11 @@ _MALFORMED_JSON = {
     "step is a bool": _json_doc(term={"e": True}),
     "bound is a bool": _json_doc(strip={"lo": True}),
     "sheet out of range": _json_doc(row={"a": 3}),
+    # refused as "a row cannot be infinite on both sides"
+    "row with rays both ways": _json_doc(row={"j": 1, "strips": [
+        {"lo": "-inf", "hi": 0, "terms": [{"e": 0, "poly": ["1"]}]},
+        {"lo": 5, "hi": "+inf", "terms": [{"e": 0, "poly": ["1"]}]},
+    ]}),
 }
 
 

@@ -204,6 +204,25 @@ def test_enumeration_domain_errors():
         product_counts((0, 0, 0), (1, 1, 0), 2)
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda: oracle.counted_product((3, 0, 0), (1, 0, 0)),
+        lambda: oracle.counted_product((1, 0.5, 0), (1, 0, 0)),
+        lambda: oracle.counted_product((True, 0, 0), (1, 0, 0)),
+        lambda: oracle.counted_product((1, 0, 0), (3, 0, 0)),
+        lambda: product_counts((1, 0.5, 0), (1, 0, 0), 2),
+        lambda: product_counts((1, 0, 0), (1, 1.5, 0), 2),
+    ],
+    ids=["counted-sheet", "counted-float", "counted-bool", "counted-right-sheet",
+         "counts-float", "counts-right-float"],
+)
+def test_counting_refuses_bad_labels(count):
+    # a label is a sheet 1 or 2 and two integers, on either side
+    with pytest.raises(EnumerationError, match="a label is"):
+        count()
+
+
 def test_product_counts_frozen_example():
     x = BasisIndex(2, 0, 0)
     assert product_counts(x, x, 2) == {

@@ -42,12 +42,17 @@ from hecke2d.coeff import ONE, Q
 from hecke2d.element import NEG_INF, POS_INF, _normal_rows, normalize_strips
 from hecke2d.product import (
     PERTURBATIONS,
+    _I,
+    _K,
     _Pt,
+    _limits,
     _pieces,
-    _pinned,
     _point_pair,
-    _sum_point,
-    _sum_span,
+    _strip_pair,
+    _subst,
+    _sum,
+    _summand,
+    _term_subst,
 )
 
 _OMQ = one_minus_qinv()
@@ -286,8 +291,20 @@ def _rows(emitted):
     return {sheet: strips for sheet, strips in rows.items() if strips}
 
 
+def _engine(pieces, sx, sy, out):
+    # every index summed, point masses included: the reference for both routes
+    for piece in pieces:
+        terms, indices = _summand(piece, sx, sy), [_K, _I]
+        forms = [*_limits(sx, _I), *_limits(sy, _K), *piece.forms]
+        if isinstance(piece, _Pt):  # n = i + tk*k fixes k = tk*(n - i)
+            at = (-piece.tk, 0, piece.tk, 0)
+            terms = [_term_subst(t, _K, at) for t in terms]
+            forms, indices = [_subst(f, _K, at) for f in forms], [_I]
+        _sum(terms, indices, forms, piece.sheet, out)
+
+
 def test_engine_matches_point_kernel_on_point_strips():
-    # mul sends point pairs to _point_pair; the engine must still agree on them
+    # mul sends point pairs to _point_pair; summation must still agree on them
     cx, cy = Coeff.s_power(3), Coeff.s_power(2) - ONE
     checked = 0
     for a in (1, 2):
@@ -301,9 +318,7 @@ def test_engine_matches_point_kernel_on_point_strips():
                         sx, sy = _point(i, cx), _point(k, cy)
                         for pieces in kernels:
                             engine, points, swept = [], {}, {}
-                            for piece in pieces:
-                                summed = _sum_point if isinstance(piece, _Pt) else _sum_span
-                                summed(piece, sx, sy, engine)
+                            _engine(pieces, sx, sy, engine)
                             _point_pair(pieces, i, k, cx * cy, js + ls, points, swept)
                             kernel = {key.a: row.strips for key, row in _normal_rows(points, swept)}
                             assert _rows(engine) == kernel, (a, b, js, ls, i, k, pieces)
@@ -311,11 +326,10 @@ def test_engine_matches_point_kernel_on_point_strips():
     assert checked == 1286  # 1274 nonzero pairs plus 12 under flip-1e
 
 
-def _engine(pieces, sx, sy, out):
-    # the two-sum engine, as mul ran it on every pair with a ray
+def _routed(pieces, sx, sy, out):
+    # the pieces of a pair with a ray, as mul routes them
     for piece in pieces:
-        summed = _sum_point if isinstance(piece, _Pt) else _sum_span
-        summed(piece, sx, sy, out)
+        _strip_pair(piece, sx, sy, out)
 
 
 def _engine_rows(run):
@@ -329,7 +343,8 @@ def _engine_rows(run):
 
 
 def test_pinned_kernel_matches_the_engine_on_ray_point_strips():
-    # mul sends ray x point pairs to _pinned; the two-sum engine must agree on them
+    # mul pins the point's index for ray x point pairs; summing over every
+    # index, the point's too, must agree with it
     c = Coeff.s_power(2) - ONE
     terms = (
         ExpPolyTerm(-2, IndexPoly((Q, ONE))),
@@ -350,7 +365,7 @@ def test_pinned_kernel_matches_the_engine_on_ray_point_strips():
                                     ray = Strip(lo, hi, terms)
                                     sx, sy = (ray, point) if ray_on_x else (point, ray)
                                     want = _engine_rows(lambda out: _engine(pieces, sx, sy, out))
-                                    got = _engine_rows(lambda out: _pinned(pieces, sx, sy, out))
+                                    got = _engine_rows(lambda out: _routed(pieces, sx, sy, out))
                                     assert got == want, (a, b, js, ls, isg, ksg, pieces, sx, sy)
                                     outcomes[want if isinstance(want, str) else bool(want)] += 1
     # 113 kernels (flip-1e changes one), two sides and two directions each; a
