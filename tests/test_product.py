@@ -54,6 +54,7 @@ from hecke2d.product import (
     _summand,
     _term_subst,
 )
+from hecke2d.suites import _atom_pool
 
 _OMQ = one_minus_qinv()
 
@@ -545,3 +546,62 @@ def test_frozen_forms_catch_a_shifted_exponent_in_every_record_counting_misses()
             checked.add((rec.name, b))
     # q2's ray on right sheet 1 and q1's on sheet 2 are among them
     assert checked == {(name, b) for name in ("p3", "q1", "q2", "q7") for b in (1, 2)}
+
+
+def _sigma(x):
+    """Conjugation by Pi = [[0,1],[t1,0]], which normalises the Iwahori subgroup.
+
+    On row (a, j) the index m goes to -m-(a-1) and the level to -j, so a ray's
+    term p(m) s^(e*m) becomes p(-m-c) s^(-e*c) s^(-e*m), with c = a - 1.
+    """
+    rows = []
+    for (a, j), row in x.rows:
+        c = a - 1
+        strips = []
+        for s in row.strips:
+            parts = []
+            for e, p in s.terms:
+                moved = IndexPoly()
+                for coef in reversed(p.coeffs):  # p(-m-c), by Horner
+                    moved = moved * IndexPoly([-c, -1]) + IndexPoly.constant(coef)
+                parts.append((-e, moved * Coeff.s_power(-e * c)))
+            strips.append(Strip(-s.hi - c, -s.lo - c, element.merge_terms(parts)))
+        rows.append(((a, -j), strips))
+    return HeckeElement(rows)
+
+
+_SIGMA_BOX = [BasisIndex(a, i, j) for a in (1, 2) for i in range(-4, 5) for j in range(-2, 3)]
+
+
+def _sigma_basis(x):
+    return BasisIndex(x.a, -x.i - (x.a - 1), -x.j)
+
+
+def test_conjugation_by_the_iwahori_normaliser_is_an_automorphism():
+    # sigma(chi(a,m,j)) = chi(a,-m-(a-1),-j) swaps phi0 and phi1 and commutes
+    # with the product, so each table record must be the mirror of its twin
+    assert _sigma(phi(0)) == phi(1) and _sigma(phi(1)) == phi(0)
+    nonzero = rays = 0
+    for x, y in itertools.product(_SIGMA_BOX, repeat=2):
+        prod = mul_basis(x, y)
+        assert mul_basis(_sigma_basis(x), _sigma_basis(y)) == _sigma(prod), (x, y)
+        nonzero += not prod.is_zero()
+        rays += any(NEG_INF in (s.lo, s.hi) or POS_INF in (s.lo, s.hi)
+                    for _, row in prod.rows for s in row.strips)
+    assert (len(_SIGMA_BOX) ** 2, nonzero, rays) == (8100, 5184, 1296)
+    # whole elements, rays included, through the strip engine
+    pool = [x for _, x in _atom_pool()]
+    for x, y in itertools.product(pool, repeat=2):
+        assert mul(_sigma(x), _sigma(y)) == _sigma(mul(x, y)), (x, y)
+    assert len(pool) ** 2 == 3364
+
+
+def test_flip_1e_breaks_the_mirror_symmetry():
+    # the negative control: the perturbation edits one record, not its twin
+    broken = [
+        (x, y)
+        for x, y in itertools.product(_SIGMA_BOX, repeat=2)
+        if mul_basis(_sigma_basis(x), _sigma_basis(y), perturbation="flip-1e")
+        != _sigma(mul_basis(x, y, perturbation="flip-1e"))
+    ]
+    assert len(broken) == 20
