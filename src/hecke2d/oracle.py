@@ -335,9 +335,12 @@ def _count(x: BasisIndex, y: BasisIndex, q) -> dict:
 
 def _label(x: BasisIndex) -> BasisIndex:
     # a sheet 1 or 2 and two integers; a bool is not an integer here
-    b = BasisIndex(*x)
-    if b.a not in (1, 2) or not all(map(_is_int, b)):
-        raise EnumerationError(f"a label is a sheet 1 or 2 and two integers, got {tuple(x)!r}")
+    try:
+        b = BasisIndex(*x)
+    except TypeError:  # not iterable, or not three entries
+        b = None
+    if b is None or b.a not in (1, 2) or not all(map(_is_int, b)):
+        raise EnumerationError(f"a label is a sheet 1 or 2 and two integers, got {x!r}")
     return b
 
 

@@ -1,13 +1,17 @@
 """Convolution products.
 
 The closed product table for a pair of basis functions chi^(a)_{i,j} *
-chi^(b)_{k,l} is written once, as the ordered branch records of _TABLE.  A
-record names its branch (p1-p7, q1-q8), the factor signs it covers, and for
-each right sheet b its output terms at level j + l: a point mass at n = i + k
-or n = i - k whose q-exponent is the least of some affine forms in (i, k),
-or a geometric run between affine bounds.  _pieces compiles the first record
-that matches into kernel pieces, a point (_Pt) or a span cut out by affine
-inequalities in (i, k, n) (_Sp), and two evaluators read them:
+chi^(b)_{k,l} is written once per sigma-orbit, as the ordered branch records
+of _TABLE.  Pi = [[0,1],[t1,0]] normalises the Iwahori subgroup, so
+conjugation by Pi is an automorphism sigma of the algebra, chi^(a)_{m,j} ->
+chi^(a)_{-m-(a-1),-j}, which swaps phi0 and phi1.  A record names its branch
+(p1-p7, q1-q8), the factor signs it covers, and for each right sheet b its
+output terms at level j + l: a point mass at n = i + k or n = i - k whose
+q-exponent is the least of some affine forms in (i, k), or a geometric run
+between affine bounds.  A twin, the sigma-image of a written record, is
+derived from it.  _pieces compiles the first record that matches into kernel
+pieces, each a point at n = i + tk*k or a span cut out by affine
+inequalities in (i, k, n), and two evaluators read them:
 
 * ``_point_pair`` evaluates the pieces at integers i and k, giving one value
   or one geometric run each.  ``mul_basis`` is this evaluator on one basis
@@ -56,6 +60,7 @@ from .element import (
     IndexPoly,
     NEG_INF,
     POS_INF,
+    ShapeError,
     Strip,
     _MAX_POINTS,
     _check_basis,
@@ -92,7 +97,10 @@ class InfiniteSupportError(ArithmeticError):
 # level zero its index's, with 0 counted positive), and j and l, the signs of
 # the levels.  Exponents and bounds are affine forms in (i, k), such as
 # "2i-k-1".  A branch whose exponent depends on a sign (p3, q8) has one record
-# per sign case, under one name.
+# per sign case, under one name.  Sigma negates every sign, and eight records
+# are twins, appended on the negated signs of the written record that names
+# them: p2, p3 for x < 0 < l, p5, p7, q2, q5, q8 at j = 0 (q7's twin) and q8
+# for x, y < 0.  q3 and q6 are their own images.
 
 Form = tuple[int, int, int]  # ci*i + ck*k + c0
 
@@ -129,7 +137,8 @@ class _Branch(NamedTuple):
     name: str
     a: int
     when: Callable[[int, int, int, int], bool]  # on the signs (x, j, y, l)
-    out: dict[int, tuple[Union[_Point, _Run], ...]]  # by right sheet b
+    out: Optional[dict[int, tuple[Union[_Point, _Run], ...]]]  # by right sheet b; None: a twin
+    twin: str = ""  # the name of its sigma-image, if that is another record
 
 
 def _each(term: Callable[[int], Union[_Point, _Run]]) -> dict[int, tuple]:
@@ -139,57 +148,35 @@ def _each(term: Callable[[int], Union[_Point, _Run]]) -> dict[int, tuple]:
 
 _TABLE: list[_Branch] = [
     _Branch("p1", 1, lambda x, j, y, l: x > 0 and y > 0,
-            _each(lambda b: _Point(b, "i+k", "-1"))),
-    _Branch("p2", 1, lambda x, j, y, l: x < 0 and y < 0,
-            _each(lambda b: _Point(b, "i+k", "-1"))),
+            _each(lambda b: _Point(b, "i+k", "-1")), "p2"),
     _Branch("p3", 1, lambda x, j, y, l: j == 0 and l < 0 < x,
-            _each(lambda b: _Point(b, "i+k", "2i-1"))),
-    _Branch("p3", 1, lambda x, j, y, l: j == 0 and x < 0 < l,
-            _each(lambda b: _Point(b, "i+k", "-2i-1"))),
+            _each(lambda b: _Point(b, "i+k", "2i-1")), "p3"),
     _Branch("p4", 1, lambda x, j, y, l: j > 0 and l == 0 and y < 0, {
         1: (_Point(1, "i+k", "-2k-1"), _Run(2, -2, "i-k-1", "i+k", "i-k-1")),
         2: (_Run(1, -2, "i-k-1", "i+k+1", "i-k-1"), _Point(2, "i+k", "-2k-2")),
-    }),
-    _Branch("p5", 1, lambda x, j, y, l: j < 0 and l == 0 and y > 0, {
-        1: (_Point(1, "i+k", "2k-1"), _Run(2, 2, "-i+k", "i-k", "i+k-1")),
-        2: (_Run(1, 2, "-i+k", "i-k", "i+k"), _Point(2, "i+k", "2k")),
-    }),
+    }, "p5"),
     _Branch("p6", 1, lambda x, j, y, l: j == l == 0 and x > 0 > y, {
         1: (_Point(1, "i+k", "2i-1, -2k-1"), _Run(2, -2, "i-k-1", "i+k, -i-k", "i-k-1")),
         2: (_Run(1, -2, "i-k-1", "i+k+1, -i-k", "i-k-1"), _Point(2, "i+k", "2i-1, -2k-2")),
-    }),
-    _Branch("p7", 1, lambda x, j, y, l: j == l == 0 and x < 0 < y, {
-        1: (_Point(1, "i+k", "-2i-1, 2k-1"), _Run(2, 2, "-i+k", "i-k", "i+k-1, -i-k-1")),
-        2: (_Run(1, 2, "-i+k", "i-k", "i+k, -i-k-1"), _Point(2, "i+k", "-2i-1, 2k")),
-    }),
+    }, "p7"),
     _Branch("q1", 2, lambda x, j, y, l: j > 0 and l > 0,
-            _each(lambda b: _Run(b, -2, "i+k", "-inf", "i+k"))),
-    _Branch("q2", 2, lambda x, j, y, l: j < 0 and l < 0,
-            _each(lambda b: _Run(b, 2, "-i-k-1", "i+k+1", "inf"))),
+            _each(lambda b: _Run(b, -2, "i+k", "-inf", "i+k")), "q2"),
     _Branch("q3", 2, lambda x, j, y, l: l == 0 and x != y,
             _each(lambda b: _Point(3 - b, "i-k", "-1"))),
     _Branch("q4", 2, lambda x, j, y, l: j > 0 and l == 0 and y > 0, {
         1: (_Run(1, -2, "i+k", "i-k+1", "i+k"), _Point(2, "i-k", "2k-1")),
         2: (_Point(1, "i-k", "2k"), _Run(2, -2, "i+k", "i-k", "i+k")),
-    }),
-    _Branch("q5", 2, lambda x, j, y, l: j < 0 and l == 0 and y < 0, {
-        1: (_Run(1, 2, "-i-k-1", "i+k+1", "i-k"), _Point(2, "i-k", "-2k-1")),
-        2: (_Point(1, "i-k", "-2k-2"), _Run(2, 2, "-i-k-1", "i+k+1", "i-k-1")),
-    }),
+    }, "q5"),
     _Branch("q6", 2, lambda x, j, y, l: j == 0 and l != 0 and x != y, {1: (), 2: ()}),
     _Branch("q7", 2, lambda x, j, y, l: j == 0 and l > 0 and x > 0,
-            _each(lambda b: _Run(b, -2, "i+k", "-i+k", "i+k"))),
-    _Branch("q8", 2, lambda x, j, y, l: j == 0 and l < 0 and x < 0,
-            _each(lambda b: _Run(b, 2, "-i-k-1", "i+k+1", "-i+k-1"))),
+            _each(lambda b: _Run(b, -2, "i+k", "-i+k", "i+k")), "q8"),
     _Branch("q8", 2, lambda x, j, y, l: j == l == 0 and x > 0 and y > 0, {
         1: (_Run(1, -2, "i+k", "i-k+1, -i+k", "i+k"), _Point(2, "i-k", "2i, 2k-1")),
         2: (_Point(1, "i-k", "2i, 2k"), _Run(2, -2, "i+k", "i-k, -i+k", "i+k")),
-    }),
-    _Branch("q8", 2, lambda x, j, y, l: j == l == 0 and x < 0 and y < 0, {
-        1: (_Run(1, 2, "-i-k-1", "i+k+1", "i-k, -i+k-1"), _Point(2, "i-k", "-2i-2, -2k-1")),
-        2: (_Point(1, "i-k", "-2i-2, -2k-2"), _Run(2, 2, "-i-k-1", "i+k+1", "-i+k-1, i-k-1")),
-    }),
+    }, "q8"),
 ]
+_TABLE += [_Branch(r.twin, r.a, lambda x, j, y, l, w=r.when: w(-x, -j, -y, -l), None)
+           for r in _TABLE if r.twin]
 
 
 def _record(a: int, js: int, ls: int, isg: int, ksg: int) -> _Branch:
@@ -203,7 +190,8 @@ def _record(a: int, js: int, ls: int, isg: int, ksg: int) -> _Branch:
 
 #: Recognized deliberate table mutations, used by verification suites as a
 #: negative control.  Each replaces one point exponent form of one record on
-#: one right sheet, so both evaluators and the engine see the same edit:
+#: one right sheet, so both evaluators and the engine see the same edit; its
+#: twin reflects the unperturbed pieces, so a mutation does not reach it.
 #: "flip-1e" raises p6's mixed-sign level-0 point exponent on sheet 1,
 #: min(2i-1, -2k-1), to min(2i, -2k-1), split on n as its own forms say.
 _MUTATIONS = {"flip-1e": ("p6", 1, "2i-1", "2i")}
@@ -216,7 +204,10 @@ def _check_perturbation(p: Optional[str]) -> None:
 
 
 def _as_basis(x: Union[BasisIndex, tuple]) -> BasisIndex:
-    b = BasisIndex(*x)
+    try:
+        b = BasisIndex(*x)
+    except TypeError:  # not iterable, or not three entries
+        raise ShapeError(f"a label is a sheet 1 or 2 and two integers, got {x!r}") from None
     if b.a not in (1, 2):
         raise CaseTableError(f"sheet must be 1 or 2, got {b.a}")
     _check_basis(*b)
@@ -425,24 +416,25 @@ def _eterms_to_strip_terms(terms: list[ETerm]) -> tuple[ExpPolyTerm, ...]:
 
 
 @dataclass(frozen=True)
-class _Pt:
+class _Piece:
     sheet: int
-    tk: int  # output index n = i + tk*k
+    tk: Optional[int]  # a point's output index n = i + tk*k; None for a span
     ei: int
     ek: int
     en: int
     scalar: Coeff
-    forms: tuple[Aff, ...] = ()  # its n-window, if its exponent was split
+    forms: tuple[Aff, ...] = ()  # a span's bounds on n (each cn = +-1), or a point's split window
 
 
-@dataclass(frozen=True)
-class _Sp:
-    sheet: int
-    forms: tuple[Aff, ...]  # its bounds on n, each cn = +-1
-    ei: int
-    ek: int
-    en: int
-    scalar: Coeff
+def _reflect(piece: _Piece, a: int, b: int) -> _Piece:
+    """The piece conjugated by sigma: i -> -i-(a-1), k -> -k-(b-1) and n -> -n-(sheet-1) in
+    its forms and its s-exponent.  n = i + tk*k is kept, and lower bounds stay first."""
+    shift = (a - 1, b - 1, piece.sheet - 1, -1)
+    def at(f: Aff) -> Aff:  # f at (-i-(a-1), -k-(b-1), -n-(sheet-1)), as a form in (i, k, n)
+        return (-f[0], -f[1], -f[2], -sum(u * v for u, v in zip(f, shift)))
+    forms = tuple(sorted(map(at, piece.forms), key=lambda f: -f[2]))
+    ei, ek, en, e = at((piece.ei, piece.ek, piece.en, 0))
+    return _Piece(piece.sheet, piece.tk, ei, ek, en, piece.scalar * Coeff.s_power(e), forms)
 
 
 def _split(f1: Form, f2: Form, tk: int) -> tuple[tuple[Aff], tuple[Aff]]:
@@ -470,27 +462,29 @@ def _pieces(
     """Kernel pieces of the first record covering the signature, on right sheet b.
 
     q^(ci*i + ck*k + c0) becomes ei = 2ci, ek = 2ck and the scalar q^c0, times
-    1 - 1/q for a run, whose bounds f become the forms n - f >= 0 and
-    f - n >= 0.  A point whose exponent is the least of two forms becomes two
-    point pieces, split on n.
+    1 - 1/q for a run, whose bounds f become the forms n - f >= 0 and f - n >= 0.
+    A point whose exponent is the least of two forms becomes two point pieces,
+    split on n.  A twin reflects its partner's unperturbed pieces.
     """
     rec = _record(a, js, ls, isg, ksg)
+    if rec.out is None:
+        return tuple(_reflect(p, a, b) for p in _pieces(a, b, -js, -ls, -isg, -ksg, None))
     name, sheet, old, new = _MUTATIONS.get(perturbation, ("", 0, "", ""))
-    pieces: list[Union[_Pt, _Sp]] = []
+    pieces: list[_Piece] = []
     for t in rec.out[b]:
         if isinstance(t, _Run):
             ci, ck, c0 = _form(t.exp)
             lows = ((-u, -v, 1, -w) for u, v, w in _forms(t.lows))
             forms = (*lows, *((u, v, -1, w) for u, v, w in _forms(t.highs)))
             scalar = one_minus_qinv() * Coeff.q_power(c0)
-            pieces.append(_Sp(t.sheet, forms, 2 * ci, 2 * ck, t.step, scalar))
+            pieces.append(_Piece(t.sheet, None, 2 * ci, 2 * ck, t.step, scalar, forms))
             continue
         tk, exps = _form(t.n)[1], _forms(t.exps)
         if (rec.name, b) == (name, sheet):
             exps = tuple(_form(new) if f == _form(old) else f for f in exps)
         windows = _split(*exps, tk) if len(exps) == 2 else ((),)
         for (ci, ck, c0), window in zip(exps, windows):
-            pieces.append(_Pt(t.sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), window))
+            pieces.append(_Piece(t.sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), window))
     return tuple(pieces)
 
 
@@ -563,7 +557,7 @@ def _between(ants: list[ETerm], var: int, lo: Aff, hi: Aff) -> list[ETerm]:
     return _merge_eterms(out)
 
 
-def _summand(piece: Union[_Pt, _Sp], sx: Strip, sy: Strip) -> list[ETerm]:
+def _summand(piece: _Piece, sx: Strip, sy: Strip) -> list[ETerm]:
     """The strip pair's terms times the piece's kernel, in (i, k, n)."""
     terms: list[ETerm] = []
     for ex, px in sx.terms:
@@ -621,7 +615,7 @@ def _sum(terms: list[ETerm], indices: list[int], forms: list[Aff], sheet: int, o
             _sum(_between(ants, var, lo, hi), outer, conds, sheet, out)
 
 
-def _strip_pair(piece: Union[_Pt, _Sp], sx: Strip, sy: Strip, out: list) -> None:
+def _strip_pair(piece: _Piece, sx: Strip, sy: Strip, out: list) -> None:
     """One piece over a strip pair with a ray, as output strips into out.
 
     A point mass puts in its index p: its value, s^(e*p) and the piece's
@@ -629,7 +623,7 @@ def _strip_pair(piece: Union[_Pt, _Sp], sx: Strip, sy: Strip, out: list) -> None
     piece's n = i + tk*k then fixes one more index, k = tk*(n - i), or
     i = n - tk*k when k is pinned, and _sum sums what is left, k first.
     """
-    rel = (1, piece.tk, -1, 0) if isinstance(piece, _Pt) else None  # i + tk*k - n = 0
+    rel = None if piece.tk is None else (1, piece.tk, -1, 0)  # i + tk*k - n = 0
     if sx.lo != sx.hi and sy.lo != sy.hi:
         indices, terms = [_K, _I], _summand(piece, sx, sy)
         forms = [*piece.forms, *_limits(sx, _I), *_limits(sy, _K)]
@@ -671,7 +665,7 @@ def _point_pair(
                     lo = -v
             elif v < hi:
                 hi = v
-        if isinstance(piece, _Pt):
+        if piece.tk is not None:
             n = i + piece.tk * k
             if not lo <= n <= hi:
                 continue
@@ -730,17 +724,11 @@ def _pair_windows(j: int, l: int, sx: Strip, sy: Strip, n: int):
     support windows of the table (point targets i +- k, spreads <= |other|+1,
     rays toward the level sign)."""
     if j > 0 and l > 0:
-        ilo, ihi = max(sx.lo, n - sy.hi), sx.hi
-        for i in range(ilo, ihi + 1):
-            klo, khi = max(sy.lo, n - sx.hi), sy.hi
-            for k in range(klo, khi + 1):
-                yield i, k
+        ilo, klo = max(sx.lo, n - sy.hi), max(sy.lo, n - sx.hi)
+        yield from ((i, k) for i in range(ilo, sx.hi + 1) for k in range(klo, sy.hi + 1))
     elif j < 0 and l < 0:
-        ilo, ihi = sx.lo, min(sx.hi, n - sy.lo)
-        for i in range(ilo, ihi + 1):
-            klo, khi = sy.lo, min(sy.hi, n - sx.lo)
-            for k in range(klo, khi + 1):
-                yield i, k
+        ihi, khi = min(sx.hi, n - sy.lo), min(sy.hi, n - sx.lo)
+        yield from ((i, k) for i in range(sx.lo, ihi + 1) for k in range(sy.lo, khi + 1))
     elif j == 0:
         for i in range(sx.lo, sx.hi + 1):
             w = abs(i) + abs(n) + 2

@@ -55,6 +55,8 @@ def test_strip_literal():
         (chi(1, m, 0) for m in range(1, 4)), chi(1, 0, 0)
     )
     assert parse_element("strip(1,1,-inf..0: m - m)") == zero_element()
+    # an m-term divided by a scalar
+    assert parse_element("strip(1,0,0..1: m/2)") == parse_element("strip(1,0,0..1: (1/2)*m)")
 
 
 def test_parse_errors_carry_position():
@@ -107,6 +109,10 @@ def test_format_latex_headers():
     assert "\\sum_{m <= 0}" in format_element(mul(chi(2, 0, 1), chi(1, 0, 1)), "latex")
     assert format_element(iota(), "latex") == "(q) \\chi^{(1)}_{0,0}"
     assert format_element(zero_element(), "latex") == "0"
+    # a constant term, a two-term ray body and an odd power of s
+    ray = parse_element("strip(1,-1,0..inf: 1 + m*s^m)")
+    assert format_element(ray, "latex") == "\\sum_{m >= 0} ((1) + (m) s^{m}) \\chi^{(1)}_{m,-1}"
+    assert format_element(parse_element("s^3*chi(1,0,0)"), "latex") == "(s^{3}) \\chi^{(1)}_{0,0}"
     with pytest.raises(ValueError):
         format_element(iota(), "html")
 

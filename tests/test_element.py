@@ -1,6 +1,7 @@
 """Element representation: strips, rows, arithmetic, and JSON round-trips."""
 
 import json
+import re
 import time
 
 import pytest
@@ -219,30 +220,29 @@ def _json_doc(row=(), strip=(), term=()):
     return {"rows": [{"a": 1, "j": 0, "strips": [s], **dict(row)}]}
 
 
-_MALFORMED_JSON = {
-    "not an object": [],
-    "missing key": {"rows": [{"a": 1, "strips": []}]},
-    "rows not a list": {"rows": "x"},
-    "poly entry not a string": _json_doc(term={"poly": [1]}),
-    "poly is a string": _json_doc(term={"poly": "12"}),
-    "poly divides by zero": _json_doc(term={"poly": ["1/0"]}),
-    "sheet is a bool": _json_doc(row={"a": True}),
-    "sheet is a float": _json_doc(row={"a": 1.0}),
-    "step is a bool": _json_doc(term={"e": True}),
-    "bound is a bool": _json_doc(strip={"lo": True}),
-    "sheet out of range": _json_doc(row={"a": 3}),
-    # refused as "a row cannot be infinite on both sides"
-    "row with rays both ways": _json_doc(row={"j": 1, "strips": [
+_MALFORMED_JSON = {  # each document, and the refusal it must reach
+    "not an object": ([], "an object with a 'rows' field"),
+    "missing key": ({"rows": [{"a": 1, "strips": []}]}, "an object with a 'j' field"),
+    "rows not a list": ({"rows": "x"}, "'rows' must be of type list"),
+    "poly entry not a string": (_json_doc(term={"poly": [1]}), "'poly' must be a list of strings"),
+    "poly is a string": (_json_doc(term={"poly": "12"}), "'poly' must be of type list"),
+    "poly divides by zero": (_json_doc(term={"poly": ["1/0"]}), "division by zero"),
+    "sheet is a bool": (_json_doc(row={"a": True}), "'a' must be of type int, got True"),
+    "sheet is a float": (_json_doc(row={"a": 1.0}), "'a' must be of type int, got 1.0"),
+    "step is a bool": (_json_doc(term={"e": True}), "'e' must be of type int, got True"),
+    "bound is a bool": (_json_doc(strip={"lo": True}), "bad bound True"),
+    "sheet out of range": (_json_doc(row={"a": 3}), "sheet must be 1 or 2, got 3"),
+    "row with rays both ways": (_json_doc(row={"j": 1, "strips": [
         {"lo": "-inf", "hi": 0, "terms": [{"e": 0, "poly": ["1"]}]},
         {"lo": 5, "hi": "+inf", "terms": [{"e": 0, "poly": ["1"]}]},
-    ]}),
+    ]}), "a row cannot be infinite on both sides"),
 }
 
 
-@pytest.mark.parametrize("doc", list(_MALFORMED_JSON.values()), ids=list(_MALFORMED_JSON))
-def test_json_malformed_documents_raise_parse_error(doc):
+@pytest.mark.parametrize("doc, refusal", list(_MALFORMED_JSON.values()), ids=list(_MALFORMED_JSON))
+def test_json_malformed_documents_raise_parse_error(doc, refusal):
     assert element_from_json(_json_doc()) == chi(1, 0, 0)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape(refusal)):
         element_from_json(doc)
 
 

@@ -134,6 +134,8 @@ def test_matrix_group_structure():
     assert (g * g).inverse() == g.inverse() * g.inverse()
     with pytest.raises(ValueError):
         LocalFieldMatrix(_mono(0, 0), _mono(0, 0), _mono(0, 0), _mono(0, 0))
+    with pytest.raises(ValueError, match="sheet must be 1 or 2, got 3"):
+        eta_matrix(3, 0, 0, 2)
 
 
 def test_eta_matrices_have_their_own_labels():
@@ -213,9 +215,13 @@ def test_enumeration_domain_errors():
         lambda: oracle.counted_product((1, 0, 0), (3, 0, 0)),
         lambda: product_counts((1, 0.5, 0), (1, 0, 0), 2),
         lambda: product_counts((1, 0, 0), (1, 1.5, 0), 2),
+        lambda: oracle.counted_product((1, 0), (1, 0, 0)),
+        lambda: oracle.counted_product(5, (1, 0, 0)),
+        lambda: product_counts((1, 0, 0), (1, 0), 2),
     ],
     ids=["counted-sheet", "counted-float", "counted-bool", "counted-right-sheet",
-         "counts-float", "counts-right-float"],
+         "counts-float", "counts-right-float", "counted-short", "counted-not-a-label",
+         "counts-right-short"],
 )
 def test_counting_refuses_bad_labels(count):
     # a label is a sheet 1 or 2 and two integers, on either side

@@ -44,7 +44,6 @@ from hecke2d.product import (
     PERTURBATIONS,
     _I,
     _K,
-    _Pt,
     _limits,
     _pieces,
     _point_pair,
@@ -177,6 +176,8 @@ def test_mul_basis_matches_mul():
         ((True, 0, 0), (2, 1, 0), "sheet must be 1 or 2, got True"),
         ((1, 1.5, 0), (1, 0, 0), "bound must be an integer or +-inf, got 1.5"),
         ((1, 0, 1.0), (1, 0, 0), "level must be an integer, got 1.0"),
+        ((1, 0), (1, 0, 0), "a label is a sheet 1 or 2 and two integers, got (1, 0)"),
+        (5, (1, 0, 0), "a label is a sheet 1 or 2 and two integers, got 5"),
     ],
 )
 def test_mul_basis_refuses_non_integer_indices(x, y, message):
@@ -184,6 +185,14 @@ def test_mul_basis_refuses_non_integer_indices(x, y, message):
     with pytest.raises(ShapeError) as err:
         mul_basis(x, y)
     assert str(err.value) == message
+
+
+def test_a_malformed_target_and_a_third_sheet_are_refused():
+    with pytest.raises(ShapeError, match=r"a label is a sheet 1 or 2 and two integers, got \(1, 0\)"):
+        coeff_of_product(chi(1, 0, 0), chi(1, 0, 0), (1, 0))
+    # the table has no record for sheet 3
+    with pytest.raises(product.CaseTableError, match="sheet must be 1 or 2, got 3"):
+        mul_basis((3, 0, 0), (1, 0, 0))
 
 
 def _table_runs(x, y, perturbation):
@@ -297,7 +306,7 @@ def _engine(pieces, sx, sy, out):
     for piece in pieces:
         terms, indices = _summand(piece, sx, sy), [_K, _I]
         forms = [*_limits(sx, _I), *_limits(sy, _K), *piece.forms]
-        if isinstance(piece, _Pt):  # n = i + tk*k fixes k = tk*(n - i)
+        if piece.tk is not None:  # n = i + tk*k fixes k = tk*(n - i)
             at = (-piece.tk, 0, piece.tk, 0)
             terms = [_term_subst(t, _K, at) for t in terms]
             forms, indices = [_subst(f, _K, at) for f in forms], [_I]
@@ -394,7 +403,7 @@ def test_finite_products_skip_the_engine(monkeypatch):
     # a ray times a point pins the point's index: a point piece takes no sum
     ray = mul(chi(2, 0, 1), chi(1, 0, 1))
     for sg in (1, -1):
-        assert all(isinstance(piece, _Pt) for piece in _pieces(1, 1, 1, 1, sg, -sg, None))
+        assert all(piece.tk is not None for piece in _pieces(1, 1, 1, 1, sg, -sg, None))
     for x, y in [(ray, chi(1, 0, 1)), (chi(1, 0, 1), ray)]:
         prod = mul(x, y)
         assert prod.levels() == (3,)
@@ -485,9 +494,18 @@ def _shifted(term):
     return term._replace(exps=",".join([first + "+1", *rest]))
 
 
-def _shifts_caught(n, rec, pairs, differs):
-    """Each term of rec = _TABLE[n] shifted in turn: (b, term, the pairs on
-    right sheet b where differs(x, y) under the shift)."""
+def _twin(rec):
+    """The record that sigma derives from the written record rec: the one on
+    rec's negated signs."""
+    for js, ls, isg, ksg in itertools.product((-1, 0, 1), (-1, 0, 1), (-1, 1), (-1, 1)):
+        if js * ls >= 0 and product._record(rec.a, js, ls, isg, ksg) is rec:
+            return product._record(rec.a, -js, -ls, -isg, -ksg)
+
+
+def _shifts_caught(n, rec, pair_sets, differs):
+    """Each written term of rec = _TABLE[n] shifted in turn: (b, term, and for
+    each list in pair_sets, its pairs on right sheet b where differs(x, y)
+    under the shift).  A twin's terms are derived, so they shift with rec's."""
     found = []
     for b, terms in rec.out.items():
         for t, term in enumerate(terms):
@@ -495,7 +513,8 @@ def _shifts_caught(n, rec, pairs, differs):
             product._TABLE[n] = rec._replace(out=out)
             product._pieces.cache_clear()
             try:
-                found.append((b, term, [(x, y) for x, y in pairs if y.a == b and differs(x, y)]))
+                caught = [[(x, y) for x, y in ps if y.a == b and differs(x, y)] for ps in pair_sets]
+                found.append((b, term, caught))
             finally:
                 product._TABLE[n] = rec
                 product._pieces.cache_clear()
@@ -508,8 +527,11 @@ def test_counting_catches_a_shifted_exponent_in_every_record_it_reaches():
     for n, rec in enumerate(product._TABLE):
         pairs = list(_instances(rec, (0,)))
         (reached if pairs else unreached).add(rec.name)
-        for b, term, caught in _shifts_caught(n, rec, pairs, counted_differs) if pairs else ():
-            assert caught, (rec.name, b, term)
+        if rec.out is None or not pairs:
+            continue
+        pair_sets = [pairs, list(_instances(_twin(rec), (0,)))] if rec.twin else [pairs]
+        for b, term, caught in _shifts_caught(n, rec, pair_sets, counted_differs):
+            assert all(caught), (rec.name, b, term)
     assert reached == {"p1", "p2", "p4", "p5", "p6", "p7", "q3", "q4", "q5", "q8"}
     # no level-0 right factor reaches these: a shifted exponent there goes uncounted
     assert unreached - reached == {"p3", "q1", "q2", "q6", "q7"}
@@ -527,25 +549,32 @@ def _frozen(name, x, y):
     if name == "q2":  # (1 - 1/q) q^(m-i-k-1) at each m >= i + k + 1
         c = _OMQ * Coeff.q_power(-i - k - 1)
         return _ray(b, j + l, i + k + 1, POS_INF, 2, IndexPoly.constant(c))
-    # q7: (1 - 1/q) q^(i+k-m) at each k - i <= m <= k + i
-    run = range(k - i, k + i + 1)
-    return sum((chi(b, m, l).scale(_OMQ * Coeff.q_power(i + k - m)) for m in run), zero_element())
+    if name == "q7":  # (1 - 1/q) q^(i+k-m) at each k - i <= m <= k + i
+        run, exp = range(k - i, k + i + 1), lambda m: i + k - m
+    else:  # q8 at j = 0: (1 - 1/q) q^(m-i-k-1) at each k + i + 1 <= m <= k - i - 1
+        run, exp = range(k + i + 1, k - i), lambda m: m - i - k - 1
+    return sum((chi(b, m, l).scale(_OMQ * Coeff.q_power(exp(m))) for m in run), zero_element())
 
 
 def test_frozen_forms_catch_a_shifted_exponent_in_every_record_counting_misses():
     checked = set()
     for n, rec in enumerate(product._TABLE):
-        if rec.name not in ("p3", "q1", "q2", "q7"):
+        if rec.name not in ("p3", "q1", "q7") or rec.out is None:
             continue
-        pairs = list(_instances(rec, (-2, -1, 1, 2)))
-        for x, y in pairs:
-            assert mul_basis(x, y) == _frozen(rec.name, x, y), (x, y)
-        frozen_differs = lambda x, y: mul_basis(x, y) != _frozen(rec.name, x, y)
-        for b, term, caught in _shifts_caught(n, rec, pairs, frozen_differs):
-            assert caught, (rec.name, b, term)
-            checked.add((rec.name, b))
+        twin = _twin(rec)  # p3, q2 and q8 at j = 0
+        pair_sets = [list(_instances(r, (-2, -1, 1, 2))) for r in (rec, twin)]
+        frozen = {
+            (x, y): _frozen(r.name, x, y) for r, pairs in zip((rec, twin), pair_sets) for x, y in pairs
+        }
+        for (x, y), want in frozen.items():
+            assert mul_basis(x, y) == want, (x, y)
+        frozen_differs = lambda x, y: mul_basis(x, y) != frozen[x, y]
+        for b, term, caught in _shifts_caught(n, rec, pair_sets, frozen_differs):
+            assert all(caught), (rec.name, b, term)
+            checked.add((rec.name, twin.name, b))
     # q2's ray on right sheet 1 and q1's on sheet 2 are among them
-    assert checked == {(name, b) for name in ("p3", "q1", "q2", "q7") for b in (1, 2)}
+    written = (("p3", "p3"), ("q1", "q2"), ("q7", "q8"))
+    assert checked == {(name, twin, b) for name, twin in written for b in (1, 2)}
 
 
 def _sigma(x):

@@ -115,6 +115,10 @@ def test_run_suite_argument_errors():
         run_suite("not_a_suite")
     with pytest.raises(ValueError):
         run_suite("weyl", index_bound=-1)
+    with pytest.raises(ValueError, match="level_bound must be nonnegative"):
+        run_suite("weyl", level_bound=-1)
+    with pytest.raises(ValueError, match="cases must be nonnegative"):
+        run_suite("weyl", cases=-1)
     # an empty qs would divide by zero, or pass with no census checked
     for name in ("weyl", "table_oracle"):
         with pytest.raises(ValueError, match="qs"):
