@@ -21,7 +21,10 @@ inequalities in (i, k, n), and two evaluators read them:
   ``_strip_pair``, serves every pair with a ray: it puts in a point mass's
   index, lets a point piece's n = i + tk*k fix one more index, and sums what
   is left, the inner index k first, then the outer index i.  A product row
-  that is one ray is kept as it is, without the sweep.  Every constraint (a
+  that is one ray is kept as it is, without the sweep.  What is summed is
+  one dict {(ei, ek, en, di, dk, dn): c}, the sum of the terms
+  c * s^(ei*i + ek*k + en*n) * i^di * k^dk * n^dn; putting an affine form in
+  for an index expands its powers over the integers.  Every constraint (a
   strip's ends, a span's bounds, a point's window) is one affine form
   ci*i + ck*k + cn*n + c0 >= 0.  Each sum eliminates its index with a
   discrete antiderivative (for ratio s^alpha != 1 solve
@@ -66,7 +69,6 @@ from .element import (
     _check_basis,
     _element,
     _normal_rows,
-    merge_terms,
 )
 
 __all__ = [
@@ -251,87 +253,59 @@ def mul_basis(
 # ---------------------------------------------------------------------------
 # the strip engine
 #
-# Working representation: a summand term is s^(ei*i + ek*k + en*n) * P(i,k,n)
-# with P a polynomial over Coeff, stored as {(di,dk,dn): Coeff}.  Every
+# A summand is one dict {(ei, ek, en, di, dk, dn): c}, meaning the sum of
+# c * s^(ei*i + ek*k + en*n) * i^di * k^dk * n^dn, with no zero values.  Every
 # constraint is one affine form (ci, ck, cn, c0), meaning
 # ci*i + ck*k + cn*n + c0 >= 0; a bound on an index, and an index's value
-# when it is pinned or eliminated, is a form with that index's slot 0.
+# when it is pinned or eliminated, is a form with that index's slot 0.  An
+# index v's s-step sits at key[v] and its degree at key[3 + v].
 
 _I, _K, _N = 0, 1, 2
 
-MPoly = dict[tuple[int, int, int], Coeff]
-ETerm = tuple[tuple[int, int, int], MPoly]
+_Poly = dict[tuple[int, int, int, int, int, int], Coeff]
 Aff = tuple[int, int, int, int]
-_MONOMIAL = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))  # i, k, n and 1 as MPoly keys
 
 
-def _mp_acc(out: MPoly, key: tuple[int, int, int], v: Coeff) -> None:
-    """Add v at key, dropping the key when the sum vanishes."""
-    cur = out.get(key)
-    new = v if cur is None else cur + v
+def _acc(p: _Poly, key: tuple[int, ...], c: Coeff) -> None:
+    """Add c at key, dropping the key when the sum vanishes."""
+    new = p[key] + c if key in p else c
     if new.is_zero():
-        out.pop(key, None)
+        p.pop(key, None)
     else:
-        out[key] = new
+        p[key] = new
 
 
-def _mp_add_into(acc: MPoly, p: MPoly, factor: Optional[Coeff] = None) -> None:
+def _powers(aff: Aff, d: int) -> list[dict[tuple[int, int, int], int]]:
+    """aff^0, ..., aff^d as integer polynomials {(di, dk, dn): c}."""
+    pows = [{(0, 0, 0): 1}]
+    slots = [(v, w) for v, w in enumerate(aff) if w]  # slot 3, the constant, raises no degree
+    for _ in range(d):
+        nxt: dict[tuple[int, int, int], int] = {}
+        for mono, c in pows[-1].items():
+            for v, w in slots:
+                key = tuple(x + (u == v) for u, x in enumerate(mono))
+                nxt[key] = nxt.get(key, 0) + c * w
+        pows.append({key: c for key, c in nxt.items() if c})
+    return pows
+
+
+def _put(p: _Poly, var: int, aff: Aff) -> _Poly:
+    """p with var replaced by the affine form aff (aff[var] == 0).
+
+    var's s-step alpha moves onto the other indices, s^(alpha*c0) comes out
+    as a factor, and var^d expands through the integer powers of aff.
+    """
+    pows = _powers(aff, max((key[3 + var] for key in p), default=0))
+    out: _Poly = {}
     for key, c in p.items():
-        _mp_acc(acc, key, c if factor is None else c * factor)
-
-
-def _mp_scale(p: MPoly, c: Coeff) -> MPoly:
-    return {k: v * c for k, v in p.items()}
-
-
-def _mp_mul(a: MPoly, b: MPoly) -> MPoly:
-    out: MPoly = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            _mp_acc(out, (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2]), ca * cb)
+        alpha = key[var]
+        e = [key[v] + alpha * aff[v] for v in range(3)] + list(key[3:])
+        e[var] = e[3 + var] = 0
+        if alpha * aff[3]:
+            c = c * Coeff.s_power(alpha * aff[3])
+        for (a, b, n), m in pows[key[3 + var]].items():
+            _acc(out, (e[0], e[1], e[2], e[3] + a, e[4] + b, e[5] + n), c * m)
     return out
-
-
-def _mp_from_poly(p: IndexPoly, var: int, w: Optional[Coeff] = None) -> MPoly:
-    # p (times w) as a polynomial in the index var
-    out: MPoly = {}
-    for d, c in enumerate(p.coeffs):
-        if not c.is_zero():
-            key = [0, 0, 0]
-            key[var] = d
-            out[tuple(key)] = c if w is None else c * w
-    return out
-
-
-def _mp_subst(p: MPoly, var: int, aff: Aff) -> MPoly:
-    """Substitute var -> ci*i + ck*k + cn*n + c0 = aff (aff[var] == 0)."""
-    if not p:
-        return {}
-    lin = {_MONOMIAL[v]: Coeff.integer(c) for v, c in enumerate(aff) if c}
-    maxd = max(k[var] for k in p)
-    pows: list[MPoly] = [{(0, 0, 0): ONE}]
-    for _ in range(maxd):
-        pows.append(_mp_mul(pows[-1], lin))
-    out: MPoly = {}
-    for key, c in p.items():
-        d = key[var]
-        rest = list(key)
-        rest[var] = 0
-        for k2, c2 in pows[d].items():
-            _mp_acc(out, (rest[0] + k2[0], rest[1] + k2[1], rest[2] + k2[2]), c * c2)
-    return out
-
-
-def _term_subst(term: ETerm, var: int, aff: Aff) -> ETerm:
-    # replaces var by an affine form, moving its s-exponent onto the others
-    exps, p = term
-    alpha = exps[var]
-    new = [exps[0] + alpha * aff[0], exps[1] + alpha * aff[1], exps[2] + alpha * aff[2]]
-    new[var] = 0
-    p2 = _mp_subst(p, var, aff)
-    if alpha * aff[3]:
-        p2 = _mp_scale(p2, Coeff.s_power(alpha * aff[3]))
-    return (tuple(new), p2)
 
 
 def _subst(f: Aff, var: int, aff: Aff) -> Aff:
@@ -344,72 +318,54 @@ def _subst(f: Aff, var: int, aff: Aff) -> Aff:
     return tuple(g)
 
 
-def _merge_eterms(terms: Iterable[ETerm]) -> list[ETerm]:
-    acc: dict[tuple[int, int, int], MPoly] = {}
-    for exps, p in terms:
-        if not p:
-            continue
-        _mp_add_into(acc.setdefault(exps, {}), p)
-    return [(e, p) for e, p in acc.items() if p]
+def _antiderivative(p: _Poly, var: int) -> _Poly:
+    """R with sum_{v=A..B} P(v) s^(alpha v) = [R(v) s^(alpha v)]_{v=A-1}^{B}.
 
-
-def _antiderivative(term: ETerm, var: int) -> MPoly:
-    """R with sum_{v=A..B} P(v) s^(alpha v) = [R s^(alpha v)]_{A-1}^{B}."""
-    exps, poly = term
-    alpha = exps[var]
-    bydeg: dict[int, MPoly] = {}
-    for key, c in poly.items():
+    The terms are grouped by all but var's degree, alpha being var's s-step,
+    and each group's coefficient list in var solves R(v) - s^-alpha R(v-1) = P(v).
+    """
+    groups: dict[tuple[int, ...], dict[int, Coeff]] = {}
+    for key, c in p.items():
         rest = list(key)
-        d = rest[var]
-        rest[var] = 0
-        _mp_acc(bydeg.setdefault(d, {}), tuple(rest), c)
-    deg = max(bydeg) if bydeg else 0
-    pc = [bydeg.get(d, {}) for d in range(deg + 1)]
-    rho: list[MPoly]
-    if alpha != 0:
-        u = Coeff.s_power(-alpha)
-        inv = ONE / (ONE - u)
-        rho = [{} for _ in range(deg + 1)]
-        for c in range(deg, -1, -1):
-            acc: MPoly = {}
-            _mp_add_into(acc, pc[c])
-            for d in range(c + 1, deg + 1):
-                sgn = 1 if (d - c) % 2 == 0 else -1
-                _mp_add_into(acc, rho[d], u * (comb(d, c) * sgn))
-            rho[c] = _mp_scale(acc, inv)
-    else:
-        rho = [{} for _ in range(deg + 2)]
-        for c in range(deg, -1, -1):
-            acc = {}
-            _mp_add_into(acc, pc[c])
-            for d in range(c + 2, deg + 2):
-                sgn = 1 if (d - c) % 2 == 1 else -1
-                _mp_add_into(acc, rho[d], Coeff.integer(-comb(d, c) * sgn))
-            rho[c + 1] = _mp_scale(acc, Coeff.rational(1, c + 1))
-    out: MPoly = {}
-    for d, mp in enumerate(rho):
-        for key, c in mp.items():
-            kk = list(key)
-            kk[var] = d
-            out[tuple(kk)] = c
+        rest[3 + var] = 0
+        groups.setdefault(tuple(rest), {})[key[3 + var]] = c
+    out: _Poly = {}
+    for rest, cs in groups.items():
+        alpha, deg = rest[var], max(cs)
+        pc = [cs.get(d, ZERO) for d in range(deg + 1)]
+        if alpha != 0:  # R has P's degree
+            u = Coeff.s_power(-alpha)
+            inv = ONE / (ONE - u)
+            rho = [ZERO] * (deg + 1)
+            for c in range(deg, -1, -1):
+                acc = pc[c]
+                for d in range(c + 1, deg + 1):
+                    acc = acc + rho[d] * u * (comb(d, c) * (-1) ** (d - c))
+                rho[c] = acc * inv
+        else:  # R has one degree more; its constant term cancels in [R] and is left 0
+            rho = [ZERO] * (deg + 2)
+            for c in range(deg, -1, -1):
+                acc = pc[c]
+                for d in range(c + 2, deg + 2):
+                    acc = acc + rho[d] * (comb(d, c) * (-1) ** (d - c))
+                rho[c + 1] = acc * Coeff.rational(1, c + 1)
+        key = list(rest)
+        for d, v in enumerate(rho):
+            if v:
+                key[3 + var] = d
+                out[tuple(key)] = v
     return out
 
 
-def _eterms_to_strip_terms(terms: list[ETerm]) -> tuple[ExpPolyTerm, ...]:
-    parts: list[tuple[int, IndexPoly]] = []
-    for exps, p in terms:
-        if exps[_I] or exps[_K]:
+def _strip_terms(p: _Poly) -> tuple[ExpPolyTerm, ...]:
+    """p, summed over i and k, as output terms s^(en*n) * P(n)."""
+    rows: dict[int, dict[int, Coeff]] = {}
+    for (ei, ek, en, di, dk, dn), c in p.items():
+        if ei or ek or di or dk:
             raise CaseTableError("unsummed index in output term")
-        deg: dict[int, Coeff] = {}
-        for key, c in p.items():
-            if key[_I] or key[_K]:
-                raise CaseTableError("unsummed index in output polynomial")
-            deg[key[_N]] = deg.get(key[_N], ZERO) + c
-        width = max(deg) + 1 if deg else 0
-        ip = IndexPoly([deg.get(d, ZERO) for d in range(width)])
-        if not ip.is_zero():
-            parts.append((exps[_N], ip))
-    return merge_terms(parts)
+        rows.setdefault(en, {})[dn] = c
+    return tuple(ExpPolyTerm(en, IndexPoly([cs.get(d, ZERO) for d in range(max(cs) + 1)]))
+                 for en, cs in sorted(rows.items()))
 
 
 # kernel pieces: the records compiled for the evaluator and the strip engine
@@ -547,24 +503,24 @@ def _active_pairs(lows: list[Aff], ups: list[Aff], index: str):
             yield lo, hi, conds
 
 
-def _between(ants: list[ETerm], var: int, lo: Aff, hi: Aff) -> list[ETerm]:
-    """[R]_{lo-1}^{hi}: each antiderivative at var = hi minus at var = lo - 1."""
-    out: list[ETerm] = []
-    for ant in ants:
-        out.append(_term_subst(ant, var, hi))
-        exps, p = _term_subst(ant, var, (*lo[:3], lo[3] - 1))
-        out.append((exps, _mp_scale(p, Coeff.integer(-1))))
-    return _merge_eterms(out)
+def _between(ant: _Poly, var: int, lo: Aff, hi: Aff) -> _Poly:
+    """[R]_{lo-1}^{hi}: the antiderivative at var = hi minus at var = lo - 1."""
+    out = _put(ant, var, hi)
+    for key, c in _put(ant, var, (*lo[:3], lo[3] - 1)).items():
+        _acc(out, key, -c)
+    return out
 
 
-def _summand(piece: _Piece, sx: Strip, sy: Strip) -> list[ETerm]:
+def _summand(piece: _Piece, sx: Strip, sy: Strip) -> _Poly:
     """The strip pair's terms times the piece's kernel, in (i, k, n)."""
-    terms: list[ETerm] = []
+    out: _Poly = {}
     for ex, px in sx.terms:
         for ey, py in sy.terms:
-            poly = _mp_mul(_mp_from_poly(px, _I, piece.scalar), _mp_from_poly(py, _K))
-            terms.append(((ex + piece.ei, ey + piece.ek, piece.en), poly))
-    return _merge_eterms(terms)
+            for di, cx in enumerate(px.coeffs):
+                for dk, cy in enumerate(py.coeffs):
+                    if cx and cy:
+                        out[ex + piece.ei, ey + piece.ek, piece.en, di, dk, 0] = piece.scalar * cx * cy
+    return out
 
 
 def _window(forms: Iterable[Aff]) -> Optional[tuple[Bound, Bound]]:
@@ -582,7 +538,7 @@ def _window(forms: Iterable[Aff]) -> Optional[tuple[Bound, Bound]]:
     return (lo, hi) if lo <= hi else None
 
 
-def _sum(terms: list[ETerm], indices: list[int], forms: list[Aff], sheet: int, out: list) -> None:
+def _sum(terms: _Poly, indices: list[int], forms: list[Aff], sheet: int, out: list) -> None:
     """Sum terms over indices, the first innermost, where every form is >= 0.
 
     A sum splits the forms into its index's lower and upper bounds and the
@@ -595,9 +551,7 @@ def _sum(terms: list[ETerm], indices: list[int], forms: list[Aff], sheet: int, o
     if not terms or window is None:
         return
     if not indices:
-        st = _eterms_to_strip_terms(terms)
-        if st:
-            out.append((sheet, *window, st))
+        out.append((sheet, *window, _strip_terms(terms)))
         return
     var, outer = indices[0], indices[1:]
     lows: list[Aff] = []
@@ -608,11 +562,11 @@ def _sum(terms: list[ETerm], indices: list[int], forms: list[Aff], sheet: int, o
             (lows if f[var] > 0 else ups).append(_bound(f, var))
         else:
             rest.append(f)
-    ants = [(t[0], _antiderivative(t, var)) for t in terms]
+    ant = _antiderivative(terms, var)
     for lo, hi, conds in _active_pairs(lows, ups, "inner" if outer else "outer"):
         conds += rest
         if _window(conds):
-            _sum(_between(ants, var, lo, hi), outer, conds, sheet, out)
+            _sum(_between(ant, var, lo, hi), outer, conds, sheet, out)
 
 
 def _strip_pair(piece: _Piece, sx: Strip, sy: Strip, out: list) -> None:
@@ -629,21 +583,23 @@ def _strip_pair(piece: _Piece, sx: Strip, sy: Strip, out: list) -> None:
         forms = [*piece.forms, *_limits(sx, _I), *_limits(sy, _K)]
     else:
         var, pin, point, ray = (_I, _K, sy, sx) if sy.lo == sy.hi else (_K, _I, sx, sy)
-        indices, exps = [var], [piece.ei, piece.ek, piece.en]
-        e, exps[pin], at = exps[pin] * point.lo, 0, (0, 0, 0, point.lo)
+        indices, key = [var], [piece.ei, piece.ek, piece.en, 0, 0, 0]
+        e, key[pin], at = key[pin] * point.lo, 0, (0, 0, 0, point.lo)
         w = piece.scalar * point.terms[0].poly.coeffs[0]  # see element._point
         w = w * Coeff.s_power(e) if e else w
-        terms = []
+        terms, step = {}, key[var]
         for er, poly in ray.terms:
-            te = list(exps)
-            te[var] += er
-            terms.append((tuple(te), _mp_from_poly(poly, var, w)))
+            key[var] = step + er
+            for d, c in enumerate(poly.coeffs):
+                if c:
+                    key[3 + var] = d
+                    terms[tuple(key)] = c * w
         forms = [_subst(f, pin, at) for f in piece.forms] + _limits(ray, var)
         rel = rel and _subst(rel, pin, at)
     if rel:  # solve for k, or for i when k is pinned (its coefficient is +-1)
         var = indices.pop(0)
         at = _bound(rel, var)  # rel >= 0 bounds var by exactly its value at rel = 0
-        terms = [_term_subst(t, var, at) for t in terms]
+        terms = _put(terms, var, at)
         forms = [_subst(f, var, at) for f in forms]
     _sum(terms, indices, forms, piece.sheet, out)
 

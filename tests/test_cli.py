@@ -174,6 +174,7 @@ def test_cli_error_exit_codes(capsys):
     assert main(["verify", "nonsense"]) == 2
     assert main(["coeff", "iota", "--at", "1,0"]) == 2
     assert main(["reps", "1", "9", "--q", "2"]) == 2
+    assert main(["oracle", "1,x", "1,0", "--q", "2"]) == 2
 
 
 def test_cli_usage_error_exits_two():

@@ -27,6 +27,18 @@ def test_constants():
     assert Coeff.q_power(3) == Q**3
     assert Coeff.s_power(-2) == ONE / Q
     assert one_minus_qinv() == ONE - Coeff.q_power(-1)
+    assert Coeff.integer(1) == 1
+    assert ONE / 2 == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(lambda: 2 - S, "-s + 2"), (lambda: 1 / S, "1/s"), (lambda: S + Fraction(1, 2), "(2*s + 1)/2")],
+    ids=["int-minus", "int-over", "plus-fraction"],
+)
+def test_mixed_type_operators(value, text):
+    # an int or a Fraction on either side is coerced to a Coeff
+    assert str(value()) == text
 
 
 def test_field_identities():
@@ -75,6 +87,8 @@ def test_division_by_zero():
         ONE / ZERO
     with pytest.raises(CoeffDivisionError):
         ZERO**-1
+    with pytest.raises(CoeffDivisionError, match="zero denominator"):
+        Coeff((1,), (0,))
 
 
 def test_eval_at_q():
@@ -83,6 +97,8 @@ def test_eval_at_q():
     assert S.eval_at_q(4) == 2
     with pytest.raises(ValueError):
         S.eval_at_q(2)  # no exact square root
+    with pytest.raises(ValueError, match="q >= 0"):
+        S.eval_at_q(-4)
     with pytest.raises(PoleError):
         (ONE / (Q - ONE)).eval_at_q(1)
 

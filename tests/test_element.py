@@ -3,6 +3,7 @@
 import json
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -141,6 +142,8 @@ def test_element_linear_structure():
     assert scale(Q, x) == x.scale(Q)
     assert x.scale(0).is_zero()
     assert equals(x + x, x.scale(2))
+    assert chi(1, 0, 0) * 2 == chi(1, 0, 0).scale(2)
+    assert chi(1, 0, 0) * Fraction(1, 2) == chi(1, 0, 0).scale(Fraction(1, 2))
     assert -(-x) == x
 
 
@@ -227,6 +230,7 @@ _MALFORMED_JSON = {  # each document, and the refusal it must reach
     "poly entry not a string": (_json_doc(term={"poly": [1]}), "'poly' must be a list of strings"),
     "poly is a string": (_json_doc(term={"poly": "12"}), "'poly' must be of type list"),
     "poly divides by zero": (_json_doc(term={"poly": ["1/0"]}), "division by zero"),
+    "poly is empty": (_json_doc(term={"poly": []}), "empty coefficient list"),
     "sheet is a bool": (_json_doc(row={"a": True}), "'a' must be of type int, got True"),
     "sheet is a float": (_json_doc(row={"a": 1.0}), "'a' must be of type int, got 1.0"),
     "step is a bool": (_json_doc(term={"e": True}), "'e' must be of type int, got True"),

@@ -38,20 +38,23 @@ from hecke2d import (
     zero_element,
 )
 from hecke2d import element, oracle, product
-from hecke2d.coeff import ONE, Q
+from hecke2d.coeff import ONE, Q, S, ZERO
 from hecke2d.element import NEG_INF, POS_INF, _normal_rows, normalize_strips
 from hecke2d.product import (
     PERTURBATIONS,
     _I,
     _K,
+    _N,
+    _antiderivative,
+    _between,
     _limits,
     _pieces,
     _point_pair,
+    _put,
     _strip_pair,
     _subst,
     _sum,
     _summand,
-    _term_subst,
 )
 from hecke2d.suites import _atom_pool
 
@@ -230,6 +233,8 @@ def test_identity_element():
 
 def test_perturbation_negative_control():
     assert PERTURBATIONS == (None, "flip-1e")
+    with pytest.raises(ValueError, match="unknown perturbation 'nope'"):
+        mul(chi(1, 0, 0), chi(1, 0, 0), perturbation="nope")
     xb, yb = BasisIndex(1, 1, 0), BasisIndex(1, -2, 0)
     clean = mul_basis(xb, yb)
     bent = mul_basis(xb, yb, perturbation="flip-1e")
@@ -308,7 +313,7 @@ def _engine(pieces, sx, sy, out):
         forms = [*_limits(sx, _I), *_limits(sy, _K), *piece.forms]
         if piece.tk is not None:  # n = i + tk*k fixes k = tk*(n - i)
             at = (-piece.tk, 0, piece.tk, 0)
-            terms = [_term_subst(t, _K, at) for t in terms]
+            terms = _put(terms, _K, at)
             forms, indices = [_subst(f, _K, at) for f in forms], [_I]
         _sum(terms, indices, forms, piece.sheet, out)
 
@@ -381,6 +386,75 @@ def test_pinned_kernel_matches_the_engine_on_ray_point_strips():
     # 113 kernels (flip-1e changes one), two sides and two directions each; a
     # ray against its level's direction leaves a span sum unbounded on both routes
     assert outcomes == {True: 356, False: 40, "InfiniteSupportError": 56}
+
+
+_SCALARS = [ONE, -ONE, Q - ONE, Coeff.s_power(-3), Coeff.rational(1, 2), ONE / (S + ONE)]
+
+
+def _value(p, at):
+    # the engine summand p, a dict {(ei, ek, en, di, dk, dn): c}, at integer (i, k, n)
+    total = ZERO
+    for (ei, ek, en, di, dk, dn), c in p.items():
+        e = ei * at[0] + ek * at[1] + en * at[2]
+        total = total + c * Coeff.s_power(e) * (at[0] ** di * at[1] ** dk * at[2] ** dn)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([_I, _K, _N]),
+    st.integers(-2, 2),
+    st.dictionaries(st.integers(0, 3), st.sampled_from(_SCALARS), min_size=1),
+    st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+)
+def test_antiderivative_between_integer_bounds_is_the_direct_sum(var, alpha, poly, ends):
+    # sum_{v=lo..hi} P(v) s^(alpha v) for P of degree <= 3 in one index, alpha = 0 included
+    lo, hi = sorted(ends)
+    p = {}
+    for d, c in poly.items():
+        key = [0] * 6
+        key[var], key[3 + var] = alpha, d
+        p[tuple(key)] = c
+    want = ZERO
+    for v in range(lo, hi + 1):
+        want = want + sum((c * v**d for d, c in poly.items()), ZERO) * Coeff.s_power(alpha * v)
+    got = _between(_antiderivative(p, var), var, (0, 0, 0, lo), (0, 0, 0, hi))
+    assert got == ({(0,) * 6: want} if want else {})
+
+
+_STEPS = st.tuples(*[st.integers(-2, 2)] * 3)
+_DEGREES = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.tuples(_STEPS, _DEGREES).map(lambda t: t[0] + t[1]), st.sampled_from(_SCALARS),
+                    min_size=1, max_size=4),
+    st.sampled_from([_I, _K, _N]),
+    st.tuples(*[st.integers(-2, 2)] * 4),
+    st.tuples(*[st.integers(-4, 4)] * 3),
+)
+def test_substitution_commutes_with_evaluation(p, var, aff, at):
+    aff = tuple(0 if v == var else c for v, c in enumerate(aff))
+    put = list(at)
+    put[var] = sum(c * x for c, x in zip(aff, (*at, 1)))
+    assert _value(_put(p, var, aff), at) == _value(p, put)
+
+
+@pytest.mark.parametrize("tk", [1, -1])
+@pytest.mark.parametrize("di", [2, 1, -1, -2], ids=lambda di: f"di={di}")
+def test_split_windows_match_the_lesser_exponent(tk, di):
+    # a point whose q-exponent is min(f1, f2), split on n = i + tk*k; a tie goes to f1.
+    # Written records list the form in i first (di > 0); the other order is di < 0.
+    for d0 in range(-3, 4):
+        f1, f2 = (di + 1, tk * di - 1, d0), (1, -1, 0)
+        w1, w2 = product._split(f1, f2, tk)
+        for n in range(-8, 9):
+            i, k = n - 3 * tk, 3  # any (i, k) with i + tk*k = n
+            e1, e2 = (f[0] * i + f[1] * k + f[2] for f in (f1, f2))
+            first = (Q**e1).eval_at_q(2) <= (Q**e2).eval_at_q(2)
+            inside = [all(cn * n + c0 >= 0 for _, _, cn, c0 in w) for w in (w1, w2)]
+            assert inside == [first, not first], (f1, f2, n)
 
 
 def test_finite_products_skip_the_engine(monkeypatch):

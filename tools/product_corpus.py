@@ -1,5 +1,5 @@
-"""Print one sha256 per perturbation over a fixed corpus of products, to
-compare two checkouts.
+"""Print one sha256 per perturbation over a fixed corpus of products, and
+one over the text of the identity_assoc suite, to compare two checkouts.
 
 The corpus is every ordered pair of the identity_assoc atom pool (58 atoms)
 under each perturbation, each distinct nonzero pair product (unperturbed) times
@@ -8,7 +8,9 @@ Each product adds its element_to_json text, keys sorted, to the digest of the
 perturbation it was computed under (the last two parts are unperturbed), so
 two checkouts that print the same line for a perturbation gave byte-identical
 products under it.  A change to one perturbation can so show that the
-unperturbed corpus is unchanged.
+unperturbed corpus is unchanged.  The last line is the sha256 of
+run_suite("identity_assoc").text(), the report that `hecke2d verify
+identity_assoc` prints, with its case and failure counts.
 
     python3 tools/product_corpus.py
 
@@ -25,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hecke2d import element_to_json, mul, theta_monomial  # noqa: E402
 from hecke2d.product import PERTURBATIONS  # noqa: E402
-from hecke2d.suites import _atom_pool  # noqa: E402
+from hecke2d.suites import _atom_pool, run_suite  # noqa: E402
 
 
 def corpus():
@@ -58,6 +60,9 @@ def main() -> None:
     print(f"{sum(counts.values())} products in {time.perf_counter() - start:.1f} s")
     for p in PERTURBATIONS:
         print(f"{p}: {counts[p]} products, sha256 {digests[p].hexdigest()}")
+    report = run_suite("identity_assoc")
+    digest = hashlib.sha256(report.text().encode()).hexdigest()
+    print(f"identity_assoc: {report.cases} cases, {len(report.failures)} failures, sha256 {digest}")
 
 
 if __name__ == "__main__":
