@@ -14,15 +14,18 @@ Equal elements therefore have equal rows, so equality is structural and
 elements are hashable.  A finite row whose pieces cover few indices is summed
 index by index; any other row is swept from one piece end to the next.
 A sum or a product instead adds its point values in one map, in one pass,
-and reads a row with no ray or wide run straight off it; it keeps a row that
-is one ray nonzero at its end.  A nonzero multiple of a normal form is one.
+and reads a row with no ray or wide run straight off it; a row that is one
+ray plus values off its span is read off the map too, the ray growing over
+the values that continue it.  A nonzero multiple of a normal form is one.
+
+Terms, strips and rows are immutable named tuples.  Strip and RowSeries
+check their shape when called; the normal-form builders here skip the checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .coeff import ZERO, Coeff, CoeffError, ParseError
 
@@ -193,21 +196,22 @@ def terms_value(terms: Terms, m: int) -> Coeff:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Strip:
+class _StripFields(NamedTuple):
     lo: Bound
     hi: Bound
     terms: Terms
 
-    def __post_init__(self) -> None:
-        lo, hi = _check_bound(self.lo), _check_bound(self.hi)
+
+class Strip(_StripFields):
+    __slots__ = ()
+
+    def __new__(cls, lo: Bound, hi: Bound, terms: Iterable) -> "Strip":
+        lo, hi = _check_bound(lo), _check_bound(hi)
         if not _is_finite(lo) and not _is_finite(hi):
             raise ShapeError("a strip cannot be infinite on both sides")
         if lo > hi:
             raise ShapeError(f"empty strip [{lo}, {hi}]")
-        terms = tuple(
-            t if isinstance(t, ExpPolyTerm) else ExpPolyTerm(*t) for t in self.terms
-        )
+        terms = tuple(t if isinstance(t, ExpPolyTerm) else ExpPolyTerm(*t) for t in terms)
         if not terms:
             raise ShapeError("strip with no terms")
         es = [t.e for t in terms]
@@ -215,7 +219,7 @@ class Strip:
             raise ShapeError("strip terms must have distinct ascending steps")
         if any(t.poly.is_zero() for t in terms):
             raise ShapeError("strip term with zero polynomial")
-        object.__setattr__(self, "terms", terms)
+        return tuple.__new__(cls, (lo, hi, terms))
 
     def value_at(self, m: int) -> Coeff:
         if self.lo <= m <= self.hi:
@@ -292,13 +296,13 @@ def _points(atoms: list[tuple[Bound, Bound, Terms]], lo: Bound, hi: Bound) -> li
 def _point(m: int, c: Coeff) -> Strip:
     """The point mass Strip(m, m, c) for a nonzero c, built without the checks.
 
-    Every point of a normal form is Strip(m, m, ((0, (c,)),)), so its value is
+    A strip and its terms are immutable named tuples, so a point is made by
+    tuple.__new__ calls around its one-coefficient IndexPoly.  Every point of a
+    normal form is Strip(m, m, ((0, (c,)),)), so its value is
     terms[0].poly.coeffs[0]."""
     poly = object.__new__(IndexPoly)
     object.__setattr__(poly, "coeffs", (c,))
-    out = object.__new__(Strip)
-    out.__dict__.update(lo=m, hi=m, terms=(ExpPolyTerm(0, poly),))
-    return out
+    return tuple.__new__(Strip, (m, m, (tuple.__new__(ExpPolyTerm, (0, poly)),)))
 
 
 def _point_row(acc: Mapping[int, Coeff]) -> tuple[Strip, ...]:
@@ -356,16 +360,19 @@ class BasisIndex(NamedTuple):
         return RowKey(self.a, self.j)
 
 
-@dataclass(frozen=True)
-class RowSeries:
+class _RowFields(NamedTuple):
     strips: tuple[Strip, ...]
 
-    def __post_init__(self) -> None:
-        prev_hi: Bound = NEG_INF
-        for idx, s in enumerate(self.strips):
-            if idx > 0 and s.lo <= prev_hi:
+
+class RowSeries(_RowFields):
+    __slots__ = ()
+
+    def __new__(cls, strips: Iterable[Strip]) -> "RowSeries":
+        strips = tuple(strips)
+        for prev, s in zip(strips, strips[1:]):
+            if s.lo <= prev.hi:
                 raise ShapeError("row strips must be disjoint and ascending")
-            prev_hi = s.hi
+        return tuple.__new__(cls, (strips,))
 
     def value_at(self, m: int) -> Coeff:
         for s in self.strips:
@@ -411,32 +418,47 @@ def _check_basis(a: object, i: object, j: object) -> None:
     _check_key(RowKey(a, j))
 
 
-def _is_lone_ray(s: Strip) -> bool:
-    """A checked ray that is nonzero at its finite end is a row in normal form."""
-    if _is_finite(s.lo) == _is_finite(s.hi):
-        return False
-    end = s.lo if _is_finite(s.lo) else s.hi
-    return not terms_value(s.terms, end).is_zero()
+def _ray_row(strips: Sequence[Strip], acc: Mapping[int, Coeff]) -> Optional[tuple[Strip, ...]]:
+    """The normal form of one ray plus the values {m: value} off its span, or None
+    for any other row.  As in _ray, the ray reaches inward over the values while
+    they agree with its terms, then back out to its first nonzero value."""
+    if len(strips) != 1:
+        return None
+    lo, hi, terms = strips[0]
+    up = _is_finite(lo)
+    if up == _is_finite(hi) or any(lo <= m <= hi for m in acc):
+        return None
+    step = -1 if up else 1  # inward
+    m = (lo if up else hi) + step
+    while acc and acc.get(m, ZERO) == terms_value(terms, m):  # with no values: only zeros, trimmed below
+        m += step
+    end = m - step
+    while terms_value(terms, end).is_zero():
+        end -= step
+    pts = _point_row({m: c for m, c in acc.items() if (m < end if up else m > end)})
+    ray = tuple.__new__(Strip, (end, hi, terms) if up else (lo, end, terms))
+    return (*pts, ray) if up else (ray, *pts)
 
 
 def _normal_rows(points: Mapping, swept: Mapping) -> tuple[tuple[RowKey, RowSeries], ...]:
     """The rows, sorted by (level, sheet), that sum points[key], a map {m: value},
     and the strips swept[key] at each checked (sheet, level) key.  A row with no
-    strip to sweep is read straight off its values, and a lone ray is kept; any
-    other row goes through normalize_strips.  Rows with a strip get their
-    level's shape check."""
+    strip to sweep is read straight off its values, and one ray with values off
+    its span by _ray_row; any other row goes through normalize_strips.  Rows with
+    a strip get their level's shape check; none needs RowSeries' check again."""
     built = []
     for key in sorted(points.keys() | swept.keys(), key=lambda k: (k[1], k[0])):
         if key in swept:
-            pts = [_point(m, c) for m, c in points.get(key, {}).items() if not c.is_zero()]
-            strips = (*swept[key], *pts)
-            if not (len(strips) == 1 and _is_lone_ray(strips[0])):
-                strips = normalize_strips(strips)
+            acc = points.get(key, {})
+            strips = _ray_row(swept[key], acc)
+            if strips is None:
+                pts = [_point(m, c) for m, c in acc.items() if not c.is_zero()]
+                strips = normalize_strips((*swept[key], *pts))
             _check_row_shape(key[1], strips)
         else:
             strips = _point_row(points[key])
         if strips:
-            built.append((RowKey(*key), RowSeries(strips)))
+            built.append((RowKey(*key), tuple.__new__(RowSeries, (strips,))))
     return tuple(built)
 
 

@@ -43,13 +43,13 @@ inequalities in (i, k, n), and two evaluators read them:
   records themselves, exactly in q, wherever the right factor has level 0.
 
 Products vanish between strictly positive and strictly negative levels, and
-output levels add; both facts are baked into the dispatch.
+output levels add; both facts are baked into the dispatch.  Kernel pieces,
+like the strips and rows they act on, are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional, Union
@@ -371,8 +371,7 @@ def _strip_terms(p: _Poly) -> tuple[ExpPolyTerm, ...]:
 # kernel pieces: the records compiled for the evaluator and the strip engine
 
 
-@dataclass(frozen=True)
-class _Piece:
+class _Piece(NamedTuple):
     sheet: int
     tk: Optional[int]  # a point's output index n = i + tk*k; None for a span
     ei: int

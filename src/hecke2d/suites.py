@@ -29,8 +29,7 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .coeff import Coeff, ONE, Q, S, one_minus_qinv
 from .element import (
@@ -73,13 +72,13 @@ _QINV = Coeff.q_power(-1)
 _SINV = Coeff.s_power(-1)
 
 
-@dataclass
 class Report:
     """Outcome of one suite: case count plus rendered failures."""
 
-    suite: str
-    cases: int = 0
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.cases = 0
+        self.failures: list[tuple[str, str, str]] = []
 
     @property
     def passed(self) -> bool:
@@ -132,8 +131,7 @@ def _describe(x: object) -> str:
     return str(x)
 
 
-@dataclass
-class _Params:
+class _Params(NamedTuple):
     index_bound: Optional[int]
     level_bound: Optional[int]
     qs: tuple[int, ...]

@@ -368,3 +368,17 @@ def test_tokenizer_matches_its_reference_on_readme_products_and_literals():
         assert _tokens_or_error(text._tokenize, s) == want, s
     errors = [s for s in _TOKENIZER_CASES if isinstance(_tokens_or_error(text._tokenize, s), str)]
     assert len(errors) == 8
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # together they cost about a sixth of start-up when no bytecode cache is written
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, hecke2d, hecke2d.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

@@ -1,6 +1,7 @@
 """Element representation: strips, rows, arithmetic, and JSON round-trips."""
 
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -570,6 +571,77 @@ def test_lone_ray_rows_equal_their_swept_normal_form(end, up, parts, vanish_at_e
     ((_, row),) = _normal_rows({}, {key: [ray]})
     assert row.strips == normalize_strips([ray])
     assert (row.strips == (ray,)) == (not terms_value(terms, end).is_zero())
+
+
+def test_strips_and_rows_are_immutable_named_tuples():
+    one = IndexPoly.constant(ONE)
+    t = ((0, one),)
+    s, p = Strip(1, POS_INF, t), Strip(-1, -1, t)
+    row = RowSeries((p, s))
+    # the frozen-dataclass hashes, so hash(HeckeElement) is what it was
+    assert hash(s) == hash((1, POS_INF, s.terms)) and hash(row) == hash(((p, s),))
+    assert repr(p) == "Strip(lo=-1, hi=-1, terms=(ExpPolyTerm(e=0, poly=IndexPoly[1]),))"
+    assert repr(RowSeries(())) == "RowSeries(strips=())"
+    for obj, name in [(s, "lo"), (s, "terms"), (s, "other"), (row, "strips")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    refused = [
+        (lambda: Strip(2, 1, t), "empty strip [2, 1]"),
+        (lambda: Strip(NEG_INF, POS_INF, t), "a strip cannot be infinite on both sides"),
+        (lambda: Strip(0.5, 1, t), "bound must be an integer or +-inf, got 0.5"),
+        (lambda: Strip(0, 1, ()), "strip with no terms"),
+        (lambda: Strip(0, 1, ((1, one), (0, one))), "strip terms must have distinct ascending steps"),
+        (lambda: Strip(0, 1, ((0, IndexPoly()),)), "strip term with zero polynomial"),
+        (lambda: RowSeries((Strip(0, 2, t), Strip(2, 3, t))), "row strips must be disjoint and ascending"),
+    ]
+    for build, text in refused:
+        with pytest.raises(ShapeError) as err:
+            build()
+        assert str(err.value) == text
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_ray_grows_over_the_points_that_continue_it_without_the_sweep(seed, monkeypatch):
+    rng = random.Random(seed)
+    swept = []
+    monkeypatch.setattr(element, "normalize_strips", lambda p: swept.append(p) or normalize_strips(p))
+    poly = lambda: IndexPoly(tuple(Coeff.integer(rng.randint(-2, 2)) for _ in range(rng.randint(1, 2))))
+    grown = 0
+    for _ in range(25):
+        terms = ()
+        while not terms:
+            terms = merge_terms((rng.randint(-2, 2), poly()) for _ in range(rng.randint(1, 2)))
+        end, up = rng.randint(-3, 3), rng.random() < 0.5
+        ray = Strip(end, POS_INF, terms) if up else Strip(NEG_INF, end, terms)
+        inward = -1 if up else 1
+        # values that continue the ray's terms, one that may break off, then any values
+        ms = [end + d * inward for d in range(1, 10)]
+        run = rng.randint(0, 4)
+        acc = {m: terms_value(terms, m) for m in ms[:run]}
+        acc[ms[run]] = terms_value(terms, ms[run]) + Coeff.integer(rng.choice([0, 1, -3]))
+        for m in rng.sample(ms[run + 1:], 3):
+            acc[m] = rng.choice([Coeff.integer(rng.randint(-2, 2)), terms_value(terms, m)])
+        key = (1, -1 if up else 1)
+        ((_, row),) = _normal_rows({key: acc}, {key: [ray]})
+        points = [Strip(m, m, ((0, IndexPoly((c,))),)) for m, c in acc.items() if not c.is_zero()]
+        assert not swept
+        assert row.strips == normalize_strips([ray, *points])
+        out = row.strips[-1] if up else row.strips[0]
+        grown += out.lo < end if up else out.hi > end
+    assert grown
+
+
+def test_a_ray_plus_points_off_its_span_is_summed_without_the_sweep(monkeypatch):
+    # theta(0, -1) has the ray [0, inf) on sheet 2 and a point at 0 on sheet 1
+    xs = [theta(0, -1), 3 * chi(2, -5, -1), chi(2, -1, -1), chi(1, 4, -1)]
+    want = _summed_by_the_constructor(xs).rows
+    swept = []
+    monkeypatch.setattr(element, "normalize_strips", lambda p: swept.append(p) or normalize_strips(p))
+    assert _sum(xs).rows == want and not swept
+    # a point inside the ray's span is summed by the sweep
+    inside = [theta(0, -1), 3 * chi(2, 5, -1)]
+    got = _sum(inside)
+    assert len(swept) == 1 and got.rows == _summed_by_the_constructor(inside).rows
 
 
 _SUMMANDS = [

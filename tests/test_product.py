@@ -490,7 +490,7 @@ def test_finite_products_skip_the_engine(monkeypatch):
 
 
 def test_point_products_skip_the_row_sweep(monkeypatch):
-    calls = {"normalize_strips": 0, "__post_init__": 0}
+    calls = {"normalize_strips": 0, "__new__": 0}
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -501,20 +501,20 @@ def test_point_products_skip_the_row_sweep(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    square, ray, level = theta(-1, 0) * theta(-1, 0), theta(0, -1), chi(1, 0, -1)
+    square, ray = theta(-1, 0) * theta(-1, 0), theta(0, -1)
     x, cube = theta(-1, 0), theta_monomial(-3, 0)
     counted(element, "normalize_strips")
-    counted(Strip, "__post_init__")
+    counted(Strip, "__new__")  # the checking constructor; element._point skips it
     assert mul(square, x) == cube
     assert mul_basis((1, 2, 0), (1, -3, 0)).levels() == (0,)
-    assert calls == {"normalize_strips": 0, "__post_init__": 0}
+    assert calls == {"normalize_strips": 0, "__new__": 0}
     # a product that is one ray is kept as it is
     tail = _ray(2, 2, NEG_INF, 1, -2, IndexPoly.constant(_OMQ * Q))
     assert mul_basis((2, 1, 1), (2, 0, 1)) == tail
     assert calls["normalize_strips"] == 0
-    # a factor with a ray still sums its row through normalize_strips
-    assert not mul(ray, level).is_zero()
-    assert calls["normalize_strips"] >= 1
+    # a ray with a point inside its span still sums its row through normalize_strips
+    assert not mul(ray, chi(1, 1, 0)).is_zero()
+    assert calls["normalize_strips"] >= 1 and calls["__new__"] >= 1
 
 
 def _products_in_new_process(pairs, perturbation):
