@@ -11,15 +11,16 @@ Every row is kept in one normal form, which depends only on its values: a
 point mass chi(a, m, j) with a scalar for each nonzero value of the finite
 part, and at most one ray, whose terms are the unique ones of the row's tail.
 Equal elements therefore have equal rows, so equality is structural and
-elements are hashable.  A finite row whose pieces cover few indices is summed
-index by index; any other row is swept from one piece end to the next.
-A sum or a product instead adds its point values in one map, in one pass,
-and reads a row with no ray or wide run straight off it; a row that is one
-ray plus values off its span is read off the map too, the ray growing over
-the values that continue it.  A nonzero multiple of a normal form is one.
+elements are hashable.  A sum or a product adds its point values in one map,
+in one pass.  A row that is only such values is read straight off that map; a
+row whose other pieces are finite and cover few indices is summed index by
+index; every other row is cut into stretches at its pieces' ends and walked
+once, the walk reading the map where it lies.  A nonzero multiple of a normal
+form is one.
 
-Terms, strips and rows are immutable named tuples.  Strip and RowSeries
-check their shape when called; the normal-form builders here skip the checks.
+Index polynomials are immutable tuples, and terms, strips and rows immutable
+named tuples.  Strip and RowSeries check their shape when called; the
+normal-form builders here skip the checks.
 """
 
 from __future__ import annotations
@@ -65,21 +66,22 @@ def _check_bound(b: Bound) -> Bound:
 # ---------------------------------------------------------------------------
 
 
-class IndexPoly:
-    """Polynomial in the row index m with Coeff coefficients."""
+class IndexPoly(tuple):
+    """Polynomial in the row index m with Coeff coefficients, lowest degree
+    first: an immutable tuple of them with trailing zeros trimmed."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    coeffs: tuple[Coeff, ...]
-
-    def __init__(self, coeffs: Iterable[Union[Coeff, int, Fraction]] = ()):
+    def __new__(cls, coeffs: Iterable[Union[Coeff, int, Fraction]] = ()) -> "IndexPoly":
         cs = [c if isinstance(c, Coeff) else Coeff._coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        return tuple.__new__(cls, cs)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IndexPoly is immutable")
+    @property
+    def coeffs(self) -> tuple[Coeff, ...]:
+        """The coefficients, lowest degree first: the polynomial itself."""
+        return self
 
     @staticmethod
     def constant(c: Union[Coeff, int, Fraction]) -> "IndexPoly":
@@ -87,67 +89,56 @@ class IndexPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self
 
     def __add__(self, other: "IndexPoly") -> "IndexPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
+        a, b = (self, other) if len(self) >= len(other) else (other, self)
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
         return IndexPoly(out)
 
     def __neg__(self) -> "IndexPoly":
-        return IndexPoly(tuple(-c for c in self.coeffs))
+        return IndexPoly(-c for c in self)
 
     def __mul__(self, other: Union["IndexPoly", Coeff, int, Fraction]) -> "IndexPoly":
         if not isinstance(other, IndexPoly):
             c = other if isinstance(other, Coeff) else Coeff._coerce(other)
-            return IndexPoly(tuple(x * c for x in self.coeffs))
-        if not self.coeffs or not other.coeffs:
+            return IndexPoly(x * c for x in self)
+        if not self or not other:
             return IndexPoly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+        out = [ZERO] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            for j, b in enumerate(other):
                 out[i + j] = out[i + j] + a * b
         return IndexPoly(out)
 
     __rmul__ = __mul__
 
     def eval(self, m: int) -> Coeff:
-        cs = self.coeffs
-        acc = cs[-1] if cs else ZERO
-        for c in reversed(cs[:-1]):
+        acc = self[-1] if self else ZERO
+        for c in reversed(self[:-1]):
             acc = acc * m + c
         return acc
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IndexPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def text_descending(self) -> list[str]:
-        return [str(c) for c in reversed(self.coeffs)]
+        return [str(c) for c in reversed(self)]
 
     @staticmethod
     def parse_descending(texts: Sequence[str]) -> "IndexPoly":
         if not texts:
             raise ParseError("empty coefficient list")
-        return IndexPoly(tuple(Coeff.parse(t) for t in reversed(texts)))
+        return IndexPoly(Coeff.parse(t) for t in reversed(texts))
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self:
             return "0"
         parts = []
         for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
+            c = self[d]
             if c.is_zero():
                 continue
             mono = "" if d == 0 else ("m" if d == 1 else f"m^{d}")
@@ -251,70 +242,85 @@ def _atoms(pieces: list[Strip]) -> list[tuple[Bound, Bound, Terms]]:
     return out
 
 
-def _ray(atoms: list[tuple[Bound, Bound, Terms]]) -> Strip:
-    """The row's one unbounded strip, reaching inward while it agrees with the row.
+def _walk(atoms: list[tuple[Bound, Bound, Terms]], values: Mapping[int, Coeff]) -> tuple[Strip, ...]:
+    """The normal form of the row that the stretches (lo, hi, merged terms) of
+    _atoms and the values {m: value} sum to, reading the map where it lies.
 
-    Both walks are short: an exponential polynomial with N = sum of (deg poly
-    + 1) coefficients that vanishes at N consecutive integers is zero (a
-    confluent Vandermonde matrix over Q(s) in the bases s^e is nonsingular).
+    The ray takes the terms of the row's unbounded end.  From the outermost
+    value of the map inside the stretches that carry them, or else from the
+    first index past those, it walks inward while the row agrees with its terms,
+    then backs out past their zeros.  The walk is short: an exponential polynomial
+    with N = sum of (deg poly + 1) coefficients that vanishes at N consecutive
+    integers is zero (a confluent Vandermonde matrix over Q(s) in the bases s^e
+    is nonsingular).  Every other nonzero value is a point mass; a stretch value
+    where the map holds nothing cannot cancel, so two of them _MAX_POINTS apart
+    refuse the row before a wide stretch is walked to its end.
     """
-    up = bool(atoms[-1][2])
-    seq = atoms[::-1] if up else atoms
-    step = -1 if up else 1  # inward
-    terms = seq[0][2]
-    k = 0
-    while seq[k + 1][2] == terms:  # stops at the other end, whose terms are empty
-        k += 1
-    m = seq[k][0 if up else 1] + step
-    for lo, hi, t in seq[k + 1 :]:
-        while lo <= m <= hi and terms_value(t, m) == terms_value(terms, m):
-            m += step
-        if lo <= m <= hi:
-            break
-    end = m - step
-    while terms_value(terms, end).is_zero():
-        end -= step
-    return Strip(end, POS_INF, terms) if up else Strip(NEG_INF, end, terms)
-
-
-def _points(atoms: list[tuple[Bound, Bound, Terms]], lo: Bound, hi: Bound) -> list[Strip]:
-    """One point mass per nonzero value in [lo, hi]."""
-    out: list[Strip] = []
-    for a_lo, a_hi, terms in atoms:
-        if not terms:
+    up, down = bool(atoms[-1][2]), bool(atoms[0][2])
+    if up and down:
+        raise ShapeError("a row cannot be infinite on both sides")
+    lo, hi, ray = NEG_INF, POS_INF, ()  # the finite part lies in [lo, hi]
+    if up or down:
+        seq, step = (atoms[::-1], -1) if up else (atoms, 1)  # step is inward
+        terms, k = seq[0][2], 0
+        while seq[k + 1][2] == terms:  # stops at the other end, whose terms are empty
+            k += 1
+        edge = seq[k][0 if up else 1]
+        spanned = values and [m for m in values if (m >= edge if up else m <= edge)]
+        m = (max if up else min)(spanned) if spanned else edge + step
+        # with no values, the empty far end can agree only at zeros of terms, backed out below
+        for a_lo, a_hi, t in seq if values else seq[:-1]:
+            while a_lo <= m <= a_hi and terms_value(t, m) + values.get(m, ZERO) == terms_value(terms, m):
+                m += step
+            if a_lo <= m <= a_hi:
+                break
+        end = m - step
+        while terms_value(terms, end).is_zero():
+            end -= step
+        if up:
+            hi, ray = end - 1, (tuple.__new__(Strip, (end, POS_INF, terms)),)
+        else:
+            lo, ray = end + 1, (tuple.__new__(Strip, (NEG_INF, end, terms)),)
+    row = {m: c for m, c in values.items() if lo <= m <= hi} if values else {}
+    first = None
+    for a_lo, a_hi, t in atoms:
+        if not t:
             continue
         for m in range(max(a_lo, lo), min(a_hi, hi) + 1):
-            c = terms_value(terms, m)
-            if c.is_zero():
-                continue
-            if out and m - out[0].lo >= _MAX_POINTS:
-                raise ShapeError(f"finite part of a row spans more than {_MAX_POINTS} indices")
-            out.append(_point(m, c))
-    return out
+            v = terms_value(t, m)
+            if m in row:
+                row[m] = row[m] + v
+            elif not v.is_zero():
+                row[m] = v
+                if first is None:
+                    first = m
+                elif m - first >= _MAX_POINTS:
+                    raise ShapeError(f"finite part of a row spans more than {_MAX_POINTS} indices")
+    return (*_point_row(row), *ray) if up else (*ray, *_point_row(row))
 
 
 def _point(m: int, c: Coeff) -> Strip:
     """The point mass Strip(m, m, c) for a nonzero c, built without the checks.
 
-    A strip and its terms are immutable named tuples, so a point is made by
-    tuple.__new__ calls around its one-coefficient IndexPoly.  Every point of a
-    normal form is Strip(m, m, ((0, (c,)),)), so its value is
-    terms[0].poly.coeffs[0]."""
-    poly = object.__new__(IndexPoly)
-    object.__setattr__(poly, "coeffs", (c,))
-    return tuple.__new__(Strip, (m, m, (tuple.__new__(ExpPolyTerm, (0, poly)),)))
+    A strip, its terms and their polynomials are immutable tuples, so a point
+    is one nested tuple.__new__.  Every point of a normal form is
+    Strip(m, m, ((0, (c,)),)), so its value is terms[0].poly[0]."""
+    return tuple.__new__(Strip, (m, m, (tuple.__new__(ExpPolyTerm, (0, tuple.__new__(IndexPoly, (c,)))),)))
 
 
 def _point_row(acc: Mapping[int, Coeff]) -> tuple[Strip, ...]:
     """One point mass per nonzero value of {m: value}, refusing a span past _MAX_POINTS."""
+    if not acc:
+        return ()
     ms = sorted(m for m, c in acc.items() if not c.is_zero())
     if ms and ms[-1] - ms[0] >= _MAX_POINTS:
         raise ShapeError(f"finite part of a row spans more than {_MAX_POINTS} indices")
     return tuple(_point(m, acc[m]) for m in ms)
 
 
-def normalize_strips(pieces: Iterable[Strip]) -> tuple[Strip, ...]:
-    """The normal form of the row that the (possibly overlapping) strips sum to.
+def normalize_strips(pieces: Iterable[Strip], values: Optional[Mapping] = None) -> tuple[Strip, ...]:
+    """The normal form of the row that the (possibly overlapping) strips and the
+    values {m: value} sum to.
 
     It depends only on the row's values: a point mass Strip(m, m, c) per
     nonzero value of the finite part, and at most one ray, carrying the
@@ -323,26 +329,25 @@ def normalize_strips(pieces: Iterable[Strip]) -> tuple[Strip, ...]:
     infinite on both sides or a finite part wider than _MAX_POINTS indices.
 
     Finite pieces covering at most _MAX_POINTS indices in all are summed index
-    by index; a ray or wider pieces take the sweep over the pieces' ends,
-    which skips a cancelled stretch whatever its width.
+    by index into a copy of the values.  Any other row is cut into stretches at
+    the pieces' ends, a lone piece without _atoms, and walked once by _walk.
     """
-    pieces = list(pieces)
+    pieces, values = list(pieces), values or {}
     if sum(p.hi - p.lo + 1 for p in pieces) <= _MAX_POINTS:  # a ray sums to inf
-        acc: dict[int, Coeff] = {}
+        acc = dict(values)
         for p in pieces:
             for m in range(p.lo, p.hi + 1):
                 v = terms_value(p.terms, m)
                 acc[m] = acc[m] + v if m in acc else v
         return _point_row(acc)
-    atoms = _atoms(pieces)
-    if atoms[0][2] and atoms[-1][2]:
-        raise ShapeError("a row cannot be infinite on both sides")
-    if not atoms[0][2] and not atoms[-1][2]:
-        return tuple(_points(atoms, NEG_INF, POS_INF))
-    ray = _ray(atoms)
-    if _is_finite(ray.lo):
-        return (*_points(atoms, NEG_INF, ray.lo - 1), ray)
-    return (ray, *_points(atoms, ray.hi + 1, POS_INF))
+    if len(pieces) > 1:
+        return _walk(_atoms(pieces), values)
+    lo, hi, terms = pieces[0]
+    atoms = [(NEG_INF, lo - 1, ())] if _is_finite(lo) else []
+    atoms.append((lo, hi, terms))
+    if _is_finite(hi):
+        atoms.append((hi + 1, POS_INF, ()))
+    return _walk(atoms, values)
 
 
 class RowKey(NamedTuple):
@@ -418,42 +423,16 @@ def _check_basis(a: object, i: object, j: object) -> None:
     _check_key(RowKey(a, j))
 
 
-def _ray_row(strips: Sequence[Strip], acc: Mapping[int, Coeff]) -> Optional[tuple[Strip, ...]]:
-    """The normal form of one ray plus the values {m: value} off its span, or None
-    for any other row.  As in _ray, the ray reaches inward over the values while
-    they agree with its terms, then back out to its first nonzero value."""
-    if len(strips) != 1:
-        return None
-    lo, hi, terms = strips[0]
-    up = _is_finite(lo)
-    if up == _is_finite(hi) or any(lo <= m <= hi for m in acc):
-        return None
-    step = -1 if up else 1  # inward
-    m = (lo if up else hi) + step
-    while acc and acc.get(m, ZERO) == terms_value(terms, m):  # with no values: only zeros, trimmed below
-        m += step
-    end = m - step
-    while terms_value(terms, end).is_zero():
-        end -= step
-    pts = _point_row({m: c for m, c in acc.items() if (m < end if up else m > end)})
-    ray = tuple.__new__(Strip, (end, hi, terms) if up else (lo, end, terms))
-    return (*pts, ray) if up else (ray, *pts)
-
-
 def _normal_rows(points: Mapping, swept: Mapping) -> tuple[tuple[RowKey, RowSeries], ...]:
     """The rows, sorted by (level, sheet), that sum points[key], a map {m: value},
     and the strips swept[key] at each checked (sheet, level) key.  A row with no
-    strip to sweep is read straight off its values, and one ray with values off
-    its span by _ray_row; any other row goes through normalize_strips.  Rows with
-    a strip get their level's shape check; none needs RowSeries' check again."""
+    strip is read straight off its values; any other row goes to normalize_strips
+    with its values as the map.  Rows with a strip get their level's shape
+    check; none needs RowSeries' check again."""
     built = []
     for key in sorted(points.keys() | swept.keys(), key=lambda k: (k[1], k[0])):
         if key in swept:
-            acc = points.get(key, {})
-            strips = _ray_row(swept[key], acc)
-            if strips is None:
-                pts = [_point(m, c) for m, c in acc.items() if not c.is_zero()]
-                strips = normalize_strips((*swept[key], *pts))
+            strips = normalize_strips(swept[key], points.get(key))
             _check_row_shape(key[1], strips)
         else:
             strips = _point_row(points[key])
@@ -472,7 +451,7 @@ def _sum(xs: Iterable["HeckeElement"]) -> "HeckeElement":
         for key, row in x.rows:
             for s in row.strips:
                 if s.lo == s.hi:  # a point mass: its value is its one coefficient
-                    acc, c = points.setdefault(key, {}), s.terms[0].poly.coeffs[0]
+                    acc, c = points.setdefault(key, {}), s.terms[0].poly[0]
                     acc[s.lo] = acc[s.lo] + c if s.lo in acc else c
                 else:
                     swept.setdefault(key, []).append(s)
@@ -554,7 +533,7 @@ class HeckeElement:
         # a nonzero multiple of a normal form is one: same ends, no new zeros
         return _element(tuple(
             (key, RowSeries(tuple(
-                _point(s.lo, s.terms[0].poly.coeffs[0] * c) if s.lo == s.hi
+                _point(s.lo, s.terms[0].poly[0] * c) if s.lo == s.hi
                 else Strip(s.lo, s.hi, tuple((e, p * c) for e, p in s.terms))
                 for s in row.strips
             )))

@@ -515,8 +515,8 @@ def _summand(piece: _Piece, sx: Strip, sy: Strip) -> _Poly:
     out: _Poly = {}
     for ex, px in sx.terms:
         for ey, py in sy.terms:
-            for di, cx in enumerate(px.coeffs):
-                for dk, cy in enumerate(py.coeffs):
+            for di, cx in enumerate(px):
+                for dk, cy in enumerate(py):
                     if cx and cy:
                         out[ex + piece.ei, ey + piece.ek, piece.en, di, dk, 0] = piece.scalar * cx * cy
     return out
@@ -584,12 +584,12 @@ def _strip_pair(piece: _Piece, sx: Strip, sy: Strip, out: list) -> None:
         var, pin, point, ray = (_I, _K, sy, sx) if sy.lo == sy.hi else (_K, _I, sx, sy)
         indices, key = [var], [piece.ei, piece.ek, piece.en, 0, 0, 0]
         e, key[pin], at = key[pin] * point.lo, 0, (0, 0, 0, point.lo)
-        w = piece.scalar * point.terms[0].poly.coeffs[0]  # see element._point
+        w = piece.scalar * point.terms[0].poly[0]  # see element._point
         w = w * Coeff.s_power(e) if e else w
         terms, step = {}, key[var]
         for er, poly in ray.terms:
             key[var] = step + er
-            for d, c in enumerate(poly.coeffs):
+            for d, c in enumerate(poly):
                 if c:
                     key[3 + var] = d
                     terms[tuple(key)] = c * w
@@ -654,7 +654,7 @@ def mul(
                     signs = (1 if sx.lo >= 0 else -1, 1 if sy.lo >= 0 else -1)
                     pieces = _pieces(kx.a, ky.a, _sgn(j), _sgn(l), *signs, perturbation)
                     if sx.lo == sx.hi and sy.lo == sy.hi:
-                        c = sx.terms[0].poly.coeffs[0] * sy.terms[0].poly.coeffs[0]  # element._point
+                        c = sx.terms[0].poly[0] * sy.terms[0].poly[0]  # element._point
                         _point_pair(pieces, sx.lo, sy.lo, c, j + l, points, swept)
                         continue
                     emitted: list = []

@@ -33,12 +33,13 @@ from hecke2d import (
 )
 from hecke2d import element
 from hecke2d.cli import main, parse_element
-from hecke2d.coeff import ONE, Q
+from hecke2d.coeff import ONE, Q, ZERO
 from hecke2d.element import (
     _MAX_POINTS,
     NEG_INF,
     POS_INF,
     RowSeries,
+    _atoms,
     _element,
     _normal_rows,
     _sum,
@@ -75,6 +76,20 @@ def test_index_poly_scalar_product():
     assert (p * Q).eval(3) == Q * 7
     assert p.degree == 1
     assert IndexPoly(()).is_zero()
+
+
+def test_index_polys_are_immutable_trimmed_tuples():
+    p = IndexPoly((1, Fraction(1, 2), 0, 0))
+    cs = (ONE, Coeff.rational(1, 2))
+    # trailing zeros are trimmed, and coeffs is the polynomial itself
+    assert p == cs and p.coeffs is p and len(p) == 2 and p.degree == 1
+    assert IndexPoly((0, 0)) == () and IndexPoly((0, 0)).is_zero()
+    # the hash of its coefficient tuple, so hash(HeckeElement) is what it was
+    assert hash(p) == hash(cs) and hash(IndexPoly()) == hash(())
+    assert repr(p) == "IndexPoly[(1/2)*m + 1]" and repr(IndexPoly()) == "IndexPoly[0]"
+    for name in ("coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, cs)
 
 
 def _ray(a, j, lo, hi, e=0, poly=None):
@@ -404,12 +419,13 @@ def _strip_lists(draw):
 def _expected_points(pieces, window):
     """The indices of the window the normal form must hold as point masses."""
     f = {m: sum((p.value_at(m) for p in pieces), Coeff()) for m in window}
-    rays = [p for p in pieces if p.lo == NEG_INF or p.hi == POS_INF]
-    if not rays:
+    rays = [p for p in pieces if p.lo == NEG_INF or p.hi == POS_INF]  # all on one side
+    terms = merge_terms(t for p in rays for t in p.terms)
+    if not terms:
         return [m for m in window if f[m]]
     # the ray covers everything outward of the row's last difference from its
     # tail, moved outward past zeros of the tail
-    up, terms = rays[0].hi == POS_INF, rays[0].terms
+    up = rays[0].hi == POS_INF
     ms = window[::-1] if up else window
     step = 1 if up else -1
     start = next(m for m in ms if f[m] != terms_value(terms, m)) + step
@@ -600,11 +616,17 @@ def test_strips_and_rows_are_immutable_named_tuples():
         assert str(err.value) == text
 
 
+def _cut(monkeypatch):
+    """Record the pieces of every row that is cut into stretches by element._atoms."""
+    cut = []
+    monkeypatch.setattr(element, "_atoms", lambda pieces: cut.append(pieces) or _atoms(pieces))
+    return cut
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_a_ray_grows_over_the_points_that_continue_it_without_the_sweep(seed, monkeypatch):
     rng = random.Random(seed)
-    swept = []
-    monkeypatch.setattr(element, "normalize_strips", lambda p: swept.append(p) or normalize_strips(p))
+    cut = _cut(monkeypatch)
     poly = lambda: IndexPoly(tuple(Coeff.integer(rng.randint(-2, 2)) for _ in range(rng.randint(1, 2))))
     grown = 0
     for _ in range(25):
@@ -623,9 +645,10 @@ def test_a_ray_grows_over_the_points_that_continue_it_without_the_sweep(seed, mo
             acc[m] = rng.choice([Coeff.integer(rng.randint(-2, 2)), terms_value(terms, m)])
         key = (1, -1 if up else 1)
         ((_, row),) = _normal_rows({key: acc}, {key: [ray]})
+        assert not cut  # a lone ray is walked with its values in place
         points = [Strip(m, m, ((0, IndexPoly((c,))),)) for m, c in acc.items() if not c.is_zero()]
-        assert not swept
         assert row.strips == normalize_strips([ray, *points])
+        cut.clear()
         out = row.strips[-1] if up else row.strips[0]
         grown += out.lo < end if up else out.hi > end
     assert grown
@@ -633,15 +656,105 @@ def test_a_ray_grows_over_the_points_that_continue_it_without_the_sweep(seed, mo
 
 def test_a_ray_plus_points_off_its_span_is_summed_without_the_sweep(monkeypatch):
     # theta(0, -1) has the ray [0, inf) on sheet 2 and a point at 0 on sheet 1
-    xs = [theta(0, -1), 3 * chi(2, -5, -1), chi(2, -1, -1), chi(1, 4, -1)]
-    want = _summed_by_the_constructor(xs).rows
-    swept = []
-    monkeypatch.setattr(element, "normalize_strips", lambda p: swept.append(p) or normalize_strips(p))
-    assert _sum(xs).rows == want and not swept
-    # a point inside the ray's span is summed by the sweep
+    off = [theta(0, -1), 3 * chi(2, -5, -1), chi(2, -1, -1), chi(1, 4, -1)]
     inside = [theta(0, -1), 3 * chi(2, 5, -1)]
-    got = _sum(inside)
-    assert len(swept) == 1 and got.rows == _summed_by_the_constructor(inside).rows
+    want = [_summed_by_the_constructor(xs).rows for xs in (off, inside)]
+    cut = _cut(monkeypatch)
+    # a point inside the ray's span is read off the map in place too
+    assert [_sum(off).rows, _sum(inside).rows] == want and not cut
+
+
+def test_a_lone_ray_row_evaluates_its_terms_once(monkeypatch):
+    rays = [
+        (key, s)
+        for x in (theta(0, -1), mul(phi(2), phi(2)), mul(phi(2), theta(0, -1)), theta_monomial(-2, -2))
+        for key, row in x.rows
+        for s in row.strips
+        if s.lo == NEG_INF or s.hi == POS_INF
+    ]
+    assert len(rays) >= 4
+    calls = []
+    monkeypatch.setattr(element, "terms_value", lambda t, m: calls.append(m) or terms_value(t, m))
+    cut = _cut(monkeypatch)
+    for key, ray in rays:
+        calls.clear()
+        ((_, got),) = _normal_rows({}, {key: [ray]})
+        assert got.strips == (ray,) and len(calls) == 1
+    assert not cut
+
+
+@st.composite
+def _rays_and_values(draw):
+    """A row key, 2-4 strips of which one or two are rays, and a map {m: value}
+    with values inside and outside the first ray's span.  Some values continue
+    the ray's terms from its end, across a zero of them; some are zero, so that
+    the ray can still grow over the values past its end."""
+    end, terms, up = draw(st.integers(-4, 4)), draw(_terms), draw(st.booleans())
+    inward = -1 if up else 1
+    if draw(st.booleans()):  # times (m - z), so the terms vanish just inward of the end
+        z = end + inward * draw(st.integers(1, 3))
+        terms = merge_terms((e, p * IndexPoly((-z, 1))) for e, p in terms)
+    strips = [Strip(end, POS_INF, terms) if up else Strip(NEG_INF, end, terms)]
+    if draw(st.integers(0, 3)) == 0:
+        other, more = draw(st.integers(-4, 4)), draw(_terms)
+        strips.append(Strip(other, POS_INF, more) if draw(st.booleans()) else Strip(NEG_INF, other, more))
+    for _ in range(draw(st.integers(2 - len(strips), 4 - len(strips)))):
+        # anywhere, or inward of the values that continue the ray
+        lo = draw(st.one_of(st.integers(-8, 8), st.just(end + inward * draw(st.integers(7, 9)))))
+        strips.append(Strip(lo, lo + draw(st.integers(0, 3)), draw(_terms)))
+    run = [end + inward * d for d in range(1, draw(st.integers(0, 5)) + 1)]
+    values = {m: terms_value(terms, m) for m in run}
+    for d in draw(st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True)):
+        m = end - inward * d
+        values[m] = draw(st.sampled_from([ZERO, -terms_value(terms, m), ONE, Q - ONE]))
+    for m in draw(st.lists(st.integers(-8, 8), max_size=2, unique=True)):
+        ray_value = terms_value(terms, m)
+        values.setdefault(m, draw(st.sampled_from([ray_value, -ray_value, ZERO, ONE])))
+    assume(any((m < end if up else m > end) for m in values))
+    # mostly the level the first ray's side allows, sometimes one it does not
+    key = (draw(st.sampled_from((1, 2))), inward * draw(st.sampled_from((1, 1, 1, 0, -1))))
+    return key, draw(st.permutations(strips)), values
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rays_and_values())
+def test_a_map_over_swept_strips_equals_the_strips_with_point_masses(data):
+    key, strips, values = data
+    points = [Strip(m, m, ((0, IndexPoly((c,))),)) for m, c in values.items() if not c.is_zero()]
+    try:
+        want = HeckeElement([(key, [*strips, *points])])
+    except ShapeError as err:
+        with pytest.raises(ShapeError) as got:
+            _normal_rows({key: values}, {key: strips})
+        assert str(got.value) == str(err)
+        return
+    got = _element(_normal_rows({key: values}, {key: strips}))
+    assert got == want
+    assert got.row(key).strips == normalize_strips([*strips, *points])
+    # and both against the values themselves, index by index
+    window = list(range(-20, 21))
+    row = got.row(key)
+    for m in window:
+        assert row.value_at(m) == sum((p.value_at(m) for p in (*strips, *points)), Coeff())
+    finite = [s.lo for s in row.strips if s.lo != NEG_INF and s.hi != POS_INF]
+    assert finite == _expected_points([*strips, *points], window)
+
+
+@pytest.mark.parametrize(
+    "hi,values,refused",
+    [(1025, {0: -1, 1: -1}, False), (1025, {0: -1}, True), (10**6, {0: -1}, True)],
+)
+def test_a_wide_strip_under_the_map_is_capped_within_a_second(hi, values, refused):
+    key, strip = (1, 0), Strip(0, hi, ((0, IndexPoly.constant(ONE)),))
+    values = {m: Coeff.integer(c) for m, c in values.items()}
+    start = time.perf_counter()
+    if refused:
+        with pytest.raises(ShapeError, match="spans more than 1024 indices"):
+            _normal_rows({key: values}, {key: [strip]})
+    else:
+        ((_, row),) = _normal_rows({key: values}, {key: [strip]})
+        assert [s.lo for s in row.strips] == list(range(2, 1026))
+    assert time.perf_counter() - start < 1.0
 
 
 _SUMMANDS = [

@@ -39,7 +39,7 @@ from hecke2d import (
 )
 from hecke2d import element, oracle, product
 from hecke2d.coeff import ONE, Q, S, ZERO
-from hecke2d.element import NEG_INF, POS_INF, _normal_rows, normalize_strips
+from hecke2d.element import NEG_INF, POS_INF, _atoms, _normal_rows, normalize_strips
 from hecke2d.product import (
     PERTURBATIONS,
     _I,
@@ -490,7 +490,7 @@ def test_finite_products_skip_the_engine(monkeypatch):
 
 
 def test_point_products_skip_the_row_sweep(monkeypatch):
-    calls = {"normalize_strips": 0, "__new__": 0}
+    calls = {"_atoms": 0, "__new__": 0}
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -503,18 +503,40 @@ def test_point_products_skip_the_row_sweep(monkeypatch):
 
     square, ray = theta(-1, 0) * theta(-1, 0), theta(0, -1)
     x, cube = theta(-1, 0), theta_monomial(-3, 0)
-    counted(element, "normalize_strips")
+    counted(element, "_atoms")  # the sweep that cuts a row into stretches at piece ends
     counted(Strip, "__new__")  # the checking constructor; element._point skips it
     assert mul(square, x) == cube
     assert mul_basis((1, 2, 0), (1, -3, 0)).levels() == (0,)
-    assert calls == {"normalize_strips": 0, "__new__": 0}
+    assert calls == {"_atoms": 0, "__new__": 0}
     # a product that is one ray is kept as it is
     tail = _ray(2, 2, NEG_INF, 1, -2, IndexPoly.constant(_OMQ * Q))
     assert mul_basis((2, 1, 1), (2, 0, 1)) == tail
-    assert calls["normalize_strips"] == 0
-    # a ray with a point inside its span still sums its row through normalize_strips
+    assert calls["_atoms"] == 0
+    # one ray with values inside its span is walked with the values in place
     assert not mul(ray, chi(1, 1, 0)).is_zero()
-    assert calls["normalize_strips"] >= 1 and calls["__new__"] >= 1
+    assert calls["_atoms"] == 0 and calls["__new__"] >= 1
+    # two engine strips in one row are swept
+    assert not mul(ray, ray).is_zero()
+    assert calls["_atoms"] >= 1
+
+
+def test_no_point_value_reaches_the_sweep_as_a_piece(monkeypatch):
+    swept_strips, cut = {}, []
+
+    def rows(points, swept):
+        swept_strips.update((id(s), s) for strips in swept.values() for s in strips)
+        return _normal_rows(points, swept)
+
+    monkeypatch.setattr(product, "_normal_rows", rows)
+    monkeypatch.setattr(element, "_normal_rows", rows)
+    monkeypatch.setattr(element, "_atoms", lambda pieces: cut.append(pieces) or _atoms(pieces))
+    pool = [x for _, x in _atom_pool()]
+    for x in pool:
+        for y in pool:
+            mul(x, y)
+            x + y
+    # every piece cut into stretches is a strip to sweep, none a value of the map
+    assert cut and all(swept_strips.get(id(p)) is p for pieces in cut for p in pieces)
 
 
 def _products_in_new_process(pairs, perturbation):

@@ -1,0 +1,118 @@
+"""Run perfbench on a parent commit and on this checkout, seed by seed, and
+write the paired result as a BENCH_<n>.json file.
+
+    python3 tools/bench_pair.py --parent HEAD --change "what changed" --out BENCH_22.json
+
+The parent is checked out with `git worktree add --detach` into a temporary
+directory, and this checkout's perfbench/ is copied over it, so both sides
+run the same harness on their own src/.  For each workload and each of the
+seeds 1 to 10 the two sides run back to back, one run at a time, the change
+first on odd seeds, for BENCHMARK.json's run_seconds (30):
+
+    python3 perfbench/run.py --workload W --seed N --seconds 30 --trace 0
+
+The last line of each run's standard output is its JSON result.  Each
+end-to-end metric of BENCHMARK.json gets the per-seed values, the medians
+and quartiles of both sides (inclusive method), the pairs the change won
+(strictly better by the metric's direction) and the change of the medians
+in percent.  The file's claim is null; a change that claims a gain names the
+workload and metric there.
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = 10
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> list[float]:
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q[0], 4), round(q[2], 4)]
+
+
+def summarise(runs: dict[str, list[dict]], name: str, better: str) -> dict:
+    parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+    change = [r["metrics"][name]["value"] for r in runs["change"]]
+    won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    return {
+        "parent_median": round(p_med, 4), "parent_quartiles": quartiles(parent),
+        "change_median": round(c_med, 4), "change_quartiles": quartiles(change),
+        "pairs_won": won, "change_pct": round(100 * (c_med - p_med) / p_med, 1),
+        "per_seed": [[round(p, 4), round(c, 4)] for p, c in zip(parent, change)],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent, e.g. HEAD or HEAD~1")
+    parser.add_argument("--change", required=True, help="one line on what the change does")
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    direction = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seeds = list(range(1, SEEDS + 1))
+    workloads = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.parent],
+                       cwd=ROOT, check=True, capture_output=True)
+        try:
+            shutil.rmtree(parent / "perfbench", ignore_errors=True)
+            shutil.copytree(ROOT / "perfbench", parent / "perfbench")
+            for w in spec["workloads"]:
+                runs: dict[str, list[dict]] = {"parent": [], "change": []}
+                for seed in seeds:
+                    order = ("change", "parent") if seed % 2 else ("parent", "change")
+                    for side in order:
+                        runs[side].append(run(ROOT if side == "change" else parent, w["name"], seed, seconds))
+                        print(f"{w['name']} seed {seed} {side} done", file=sys.stderr)
+                workloads[w["name"]] = {
+                    "seeds": seeds,
+                    "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+                    "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+                    "metrics": {name: summarise(runs, name, better) for name, better in direction.items()},
+                }
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(parent)], cwd=ROOT, check=False)
+    out = {
+        "change": args.change,
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0",
+        "pairing": "parent and change run back to back per seed, the change first on odd seeds and the"
+                   " parent first on even seeds; the parent in a git worktree with this checkout's perfbench/",
+        "machine": f"{os.cpu_count()} vCPU, Python {platform.python_version()};"
+                   " times are seconds at perfbench's reference speed",
+        "quartiles": "inclusive method over the per-seed values; pairs_won counts seeds where the change"
+                     " is better, ties for neither; per_seed lists [parent, change]",
+        "claim": None,
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(out, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,10 @@ two checkouts that print the same line for a perturbation gave byte-identical
 products under it.  A change to one perturbation can so show that the
 unperturbed corpus is unchanged.  The last line is the sha256 of
 run_suite("identity_assoc").text(), the report that `hecke2d verify
-identity_assoc` prints, with its case and failure counts.
+identity_assoc` prints, with its case and failure counts.  A `sums:` line
+follows: one sha256 over x + y and x - y for every ordered pair of the atom
+pool, so the row normal form of sums (rays with points inside and outside
+their span, cancelling rays) can be compared too.
 
     python3 tools/product_corpus.py
 
@@ -50,12 +53,25 @@ def corpus():
             yield None, theta_monomial(i, j)
 
 
+def sums():
+    """Yield x + y and x - y for every ordered pair of the atom pool."""
+    atoms = [x for _, x in _atom_pool()]
+    for x in atoms:
+        for y in atoms:
+            yield x + y
+            yield x - y
+
+
+def _line(x) -> bytes:
+    return json.dumps(element_to_json(x), sort_keys=True).encode() + b"\n"
+
+
 def main() -> None:
     start = time.perf_counter()
     digests = {p: hashlib.sha256() for p in PERTURBATIONS}
     counts = dict.fromkeys(PERTURBATIONS, 0)
     for p, prod in corpus():
-        digests[p].update(json.dumps(element_to_json(prod), sort_keys=True).encode() + b"\n")
+        digests[p].update(_line(prod))
         counts[p] += 1
     print(f"{sum(counts.values())} products in {time.perf_counter() - start:.1f} s")
     for p in PERTURBATIONS:
@@ -63,6 +79,11 @@ def main() -> None:
     report = run_suite("identity_assoc")
     digest = hashlib.sha256(report.text().encode()).hexdigest()
     print(f"identity_assoc: {report.cases} cases, {len(report.failures)} failures, sha256 {digest}")
+    summed, n = hashlib.sha256(), 0
+    for x in sums():
+        summed.update(_line(x))
+        n += 1
+    print(f"sums: {n} sums, sha256 {summed.hexdigest()}")
 
 
 if __name__ == "__main__":
