@@ -4,13 +4,14 @@
 The convolution table can be checked without trusting it: realize the
 group over F_q((t1))((t2)) with truncated Laurent entries, enumerate
 left-coset representatives at level zero, and count which products land
-where.  The counts are rational numbers that must match the table's
-coefficients once s^2 is replaced by the chosen prime q.
+where.  The coset multiplicities are polynomials in q, so the counted
+product must equal the table's as an element, exactly in q; at a chosen
+prime its coefficients are rational numbers.
 """
 
 from hecke2d import BasisIndex, chi, classify, mul, product_counts, valuation
-from hecke2d.oracle import enumerate_reps, eta_matrix, in_iwahori
-from hecke2d.text import parse_matrix
+from hecke2d.oracle import counted_product, enumerate_reps, eta_matrix, in_iwahori
+from hecke2d.text import format_element, parse_matrix
 
 q = 3
 
@@ -37,12 +38,15 @@ assert all(classify(r) == BasisIndex(1, 1, 0) for r in enumerate_reps(1, 1, q))
 print("eta(1,0,0) in Iwahori:", in_iwahori(eta_matrix(1, 0, 0, q)))
 print("eta(2,0,0) in Iwahori:", in_iwahori(eta_matrix(2, 0, 0, q)))
 
-# The point of it all: count a product and compare with the table.
+# The point of it all: count a product and compare it with the table,
+# exactly in q.  product_counts is the numeric view at one prime.
 left, right = BasisIndex(1, 1, 0), BasisIndex(1, -1, 0)
-counts = product_counts(left, right, q)
+counted = counted_product(left, right)
 table = mul(chi(*left), chi(*right))
-print(f"\nchi{tuple(left)} * chi{tuple(right)} at q={q}:")
-for target, fraction in counts.items():
-    from_table = table.coefficient_at(target.key, target.i).eval_at_q(q)
-    tag = "ok" if from_table == fraction else "MISMATCH"
-    print(f"  {tuple(target)}: counted {fraction}, table {from_table}  [{tag}]")
+assert counted == table
+print(f"\nchi{tuple(left)} * chi{tuple(right)} by counting, equal to the table exactly in q:")
+print(f"  {format_element(counted)}")
+print(f"values at q={q}:")
+for target, fraction in product_counts(left, right, q).items():
+    exact = counted.coefficient_at(target.key, target.i)
+    print(f"  {tuple(target)}: {exact} = {exact.eval_at_q(q)}, counted at q={q}: {fraction}")

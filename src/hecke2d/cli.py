@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .coeff import CoeffError
-from .element import BasisIndex, values_at_q
-from .oracle import EnumerationError, classify, enumerate_reps, product_counts
+from .coeff import ZERO, Coeff, CoeffError
+from .element import BasisIndex, HeckeElement
+from .oracle import EnumerationError, _level_zero_pair, classify, counted_product, enumerate_reps
 from .product import mul, mul_basis
 from .suites import run_suite
 from .text import ExprError, format_element, format_matrix, parse_element, parse_matrix
@@ -69,28 +68,27 @@ def _cmd_reps(args: argparse.Namespace) -> int:
     return 0
 
 
+def _point_values(x: HeckeElement) -> dict[BasisIndex, Coeff]:
+    # the rows of a level-0 element hold only point masses Strip(m, m, ((0, (c,)),))
+    return {BasisIndex(key.a, s.lo, key.j): s.terms[0].poly[0] for key, row in x.rows for s in row.strips}
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
     a, i = _parse_ints(args.left, 2, "the left index must be a pair of integers 'a,i'")
     b, k = _parse_ints(args.right, 2, "the right index must be a pair of integers 'a,i'")
-    x, y = BasisIndex(a, i, 0), BasisIndex(b, k, 0)
-    counts = product_counts(x, y, args.q)
-    table = values_at_q(mul_basis(x, y), args.q)
-    ok = True
-    for label in sorted(set(counts) | set(table)):
-        lhs = counts.get(label, Fraction(0))
-        rhs = table.get(label, Fraction(0))
-        line = f"({label.a},{label.i},{label.j}): oracle {lhs}  table {rhs}"
-        if lhs != rhs:
-            line += "  MISMATCH"
-            ok = False
-        print(line)
-    if not counts and not table:
-        print("zero product")
-    return 0 if ok else 1
+    x, y = _level_zero_pair(BasisIndex(a, i, 0), BasisIndex(b, k, 0), args.q)
+    counted, table = counted_product(x, y), mul_basis(x, y)
+    lhs, rhs = _point_values(counted), _point_values(table)
+    for label in sorted(lhs.keys() | rhs.keys()):
+        c, t = lhs.get(label, ZERO), rhs.get(label, ZERO)
+        vc = c.eval_at_q(args.q)
+        vt, flag = (vc, "") if c == t else (t.eval_at_q(args.q), "  MISMATCH")
+        print(f"({label.a},{label.i},{label.j}): oracle {vc}  table {vt}{flag}")
+    return 0 if counted == table else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    qs = tuple(int(p) for p in args.q.split(",")) if args.q else (2, 3)
+    qs = tuple(int(p) for p in args.q.split(",")) if args.q else ()
     report = run_suite(args.suite, index_bound=args.range, qs=qs, seed=args.seed)
     print(report.json_text() if args.json else report.text())
     return 0 if report.passed else 1
@@ -139,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")
     p.add_argument("--range", type=int, default=None, help="index bound override")
-    p.add_argument("--q", default=None, metavar="p[,p]", help="residue field sizes")
+    p.add_argument("--q", default="2,3", metavar="p[,p]", help="residue field sizes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -33,8 +33,7 @@ from .coeff import ZERO, Coeff, CoeffError, ParseError
 __all__ = [
     "NEG_INF", "POS_INF", "Bound", "ShapeError", "IndexPoly", "ExpPolyTerm", "Strip",
     "RowKey", "RowSeries", "BasisIndex", "HeckeElement", "zero_element", "add", "scale",
-    "equals", "coefficient_at", "level_projection", "values_at_q", "element_to_json",
-    "element_from_json",
+    "equals", "coefficient_at", "level_projection", "element_to_json", "element_from_json",
 ]
 
 NEG_INF = float("-inf")
@@ -604,16 +603,6 @@ def coefficient_at(x: HeckeElement, key: tuple[int, int], m: int) -> Coeff:
 
 def level_projection(x: HeckeElement, j: int) -> HeckeElement:
     return HeckeElement([(k, s.strips) for k, s in x.rows if k.j == j])
-
-
-def values_at_q(x: HeckeElement, q: int) -> dict[BasisIndex, Fraction]:
-    """The nonzero coefficients of x at a numeric q; x must have finite support."""
-    return {
-        BasisIndex(key.a, m, key.j): st.value_at(m).eval_at_q(q)
-        for key, series in x.rows
-        for st in series.strips
-        for m in range(st.lo, st.hi + 1)  # a point: normal forms hold no zeros
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ _MAX_REPS = 200_000
 #: Largest |i| that enumerate_reps and product_counts take.
 _MAX_INDEX = 4
 
+#: Elementary matrices multiplied in one iwahori_sample.
+_SAMPLE_FACTORS = 4
+
 #: Valuation of the zero element; compares above every finite pair.
 INFINITE = float("inf")
 
@@ -359,8 +362,18 @@ def counted_product(x: BasisIndex, y: BasisIndex) -> HeckeElement:
     return _element(_normal_rows(points, {}))
 
 
+def _level_zero_pair(x: BasisIndex, y: BasisIndex, q: int) -> tuple[BasisIndex, BasisIndex]:
+    # x and y as labels in product_counts's domain at q, else EnumerationError
+    x, y = _label(x), _label(y)
+    if x.j != 0 or y.j != 0:
+        raise EnumerationError("counting products requires both levels zero")
+    _check_index(x.i)
+    _check_cell(y.a, y.i, q)
+    return x, y
+
+
 def product_counts(x: BasisIndex, y: BasisIndex, q: int) -> dict[BasisIndex, Fraction]:
-    """Convolution coefficients of two level-zero basis functions, by counting.
+    """Convolution coefficients of two level-zero basis functions, by counting at q.
 
     The coefficient at a target label is 1/q times the number of
     representatives z of the right factor whose adjusted product
@@ -370,12 +383,10 @@ def product_counts(x: BasisIndex, y: BasisIndex, q: int) -> dict[BasisIndex, Fra
     representative and no matrix is built.  The right factor must lie in
     enumerate_reps's domain, whose cap bounds the domain, not the work.
     Keys are emitted in sorted label order and zero coefficients are dropped.
+    This numeric view of counted_product is kept for the oracle_count
+    benchmark workload and the tests against literal matrices.
     """
-    x, y = _label(x), _label(y)
-    if x.j != 0 or y.j != 0:
-        raise EnumerationError("counting products requires both levels zero")
-    _check_index(x.i)
-    _check_cell(y.a, y.i, q)
+    x, y = _level_zero_pair(x, y, q)
     return {t: Fraction(n, q) for t, n in _count(x, y, q).items()}
 
 
@@ -383,11 +394,11 @@ def product_counts(x: BasisIndex, y: BasisIndex, q: int) -> dict[BasisIndex, Fra
 # random integral sandwiches
 
 
-def iwahori_sample(rng: Random, q: int, *, factors: int = 4) -> LocalFieldMatrix:
-    """A random product of elementary matrices lying in the Iwahori subgroup."""
+def iwahori_sample(rng: Random, q: int) -> LocalFieldMatrix:
+    """A random product of _SAMPLE_FACTORS elementary matrices lying in the Iwahori subgroup."""
     one, zero = FieldElem2.one(q), FieldElem2.zero(q)
     out = identity_matrix(q)
-    for _ in range(factors):
+    for _ in range(_SAMPLE_FACTORS):
         kind = rng.randrange(3)
         if kind == 0:
             f = _random_integral(rng, q, (0, 0))

@@ -1,5 +1,6 @@
 """Expression language and command-line behavior."""
 
+import functools
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke2d import chi, element_from_json, iota, mul, phi, theta, zero_element
+from hecke2d import chi, cli, element_from_json, iota, mul, mul_basis, phi, theta, zero_element
 from hecke2d import text
 from hecke2d.cli import ExprError, format_element, main, parse_element
 from hecke2d.suites import _atom_pool
@@ -154,6 +155,21 @@ def test_cli_oracle(capsys):
     assert "MISMATCH" not in out
 
 
+def test_cli_oracle_flags_a_perturbed_table(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "mul_basis", functools.partial(mul_basis, perturbation="flip-1e"))
+    assert main(["oracle", "1,0", "1,-1", "--q", "2"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_cli_oracle_compares_exactly_in_q(capsys, monkeypatch):
+    # (q-2)*chi(1,0,0) vanishes at q = 2, so only an exact comparison sees it
+    extra = parse_element("(q-2)*chi(1,0,0)")
+    monkeypatch.setattr(cli, "mul_basis", lambda x, y: mul_basis(x, y) + extra)
+    assert main(["oracle", "1,0", "1,0", "--q", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "MISMATCH" in line] == ["(1,0,0): oracle 1/2  table 1/2  MISMATCH"]
+
+
 def test_cli_verify(capsys):
     assert main(["verify", "im_relations"]) == 0
     assert "[PASS]" in capsys.readouterr().out
@@ -175,6 +191,7 @@ def test_cli_error_exit_codes(capsys):
     assert main(["coeff", "iota", "--at", "1,0"]) == 2
     assert main(["reps", "1", "9", "--q", "2"]) == 2
     assert main(["oracle", "1,x", "1,0", "--q", "2"]) == 2
+    assert main(["verify", "im_relations", "--q", ""]) == 2
 
 
 def test_cli_usage_error_exits_two():

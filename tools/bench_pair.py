@@ -3,8 +3,9 @@ write the paired result as a BENCH_<n>.json file.
 
     python3 tools/bench_pair.py --parent HEAD --change "what changed" --out BENCH_22.json
 
-The parent is checked out with `git worktree add --detach` into a temporary
-directory, and this checkout's perfbench/ is copied over it, so both sides
+The parent is unpacked from `git archive` into a temporary directory, which
+leaves the repository's worktree list untouched, and this checkout's
+perfbench/ is copied over it, so both sides
 run the same harness on their own src/.  For each workload and each of the
 seeds 1 to 10 the two sides run back to back, one run at a time, the change
 first on odd seeds, for BENCHMARK.json's run_seconds (30):
@@ -78,31 +79,29 @@ def main(argv=None) -> int:
     workloads = {}
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.parent],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            shutil.rmtree(parent / "perfbench", ignore_errors=True)
-            shutil.copytree(ROOT / "perfbench", parent / "perfbench")
-            for w in spec["workloads"]:
-                runs: dict[str, list[dict]] = {"parent": [], "change": []}
-                for seed in seeds:
-                    order = ("change", "parent") if seed % 2 else ("parent", "change")
-                    for side in order:
-                        runs[side].append(run(ROOT if side == "change" else parent, w["name"], seed, seconds))
-                        print(f"{w['name']} seed {seed} {side} done", file=sys.stderr)
-                workloads[w["name"]] = {
-                    "seeds": seeds,
-                    "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
-                    "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
-                    "metrics": {name: summarise(runs, name, better) for name, better in direction.items()},
-                }
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent)], cwd=ROOT, check=False)
+        parent.mkdir()
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True, capture_output=True)
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        shutil.rmtree(parent / "perfbench", ignore_errors=True)
+        shutil.copytree(ROOT / "perfbench", parent / "perfbench")
+        for w in spec["workloads"]:
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for seed in seeds:
+                order = ("change", "parent") if seed % 2 else ("parent", "change")
+                for side in order:
+                    runs[side].append(run(ROOT if side == "change" else parent, w["name"], seed, seconds))
+                    print(f"{w['name']} seed {seed} {side} done", file=sys.stderr)
+            workloads[w["name"]] = {
+                "seeds": seeds,
+                "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+                "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+                "metrics": {name: summarise(runs, name, better) for name, better in direction.items()},
+            }
     out = {
         "change": args.change,
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0",
         "pairing": "parent and change run back to back per seed, the change first on odd seeds and the"
-                   " parent first on even seeds; the parent in a git worktree with this checkout's perfbench/",
+                   " parent first on even seeds; the parent unpacked by git archive, with this checkout's perfbench/",
         "machine": f"{os.cpu_count()} vCPU, Python {platform.python_version()};"
                    " times are seconds at perfbench's reference speed",
         "quartiles": "inclusive method over the per-seed values; pairs_won counts seeds where the change"

@@ -13,14 +13,19 @@ run_suite("identity_assoc").text(), the report that `hecke2d verify
 identity_assoc` prints, with its case and failure counts.  A `sums:` line
 follows: one sha256 over x + y and x - y for every ordered pair of the atom
 pool, so the row normal form of sums (rays with points inside and outside
-their span, cancelling rays) can be compared too.
+their span, cancelling rays) can be compared too.  An `oracle:` line ends
+it: one sha256 over the exit code and standard output of `hecke2d oracle`,
+run in process, for every pair of level-0 labels on sheets 1 and 2 with
+|i|, |k| <= 2 at q = 2, 3 and 5 (300 calls).
 
     python3 tools/product_corpus.py
 
 Standard library only; it imports hecke2d from this checkout's src/.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import time
@@ -28,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hecke2d import element_to_json, mul, theta_monomial  # noqa: E402
+from hecke2d import cli, element_to_json, mul, theta_monomial  # noqa: E402
 from hecke2d.product import PERTURBATIONS  # noqa: E402
 from hecke2d.suites import _atom_pool, run_suite  # noqa: E402
 
@@ -62,6 +67,15 @@ def sums():
             yield x - y
 
 
+def oracle_calls():
+    """Yield the argv of every `hecke2d oracle` call of the corpus."""
+    cells = [f"{a},{i}" for a in (1, 2) for i in range(-2, 3)]
+    for q in (2, 3, 5):
+        for left in cells:
+            for right in cells:
+                yield ["oracle", left, right, "--q", str(q)]
+
+
 def _line(x) -> bytes:
     return json.dumps(element_to_json(x), sort_keys=True).encode() + b"\n"
 
@@ -84,6 +98,14 @@ def main() -> None:
         summed.update(_line(x))
         n += 1
     print(f"sums: {n} sums, sha256 {summed.hexdigest()}")
+    oracled, n = hashlib.sha256(), 0
+    for argv in oracle_calls():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        oracled.update(f"{code}\n{out.getvalue()}".encode())
+        n += 1
+    print(f"oracle: {n} calls, sha256 {oracled.hexdigest()}")
 
 
 if __name__ == "__main__":
