@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .coeff import ZERO, Coeff, CoeffError
-from .element import BasisIndex, HeckeElement
+from .element import BasisIndex, HeckeElement, _label
 from .oracle import EnumerationError, _level_zero_pair, classify, counted_product, enumerate_reps
 from .product import mul, mul_basis
 from .suites import run_suite
@@ -45,9 +45,7 @@ def _cmd_mul(args: argparse.Namespace) -> int:
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
     x = parse_element(args.expr)
-    a, i, j = _parse_ints(args.at, 3, "--at must be a triple of integers 'a,i,j'")
-    if a not in (1, 2):
-        raise ValueError("sheet must be 1 or 2")
+    a, i, j = _label(_parse_ints(args.at, 3, "--at must be a triple of integers 'a,i,j'"))
     print(x.coefficient_at((a, j), i))
     return 0
 
@@ -75,7 +73,7 @@ def _point_values(x: HeckeElement) -> dict[BasisIndex, Coeff]:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     a, i = _parse_ints(args.left, 2, "the left index must be a pair of integers 'a,i'")
-    b, k = _parse_ints(args.right, 2, "the right index must be a pair of integers 'a,i'")
+    b, k = _parse_ints(args.right, 2, "the right index must be a pair of integers 'b,k'")
     x, y = _level_zero_pair(BasisIndex(a, i, 0), BasisIndex(b, k, 0), args.q)
     counted, table = counted_product(x, y), mul_basis(x, y)
     lhs, rhs = _point_values(counted), _point_values(table)

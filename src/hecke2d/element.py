@@ -422,6 +422,19 @@ def _check_basis(a: object, i: object, j: object) -> None:
     _check_key(RowKey(a, j))
 
 
+_LABEL = "a label is a sheet 1 or 2 and two integers"
+
+
+def _label(x: object) -> BasisIndex:
+    """x as a BasisIndex, refused with _check_basis's errors: the one label check."""
+    try:
+        b = BasisIndex(*x)
+    except TypeError:  # not iterable, or not three entries
+        raise ShapeError(f"{_LABEL}, got {x!r}") from None
+    _check_basis(*b)
+    return b
+
+
 def _normal_rows(points: Mapping, swept: Mapping) -> tuple[tuple[RowKey, RowSeries], ...]:
     """The rows, sorted by (level, sheet), that sum points[key], a map {m: value},
     and the strips swept[key] at each checked (sheet, level) key.  A row with no

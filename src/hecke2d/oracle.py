@@ -23,8 +23,9 @@ from functools import lru_cache
 from random import Random
 from typing import Iterator, Mapping, Union
 
+from . import element
 from .coeff import Coeff
-from .element import BasisIndex, HeckeElement, _element, _is_int, _normal_rows
+from .element import _LABEL, BasisIndex, HeckeElement, ShapeError, _check_basis, _element, _normal_rows
 
 __all__ = [
     "EnumerationError",
@@ -212,8 +213,7 @@ def _fill(q: int, entries: tuple) -> list[FieldElem2]:
 
 def eta_matrix(a: int, i: int, j: int, q: int) -> LocalFieldMatrix:
     """The standard representative of the (a, i, j) double coset."""
-    if a not in (1, 2):
-        raise ValueError(f"sheet must be 1 or 2, got {a}")
+    _check_basis(a, i, j)
     return LocalFieldMatrix(*_fill(q, _eta(a, i, j)))
 
 
@@ -256,9 +256,8 @@ def _check_index(i: int) -> None:
 
 
 def _check_cell(a: int, i: int, q: int) -> None:
+    # (a, i) is a checked label: only q and the coset count are checked here
     _check_q(q)
-    if isinstance(a, bool) or isinstance(i, bool) or a not in (1, 2):
-        raise EnumerationError(f"sheet must be 1 or 2 and index an integer, got ({a!r}, {i!r})")
     _check_index(i)
     if (count := q ** (2 * abs(i) if a == 1 else abs(2 * i + 1))) > _MAX_REPS:
         raise EnumerationError(f"({a},{i}) has {count} cosets at q={q}, over the cap {_MAX_REPS}")
@@ -295,6 +294,7 @@ def enumerate_reps(a: int, i: int, q: int) -> list[LocalFieldMatrix]:
     and that count are capped before anything is built; counting products
     reads the same families through _census and builds nothing.
     """
+    _label((a, i, 0))
     _check_cell(a, i, q)
     reps = []
     for entries, slot, degree in _families(a, i):
@@ -337,14 +337,12 @@ def _count(x: BasisIndex, y: BasisIndex, q) -> dict:
 
 
 def _label(x: BasisIndex) -> BasisIndex:
-    # a sheet 1 or 2 and two integers; a bool is not an integer here
+    # element's label check, its refusal raised as EnumerationError
     try:
-        b = BasisIndex(*x)
-    except TypeError:  # not iterable, or not three entries
-        b = None
-    if b is None or b.a not in (1, 2) or not all(map(_is_int, b)):
-        raise EnumerationError(f"a label is a sheet 1 or 2 and two integers, got {x!r}")
-    return b
+        return element._label(x)
+    except ShapeError as err:
+        reason = str(err)  # a per-field reason, or the whole rule for a non-label
+        raise EnumerationError(reason if reason.startswith(_LABEL) else f"{_LABEL}: {reason}") from None
 
 
 def counted_product(x: BasisIndex, y: BasisIndex) -> HeckeElement:

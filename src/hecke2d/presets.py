@@ -39,8 +39,6 @@ _QM1 = _Q - ONE
 
 def chi(a: int, i: int, j: int) -> HeckeElement:
     """The characteristic function of one double coset, as an element."""
-    if a not in (1, 2):
-        raise ValueError(f"sheet must be 1 or 2, got {a}")
     _check_basis(a, i, j)
     return _element(((RowKey(a, j), RowSeries((_point(i, ONE),))),))
 

@@ -63,11 +63,10 @@ from .element import (
     IndexPoly,
     NEG_INF,
     POS_INF,
-    ShapeError,
     Strip,
     _MAX_POINTS,
-    _check_basis,
     _element,
+    _label,
     _normal_rows,
 )
 
@@ -205,17 +204,6 @@ def _check_perturbation(p: Optional[str]) -> None:
         raise ValueError(f"unknown perturbation {p!r}")
 
 
-def _as_basis(x: Union[BasisIndex, tuple]) -> BasisIndex:
-    try:
-        b = BasisIndex(*x)
-    except TypeError:  # not iterable, or not three entries
-        raise ShapeError(f"a label is a sheet 1 or 2 and two integers, got {x!r}") from None
-    if b.a not in (1, 2):
-        raise CaseTableError(f"sheet must be 1 or 2, got {b.a}")
-    _check_basis(*b)
-    return b
-
-
 def _add_run(points: dict, swept: dict, key: tuple, lo: Bound, hi: Bound, e: int, c: Coeff) -> None:
     """Add c * s^(e*n) at each lo <= n <= hi of row key: index by index into
     points, or as one strip to sweep if the run is a ray or wider than _MAX_POINTS."""
@@ -240,7 +228,7 @@ def mul_basis(
 ) -> HeckeElement:
     """Product of two basis functions: the table's pieces evaluated at (i, k)."""
     _check_perturbation(perturbation)
-    (a, i, j), (b, k, l) = _as_basis(x), _as_basis(y)
+    (a, i, j), (b, k, l) = _label(x), _label(y)
     if j * l < 0:
         return HeckeElement()
     points: dict[tuple[int, int], dict[int, Coeff]] = {}
@@ -702,7 +690,7 @@ def coeff_of_product(
     x: HeckeElement, y: HeckeElement, target: Union[BasisIndex, tuple]
 ) -> Coeff:
     """One coefficient of x*y, summed pointwise over contributing basis pairs."""
-    t = _as_basis(target)
+    t = _label(target)
     total = ZERO
     for kx, rx in x.rows:
         for ky, ry in y.rows:

@@ -16,11 +16,11 @@ deliberately corrupted multiplication table is provably caught (the
 negative control); nothing else about the suites knows about perturbations.
 
 The identity_assoc suite fuzzes triples drawn from basis atoms and named
-elements across mixed levels.  Truncation to the diagonal levels makes the
-printed product non-associative away from level zero, so this suite is
-expected to report genuine counterexamples; see the repository notes for
-the analysis.  The suite reports what it finds and does not special-case
-the known witnesses.
+elements across mixed levels.  It is expected to report genuine
+counterexamples: a level-0 x level-+-l product lacks the off-level mass
+that counting finds, and a product of opposite nonzero levels is 0 in every
+route.  The suite reports what it finds and does not special-case the
+known witnesses.
 """
 
 from __future__ import annotations

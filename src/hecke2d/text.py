@@ -37,6 +37,7 @@ from .element import (
     POS_INF,
     ShapeError,
     Strip,
+    _check_key,
     _sum,
     element_to_json,
     merge_terms,
@@ -413,16 +414,13 @@ class _ElementParser:
         self.expect(":")
         body, degree = self.expr(in_strip=True)
         self.expect(")")
-        if a not in (1, 2):
-            raise ExprError("sheet must be 1 or 2", pos)
         if isinstance(body, HeckeElement):
             raise ExprError("a strip body must be scalar in m", pos)
         degree = max(degree, 1)  # an element atom, or its body's degree in m
         terms = merge_terms(_as_mterms(body).items())
-        if not terms:
-            return zero_element(), degree
         try:
-            return HeckeElement([((a, j), (Strip(lo, hi, terms),))]), degree
+            _check_key((a, j))  # a zero body still needs a sheet 1 or 2
+            return (HeckeElement([((a, j), (Strip(lo, hi, terms),))]) if terms else zero_element()), degree
         except ShapeError as err:
             raise ExprError(str(err), pos) from err
 

@@ -192,6 +192,13 @@ def test_cli_error_exit_codes(capsys):
     assert main(["reps", "1", "9", "--q", "2"]) == 2
     assert main(["oracle", "1,x", "1,0", "--q", "2"]) == 2
     assert main(["verify", "im_relations", "--q", ""]) == 2
+    capsys.readouterr()
+    # a third sheet is refused by the one label check; stderr echoes what was typed
+    for argv in (["oracle", "3,1", "1,-1", "--q", "4"], ["coeff", "iota", "--at", "3,0,0"],
+                 ["mul", "strip(3,0,0..1: 0)", "iota"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "got 3" in err and "BasisIndex" not in err
 
 
 def test_cli_usage_error_exits_two():

@@ -16,6 +16,7 @@ from hecke2d import (
     ShapeError,
     chi,
     classify,
+    coeff_of_product,
     enumerate_reps,
     mul_basis,
     oracle,
@@ -352,6 +353,59 @@ def test_product_counts_builds_no_matrix_products(monkeypatch):
 def test_bool_sheets_and_indices_rejected(build, error):
     with pytest.raises(error):
         build()
+
+
+_RULE = "a label is a sheet 1 or 2 and two integers"
+# each malformed label with the per-field reason element's check gives for it
+_BAD_LABELS = {
+    "sheet-0": ((0, 0, 0), "sheet must be 1 or 2, got 0"),
+    "sheet-3": ((3, 0, 0), "sheet must be 1 or 2, got 3"),
+    "sheet-True": ((True, 0, 0), "sheet must be 1 or 2, got True"),
+    "sheet-1.0": ((1.0, 0, 0), "sheet must be 1 or 2, got 1.0"),
+    "index-True": ((1, True, 0), "bound must be an integer or +-inf, got True"),
+    "index-0.5": ((1, 0.5, 0), "bound must be an integer or +-inf, got 0.5"),
+    "level-True": ((1, 0, True), "level must be an integer, got True"),
+    "level-1.0": ((1, 0, 1.0), "level must be an integer, got 1.0"),
+    "pair": ((1, 0), f"{_RULE}, got (1, 0)"),
+    "non-label": (5, f"{_RULE}, got 5"),
+}
+_TRIPLES = [k for k, (x, _) in _BAD_LABELS.items() if isinstance(x, tuple) and len(x) == 3]
+_ONE = (1, 0, 0)
+# name: (call on a label, the error class, the inputs it takes); chi and
+# eta_matrix take three arguments, enumerate_reps a sheet and an index
+_LABEL_ENTRY_POINTS = {
+    "chi": (lambda x: chi(*x), ShapeError, _TRIPLES),
+    "mul_basis-left": (lambda x: mul_basis(x, _ONE), ShapeError, list(_BAD_LABELS)),
+    "mul_basis-right": (lambda x: mul_basis(_ONE, x), ShapeError, list(_BAD_LABELS)),
+    "coeff_of_product": (lambda x: coeff_of_product(chi(*_ONE), chi(*_ONE), x), ShapeError, list(_BAD_LABELS)),
+    "eta_matrix": (lambda x: eta_matrix(*x, 2), ShapeError, _TRIPLES),
+    "counted_product-left": (lambda x: oracle.counted_product(x, _ONE), EnumerationError, list(_BAD_LABELS)),
+    "counted_product-right": (lambda x: oracle.counted_product(_ONE, x), EnumerationError, list(_BAD_LABELS)),
+    "product_counts-left": (lambda x: product_counts(x, _ONE, 2), EnumerationError, list(_BAD_LABELS)),
+    "product_counts-right": (lambda x: product_counts(_ONE, x, 2), EnumerationError, list(_BAD_LABELS)),
+    "enumerate_reps": (lambda x: enumerate_reps(x[0], x[1], 2), EnumerationError,
+                       [k for k in _TRIPLES if not k.startswith("level")]),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, label",
+    [(e, k) for e, (_, _, takes) in _LABEL_ENTRY_POINTS.items() for k in takes],
+    ids=lambda v: v,
+)
+def test_every_label_entry_point_refuses_through_one_check(entry, label):
+    # one rule, one reason text; the counting side names the rule once before it
+    call, error, _ = _LABEL_ENTRY_POINTS[entry]
+    x, reason = _BAD_LABELS[label]
+    with pytest.raises(error) as err:
+        call(x)
+    assert type(err.value) is error
+    text = str(err.value)
+    if error is ShapeError or reason.startswith(_RULE):
+        assert text == reason
+    else:
+        assert text == f"{_RULE}: {reason}"
+    assert text.count(_RULE) <= 1
 
 
 def test_enumeration_refuses_more_than_the_rep_cap():

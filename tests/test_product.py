@@ -194,7 +194,7 @@ def test_a_malformed_target_and_a_third_sheet_are_refused():
     with pytest.raises(ShapeError, match=r"a label is a sheet 1 or 2 and two integers, got \(1, 0\)"):
         coeff_of_product(chi(1, 0, 0), chi(1, 0, 0), (1, 0))
     # the table has no record for sheet 3
-    with pytest.raises(product.CaseTableError, match="sheet must be 1 or 2, got 3"):
+    with pytest.raises(ShapeError, match="sheet must be 1 or 2, got 3"):
         mul_basis((3, 0, 0), (1, 0, 0))
 
 

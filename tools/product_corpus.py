@@ -16,7 +16,11 @@ pool, so the row normal form of sums (rays with points inside and outside
 their span, cancelling rays) can be compared too.  An `oracle:` line ends
 it: one sha256 over the exit code and standard output of `hecke2d oracle`,
 run in process, for every pair of level-0 labels on sheets 1 and 2 with
-|i|, |k| <= 2 at q = 2, 3 and 5 (300 calls).
+|i|, |k| <= 2 at q = 2, 3 and 5 (300 calls).  A `refusals:` line closes
+it: one sha256 over (entry point, input, exception class, text) for each
+malformed label of a fixed grid at each label entry point, and over the exit
+code and standard error of three CLI calls with a third sheet, so a change in
+how any label is refused shows.
 
     python3 tools/product_corpus.py
 
@@ -33,7 +37,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hecke2d import cli, element_to_json, mul, theta_monomial  # noqa: E402
+from hecke2d import (  # noqa: E402
+    chi,
+    cli,
+    coeff_of_product,
+    element_to_json,
+    enumerate_reps,
+    mul,
+    mul_basis,
+    product_counts,
+    theta_monomial,
+)
+from hecke2d.oracle import counted_product, eta_matrix  # noqa: E402
 from hecke2d.product import PERTURBATIONS  # noqa: E402
 from hecke2d.suites import _atom_pool, run_suite  # noqa: E402
 
@@ -76,6 +91,48 @@ def oracle_calls():
                 yield ["oracle", left, right, "--q", str(q)]
 
 
+#: sheet 0, 3, True, 1.0; index True, 0.5; level True, 1.0; a pair; a non-label
+BAD_LABELS = [(0, 0, 0), (3, 0, 0), (True, 0, 0), (1.0, 0, 0), (1, True, 0), (1, 0.5, 0),
+              (1, 0, True), (1, 0, 1.0), (1, 0), 5]
+BAD_CLI = [["oracle", "3,1", "1,-1", "--q", "4"], ["coeff", "iota", "--at", "3,0,0"],
+           ["mul", "strip(3,0,0..1: 0)", "iota"]]
+
+
+def refusals():
+    """Yield (entry point, input, outcome) for the grid and the CLI calls.
+
+    chi and eta_matrix take the three-entry labels as arguments, and
+    enumerate_reps those that vary the sheet or the index; the outcome is the
+    exception's class and text, or "accepted".
+    """
+    one, triples = (1, 0, 0), BAD_LABELS[:8]
+    calls = {
+        "chi": (lambda x: chi(*x), triples),
+        "mul_basis-left": (lambda x: mul_basis(x, one), BAD_LABELS),
+        "mul_basis-right": (lambda x: mul_basis(one, x), BAD_LABELS),
+        "coeff_of_product": (lambda x: coeff_of_product(chi(*one), chi(*one), x), BAD_LABELS),
+        "eta_matrix": (lambda x: eta_matrix(*x, 2), triples),
+        "counted_product-left": (lambda x: counted_product(x, one), BAD_LABELS),
+        "counted_product-right": (lambda x: counted_product(one, x), BAD_LABELS),
+        "product_counts-left": (lambda x: product_counts(x, one, 2), BAD_LABELS),
+        "product_counts-right": (lambda x: product_counts(one, x, 2), BAD_LABELS),
+        "enumerate_reps": (lambda x: enumerate_reps(x[0], x[1], 2), BAD_LABELS[:6]),
+    }
+    for name, (call, inputs) in calls.items():
+        for x in inputs:
+            try:
+                call(x)
+                outcome = "accepted"
+            except Exception as err:  # the class is the record
+                outcome = f"{type(err).__name__}: {err}"
+            yield name, repr(x), outcome
+    for argv in BAD_CLI:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        yield "cli", " ".join(argv), f"exit {code}: {err.getvalue()}"
+
+
 def _line(x) -> bytes:
     return json.dumps(element_to_json(x), sort_keys=True).encode() + b"\n"
 
@@ -106,6 +163,11 @@ def main() -> None:
         oracled.update(f"{code}\n{out.getvalue()}".encode())
         n += 1
     print(f"oracle: {n} calls, sha256 {oracled.hexdigest()}")
+    refused, n = hashlib.sha256(), 0
+    for record in refusals():
+        refused.update(("\t".join(record) + "\n").encode())
+        n += 1
+    print(f"refusals: {n} cases, sha256 {refused.hexdigest()}")
 
 
 if __name__ == "__main__":
