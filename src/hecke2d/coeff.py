@@ -161,19 +161,21 @@ def _ppow(a: tuple[int, ...], e: int) -> tuple[int, ...]:
     return out
 
 
-def _peval(a: tuple[int, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def _eval(k: int, n: tuple[int, ...], d: tuple[int, ...], x: Fraction, var: str) -> Fraction:
-    """The value of var^k * n/d at var = x."""
-    num, den = _peval(n, x) * x ** max(k, 0), _peval(d, x) * x ** max(-k, 0)
-    if den == 0:
+    """var^k * n/d at var = x = p/r, in integers: Horner on p carrying powers of r gives
+    r^e * a(p/r) for a of degree e, ending on r^(e+1); var^k moves p^k over r^k."""
+    p, r = x.numerator, x.denominator
+    num, rn = 0, 1
+    for c in reversed(n):
+        num, rn = num * p + c * rn, rn * r
+    den, rd = 0, 1
+    for c in reversed(d):
+        den, rd = den * p + c * rd, rd * r
+    up, down = max(k, 0), max(-k, 0)
+    num, den = num * rd * p**up * r**down, den * rn * r**up * p**down
+    if not den:
         raise PoleError(f"denominator vanishes at {var} = {x}")
-    return num / den
+    return Fraction(num, den)
 
 
 def _pstr(a: tuple[int, ...], shift: int = 0) -> str:
@@ -402,9 +404,7 @@ class Coeff:
             raise ValueError("odd powers of s require q >= 0")
         rn, rd = isqrt(q0.numerator), isqrt(q0.denominator)
         if rn * rn != q0.numerator or rd * rd != q0.denominator:
-            raise ValueError(
-                f"odd powers of s require an exact square root of q = {q0}"
-            )
+            raise ValueError(f"odd powers of s require an exact square root of q = {q0}")
         return self.eval_at_s(Fraction(rn, rd))
 
     # -- text ---------------------------------------------------------------

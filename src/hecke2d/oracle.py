@@ -79,9 +79,11 @@ class FieldElem2:
         self.q = q
         cleaned = {}
         for (e1, e2), c in dict(coeffs).items():
+            if type(e1) is not int or type(e2) is not int:  # a bool is refused too
+                raise ValueError(f"exponents must be integers, got ({e1!r}, {e2!r})")
             c %= q
             if c:
-                cleaned[(int(e1), int(e2))] = c
+                cleaned[e1, e2] = c
         self._coeffs = cleaned
 
     @classmethod
@@ -228,21 +230,21 @@ def in_iwahori(x: LocalFieldMatrix) -> bool:
 
 
 def classify(x: LocalFieldMatrix) -> BasisIndex:
-    """The double-coset label of x, by comparing entry valuations."""
-    return _chamber(*(valuation(e) for e in x.entries()))
+    """The double-coset label of x: the chamber rule on its entries' valuation keys."""
+    return _chamber(*(_val_key(valuation(e)) for e in x.entries()))
 
 
-def _chamber(va: Valuation, vb: Valuation, vc: Valuation, vd: Valuation) -> BasisIndex:
-    # the chamber rule: the label read off the valuations of a, b, c, d
-    ka, kb, kc, kd = _val_key(va), _val_key(vb), _val_key(vc), _val_key(vd)
+def _chamber(ka: tuple, kb: tuple, kc: tuple, kd: tuple) -> BasisIndex:
+    # the chamber rule: the label read off the keys (t2, t1) of the valuations
+    # of a, b, c, d, zero being (inf, inf); the entry it reads is never zero
     if ka <= kb and ka < kc:
-        return BasisIndex(1, *va)
+        return BasisIndex(1, ka[1], ka[0])
     if kb < ka and kb < kd:
-        return BasisIndex(2, *vb)
+        return BasisIndex(2, kb[1], kb[0])
     if kc <= ka and kc <= kd:
-        return BasisIndex(2, -vc[0], -vc[1])
+        return BasisIndex(2, -kc[1], -kc[0])
     if kd <= kb and kd < kc:
-        return BasisIndex(1, -vd[0], -vd[1])
+        return BasisIndex(1, -kd[1], -kd[0])
     raise ValueError("no chamber matched; determinant invariant violated")
 
 
@@ -316,21 +318,21 @@ def _census(b: int, k: int, q):
 
 
 def _count(x: BasisIndex, y: BasisIndex, q) -> dict:
-    # q * (chi_x * chi_y) at targets of x's level j, y at level zero, for any q
-    # that _census takes
+    # q * (chi_x * chi_y) at targets of x's level j, y at level zero, for any q that
+    # _census takes; a key times t1^m*t2^j gains (j, m), and zero's stays (inf, inf)
     a, i, j = x
     out: dict = {}
-    for (va, vb, vc, vd), count in _census(y[0], y[1], q).items():
-        for c in (1, 2):
-            # z^{-1} = [[d, -b], [-c, a]]; eta(c, m, j) scales its rows by
-            # t1^m*t2^j and t1^-m*t2^-j, and for c = 2 also swaps them
-            vals = (vd, vb, vc, va) if c == 1 else (vc, va, vd, vb)
-            vals = [v if v == INFINITE else (v[0], v[1] + e) for v, e in zip(vals, (j, j, -j, -j))]
+    for vals, count in _census(y[0], y[1], q).items():
+        ka, kb, kc, kd = [_val_key(v) for v in vals]
+        # z^{-1} = [[d, -b], [-c, a]]; eta(c, m, j) scales its rows by
+        # t1^m*t2^j and t1^-m*t2^-j, and for c = 2 also swaps them
+        for c, (k0, k1, k2, k3) in ((1, (kd, kb, kc, ka)), (2, (kc, ka, kd, kb))):
             # the chamber rule reads x's index off one entry of row 1, which m
             # raises, or minus one of row 2, which m lowers: m is one of two
-            up, down = (vals[0], vals[3]) if a == 1 else (vals[1], vals[2])
-            for m in {i - sg * v[0] for sg, v in ((1, up), (-1, down)) if v != INFINITE}:
-                shifted = (v if v == INFINITE else (v[0] + e, v[1]) for v, e in zip(vals, (m, m, -m, -m)))
+            up, down = (k0, k3) if a == 1 else (k1, k2)
+            for m in {i - sg * k[1] for sg, k in ((1, up), (-1, down)) if k[1] != INFINITE}:
+                shifted = ((k0[0] + j, k0[1] + m), (k1[0] + j, k1[1] + m),
+                           (k2[0] - j, k2[1] - m), (k3[0] - j, k3[1] - m))
                 if _chamber(*shifted) == x:
                     out[c, m] = out.get((c, m), 0) + count
     return {BasisIndex(c, m, j): n for (c, m), n in sorted(out.items())}

@@ -3,11 +3,12 @@
 import time
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hecke2d import Coeff, CoeffDivisionError, ParseError, PoleError, one_minus_qinv
+from hecke2d import Coeff, CoeffDivisionError, ParseError, PoleError, coeff, one_minus_qinv
 from hecke2d.coeff import ONE, Q, S, ZERO, CoeffError
 
 
@@ -242,3 +243,50 @@ def test_unit_monomial_products_match_the_reducing_constructor(x, k):
     for got, j in ((x * Coeff.s_power(k), k), (Coeff.s_power(k) * x, k), (x * Coeff.q_power(k), 2 * k)):
         _assert_canonical(got)
         assert got._v == shifted(j)._v
+
+
+# -- evaluation in integers ------------------------------------------------------
+
+
+def _fraction_eval(k, n, d, x, var):
+    # the Fraction-Horner evaluator that coeff._eval replaced, kept as the reference
+    def peval(a):
+        acc = Fraction(0)
+        for c in reversed(a):
+            acc = acc * x + c
+        return acc
+
+    num, den = peval(n) * x ** max(k, 0), peval(d) * x ** max(-k, 0)
+    if den == 0:
+        raise PoleError(f"denominator vanishes at {var} = {x}")
+    return num / den
+
+
+def _outcome(x: Coeff, method: str, point):
+    try:
+        value = getattr(x, method)(point)
+        return type(value), value
+    except Exception as err:  # the class and text are the outcome
+        return type(err), str(err)
+
+
+def _in_q(k: int, nums: list[int], dens: list[int]) -> Coeff:
+    # q^k * nums(q)/dens(q), written in s
+    def spread(cs):
+        return [c for x in cs for c in (x, 0)][:-1]
+
+    return _laurent(2 * k, spread(nums), spread(dens))
+
+
+EVAL_POINTS = (0, 1, -1, *range(2, 10), Fraction(1, 3), Fraction(-2, 5), Fraction(9, 4))
+
+
+@given(st.one_of(st.builds(_in_q, st.integers(-6, 6), small_polys, nonzero_polys), laurents))
+def test_integer_evaluation_matches_fraction_horner(x):
+    # values, exception classes and texts through both methods, at every point
+    for point in EVAL_POINTS:
+        for method in ("eval_at_q", "eval_at_s"):
+            got = _outcome(x, method, point)
+            with mock.patch.object(coeff, "_eval", _fraction_eval):
+                want = _outcome(x, method, point)
+            assert got == want, (str(x), point, method)

@@ -89,6 +89,15 @@ def test_mixed_moduli_rejected():
         _mono(0, 0, 1, 2) + _mono(0, 0, 1, 3)
 
 
+@pytest.mark.parametrize("exponents", [(0.5, 0), (0, 1.0), (True, 0), (0, False), ("1", 0)])
+def test_non_integer_exponents_rejected(exponents):
+    # a truncating int() would make {(0.5, 0): 1} the field's one
+    with pytest.raises(ValueError, match=r"exponents must be integers, got \("):
+        FieldElem2(3, {exponents: 1})
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        FieldElem2(3, {exponents: 3})  # refused though its coefficient vanishes mod q
+
+
 def test_parse_field_elem():
     assert parse_field_elem("t1*t2", 2) == _mono(1, 1)
     assert parse_field_elem("1+t1", 2) == _mono(0, 0) + _mono(1, 0)

@@ -16,8 +16,10 @@ The last line of each run's standard output is its JSON result.  Each
 end-to-end metric of BENCHMARK.json gets the per-seed values, the medians
 and quartiles of both sides (inclusive method), the pairs the change won
 (strictly better by the metric's direction) and the change of the medians
-in percent.  The file's claim is null; a change that claims a gain names the
-workload and metric there.
+in percent.  A change that claims a gain names its workload and metric with
+`--claim WORKLOAD/METRIC` (say `--claim oracle_count/wall_s`), which the file
+records as its claim, `{"workload": ..., "metric": ...}`; without it the
+claim is null.
 
 Standard library only.
 """
@@ -71,8 +73,18 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent, e.g. HEAD or HEAD~1")
     parser.add_argument("--change", required=True, help="one line on what the change does")
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help="the workload and end-to-end metric on which the change claims a gain")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    claim = None
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition("/")
+        if workload not in {w["name"] for w in spec["workloads"]} or \
+                metric not in {m["name"] for m in spec["end_to_end"]}:
+            parser.error(f"--claim must name a workload and an end-to-end metric of BENCHMARK.json,"
+                         f" got {args.claim!r}")
+        claim = {"workload": workload, "metric": metric}
     seconds = spec["run_seconds"]
     direction = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seeds = list(range(1, SEEDS + 1))
@@ -106,7 +118,7 @@ def main(argv=None) -> int:
                    " times are seconds at perfbench's reference speed",
         "quartiles": "inclusive method over the per-seed values; pairs_won counts seeds where the change"
                      " is better, ties for neither; per_seed lists [parent, change]",
-        "claim": None,
+        "claim": claim,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(out, indent=2) + "\n")

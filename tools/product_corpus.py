@@ -20,7 +20,10 @@ run in process, for every pair of level-0 labels on sheets 1 and 2 with
 it: one sha256 over (entry point, input, exception class, text) for each
 malformed label of a fixed grid at each label entry point, and over the exit
 code and standard error of three CLI calls with a third sheet, so a change in
-how any label is refused shows.
+how any label is refused shows.  Last comes an `evals:` line: one sha256 over
+(coefficient text, point, method, value or exception class and text) for
+`Coeff.eval_at_q` and `Coeff.eval_at_s` on a seeded grid of Laurent scalars,
+half of them in q alone, at 0, 1, -1, 2 to 9, 1/3, -2/5 and 9/4.
 
     python3 tools/product_corpus.py
 
@@ -31,13 +34,16 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hecke2d import (  # noqa: E402
+    Coeff,
     chi,
     cli,
     coeff_of_product,
@@ -133,6 +139,34 @@ def refusals():
         yield "cli", " ".join(argv), f"exit {code}: {err.getvalue()}"
 
 
+EVAL_POINTS = [0, 1, -1, *range(2, 10), Fraction(1, 3), Fraction(-2, 5), Fraction(9, 4)]
+
+
+def eval_coeffs(n: int = 400):
+    """Yield n seeded scalars s^k * num/den, every other one with even powers of s only."""
+    rng = random.Random(25)
+    for t in range(n):
+        k = rng.randrange(-6, 7)
+        num = [rng.randrange(-4, 5) for _ in range(rng.randrange(0, 5))]
+        den = [rng.randrange(-4, 5) for _ in range(rng.randrange(0, 4))] + [rng.choice([-3, -1, 1, 2])]
+        if t % 2:  # a polynomial in q = s^2
+            k, num, den = 2 * k, [c for x in num for c in (x, 0)], [c for x in den for c in (x, 0)][:-1]
+        yield Coeff((0,) * max(k, 0) + tuple(num), (0,) * max(-k, 0) + tuple(den))
+
+
+def evals():
+    """Yield (coefficient text, point, method, outcome) over the scalar grid."""
+    for x in eval_coeffs():
+        for point in EVAL_POINTS:
+            for method in ("eval_at_q", "eval_at_s"):
+                try:
+                    value = getattr(x, method)(point)
+                    outcome = f"{type(value).__name__} {value}"
+                except Exception as err:  # the class is the record
+                    outcome = f"{type(err).__name__}: {err}"
+                yield str(x), str(point), method, outcome
+
+
 def _line(x) -> bytes:
     return json.dumps(element_to_json(x), sort_keys=True).encode() + b"\n"
 
@@ -168,6 +202,11 @@ def main() -> None:
         refused.update(("\t".join(record) + "\n").encode())
         n += 1
     print(f"refusals: {n} cases, sha256 {refused.hexdigest()}")
+    evaluated, n = hashlib.sha256(), 0
+    for record in evals():
+        evaluated.update(("\t".join(record) + "\n").encode())
+        n += 1
+    print(f"evals: {n} cases, sha256 {evaluated.hexdigest()}")
 
 
 if __name__ == "__main__":
