@@ -142,10 +142,10 @@ def refusals():
 EVAL_POINTS = [0, 1, -1, *range(2, 10), Fraction(1, 3), Fraction(-2, 5), Fraction(9, 4)]
 
 
-def eval_coeffs(n: int = 400):
-    """Yield n seeded scalars s^k * num/den, every other one with even powers of s only."""
+def eval_coeffs():
+    """Yield 400 seeded scalars s^k * num/den, every other one with even powers of s only."""
     rng = random.Random(25)
-    for t in range(n):
+    for t in range(400):
         k = rng.randrange(-6, 7)
         num = [rng.randrange(-4, 5) for _ in range(rng.randrange(0, 5))]
         den = [rng.randrange(-4, 5) for _ in range(rng.randrange(0, 4))] + [rng.choice([-3, -1, 1, 2])]
