@@ -78,9 +78,12 @@ class FieldElem2:
         _check_q(q)
         self.q = q
         cleaned = {}
-        for (e1, e2), c in dict(coeffs).items():
+        for e, c in dict(coeffs).items():
+            e1, e2 = e if type(e) is tuple and len(e) == 2 else (e, None)  # a pair, or refused
             if type(e1) is not int or type(e2) is not int:  # a bool is refused too
-                raise ValueError(f"exponents must be integers, got ({e1!r}, {e2!r})")
+                raise ValueError(f"exponents must be integers, got {e!r}")
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be integers, got {c!r}")
             c %= q
             if c:
                 cleaned[e1, e2] = c

@@ -5,13 +5,13 @@ chi^(b)_{k,l} is written once per sigma-orbit, as the ordered branch records
 of _TABLE.  Pi = [[0,1],[t1,0]] normalises the Iwahori subgroup, so
 conjugation by Pi is an automorphism sigma of the algebra, chi^(a)_{m,j} ->
 chi^(a)_{-m-(a-1),-j}, which swaps phi0 and phi1.  A record names its branch
-(p1-p7, q1-q8), the factor signs it covers, and for each right sheet b its
-output terms at level j + l: a point mass at n = i + k or n = i - k whose
-q-exponent is the least of some affine forms in (i, k), or a geometric run
-between affine bounds.  A twin, the sigma-image of a written record, is
+(p1-p8, q1-q9), the factor signs it covers, and for each right sheet b its
+output terms, each at a level form in (j, l): a point mass at n = i +- k
+whose q-exponent is the least of some affine forms in (i, k), or a geometric
+run between affine bounds.  A twin, the sigma-image of a written record, is
 derived from it.  _pieces compiles the first record that matches into kernel
-pieces, each a point at n = i + tk*k or a span cut out by affine
-inequalities in (i, k, n), and two evaluators read them:
+pieces at level cj*j + cl*l, each a point at n = i + tk*k or a span cut out
+by affine inequalities in (i, k, n), and two evaluators read them:
 
 * ``_point_pair`` evaluates the pieces at integers i and k, giving one value
   or one geometric run each.  ``mul_basis`` is this evaluator on one basis
@@ -42,9 +42,9 @@ inequalities in (i, k, n), and two evaluators read them:
   it checks the sums of ``mul``, while oracle.counted_product checks the
   records themselves, exactly in q, wherever the right factor has level 0.
 
-Products vanish between strictly positive and strictly negative levels, and
-output levels add; both facts are baked into the dispatch.  Kernel pieces,
-like the strips and rows they act on, are immutable named tuples.
+All three read each output level off the pieces: the table alone says where
+a product lands.  Kernel pieces, like the strips and rows they act on, are
+immutable named tuples.
 """
 
 from __future__ import annotations
@@ -92,27 +92,29 @@ class InfiniteSupportError(ArithmeticError):
 # the product table
 #
 # One record per table branch, first match wins.  A record names its branch
-# (p1-p7 for a left factor on sheet 1, q1-q8 on sheet 2), says which factor
-# signs it covers, and lists for each right sheet b its output terms, all at
-# level j + l.  The signs are x and y, each factor's sign (its level's, or at
-# level zero its index's, with 0 counted positive), and j and l, the signs of
-# the levels.  Exponents and bounds are affine forms in (i, k), such as
-# "2i-k-1".  A branch whose exponent depends on a sign (p3, q8) has one record
-# per sign case, under one name.  Sigma negates every sign, and eight records
-# are twins, appended on the negated signs of the written record that names
-# them: p2, p3 for x < 0 < l, p5, p7, q2, q5, q8 at j = 0 (q7's twin) and q8
-# for x, y < 0.  q3 and q6 are their own images.
+# (p1-p8 for a left factor on sheet 1, q1-q9 on sheet 2), says which factor
+# signs it covers, and lists for each right sheet b its output terms, each at
+# a level form in (j, l), "j+l" unless given; p8 and q9, for levels of
+# opposite signs, have none.  The signs are x and y, each factor's sign (its
+# level's, or at level zero its index's, with 0 counted positive), and j and
+# l, the signs of the levels.  Exponents and bounds are affine forms in (i, k),
+# such as "2i-k-1".  A branch whose exponent depends on a sign (p3, q8) has one
+# record per sign case, under one name.  Sigma negates every sign, and eight
+# records are twins, appended on the negated signs of the written record that
+# names them: p2, p3 for x < 0 < l, p5, p7, q2, q5, q8 at j = 0 (q7's twin)
+# and q8 for x, y < 0.  q3, q6, p8 and q9 are their own images.
 
 Form = tuple[int, int, int]  # ci*i + ck*k + c0
 
 
-def _form(text: str) -> Form:
-    """'2i-k-1' as (2, -1, -1): the coefficients of i and of k, then the constant."""
-    acc = {"i": 0, "k": 0, "": 0}
-    for sign, digits, var in re.findall(r"([+-]?)(\d*)([ik]?)", text):
+@lru_cache(maxsize=None)  # the table's few form texts, parsed once each
+def _form(text: str, names: str = "ik") -> Form:
+    """'2i-k-1' as (2, -1, -1): the coefficients of the two names, then the constant."""
+    acc = dict.fromkeys((*names, ""), 0)
+    for sign, digits, var in re.findall(r"([+-]?)(\d*)([a-z]?)", text):
         if digits or var:
             acc[var] += int(sign + (digits or "1"))
-    return acc["i"], acc["k"], acc[""]
+    return acc[names[0]], acc[names[1]], acc[""]
 
 
 def _forms(text: str) -> tuple[Form, ...]:
@@ -124,6 +126,7 @@ class _Point(NamedTuple):
     sheet: int
     n: str  # "i+k" or "i-k"
     exps: str  # q^(the least of these forms)
+    level: str = "j+l"  # the output level, a form in the factor levels
 
 
 class _Run(NamedTuple):
@@ -132,6 +135,7 @@ class _Run(NamedTuple):
     exp: str
     lows: str  # from the greatest of these ("-inf": none)
     highs: str  # to the least of these ("inf": none)
+    level: str = "j+l"
 
 
 class _Branch(NamedTuple):
@@ -160,6 +164,7 @@ _TABLE: list[_Branch] = [
         1: (_Point(1, "i+k", "2i-1, -2k-1"), _Run(2, -2, "i-k-1", "i+k, -i-k", "i-k-1")),
         2: (_Run(1, -2, "i-k-1", "i+k+1, -i-k", "i-k-1"), _Point(2, "i+k", "2i-1, -2k-2")),
     }, "p7"),
+    _Branch("p8", 1, lambda x, j, y, l: j * l < 0, {1: (), 2: ()}),
     _Branch("q1", 2, lambda x, j, y, l: j > 0 and l > 0,
             _each(lambda b: _Run(b, -2, "i+k", "-inf", "i+k")), "q2"),
     _Branch("q3", 2, lambda x, j, y, l: l == 0 and x != y,
@@ -175,6 +180,7 @@ _TABLE: list[_Branch] = [
         1: (_Run(1, -2, "i+k", "i-k+1, -i+k", "i+k"), _Point(2, "i-k", "2i, 2k-1")),
         2: (_Point(1, "i-k", "2i, 2k"), _Run(2, -2, "i+k", "i-k, -i+k", "i+k")),
     }, "q8"),
+    _Branch("q9", 2, lambda x, j, y, l: j * l < 0, {1: (), 2: ()}),
 ]
 _TABLE += [_Branch(r.twin, r.a, lambda x, j, y, l, w=r.when: w(-x, -j, -y, -l), None)
            for r in _TABLE if r.twin]
@@ -229,12 +235,10 @@ def mul_basis(
     """Product of two basis functions: the table's pieces evaluated at (i, k)."""
     _check_perturbation(perturbation)
     (a, i, j), (b, k, l) = _label(x), _label(y)
-    if j * l < 0:
-        return HeckeElement()
     points: dict[tuple[int, int], dict[int, Coeff]] = {}
     swept: dict[tuple[int, int], list[Strip]] = {}
     signs = (1 if i >= 0 else -1, 1 if k >= 0 else -1)
-    _point_pair(_pieces(a, b, _sgn(j), _sgn(l), *signs, perturbation), i, k, None, j + l, points, swept)
+    _point_pair(_pieces(a, b, _sgn(j), _sgn(l), *signs, perturbation), i, k, None, j, l, points, swept)
     return _element(_normal_rows(points, swept))
 
 
@@ -366,7 +370,8 @@ class _Piece(NamedTuple):
     ek: int
     en: int
     scalar: Coeff
-    forms: tuple[Aff, ...] = ()  # a span's bounds on n (each cn = +-1), or a point's split window
+    forms: tuple[Aff, ...]  # a span's bounds on n (each cn = +-1), or a point's split window
+    level: tuple[int, int]  # (cj, cl): the output level is cj*j + cl*l
 
 
 def _reflect(piece: _Piece, a: int, b: int) -> _Piece:
@@ -377,7 +382,7 @@ def _reflect(piece: _Piece, a: int, b: int) -> _Piece:
         return (-f[0], -f[1], -f[2], -sum(u * v for u, v in zip(f, shift)))
     forms = tuple(sorted(map(at, piece.forms), key=lambda f: -f[2]))
     ei, ek, en, e = at((piece.ei, piece.ek, piece.en, 0))
-    return _Piece(piece.sheet, piece.tk, ei, ek, en, piece.scalar * Coeff.s_power(e), forms)
+    return _Piece(piece.sheet, piece.tk, ei, ek, en, piece.scalar * Coeff.s_power(e), forms, piece.level)
 
 
 def _split(f1: Form, f2: Form, tk: int) -> tuple[tuple[Aff], tuple[Aff]]:
@@ -415,19 +420,20 @@ def _pieces(
     name, sheet, old, new = _MUTATIONS.get(perturbation, ("", 0, "", ""))
     pieces: list[_Piece] = []
     for t in rec.out[b]:
+        level = _form(t.level, "jl")[:2]
         if isinstance(t, _Run):
             ci, ck, c0 = _form(t.exp)
             lows = ((-u, -v, 1, -w) for u, v, w in _forms(t.lows))
             forms = (*lows, *((u, v, -1, w) for u, v, w in _forms(t.highs)))
             scalar = one_minus_qinv() * Coeff.q_power(c0)
-            pieces.append(_Piece(t.sheet, None, 2 * ci, 2 * ck, t.step, scalar, forms))
+            pieces.append(_Piece(t.sheet, None, 2 * ci, 2 * ck, t.step, scalar, forms, level))
             continue
         tk, exps = _form(t.n)[1], _forms(t.exps)
         if (rec.name, b) == (name, sheet):
             exps = tuple(_form(new) if f == _form(old) else f for f in exps)
         windows = _split(*exps, tk) if len(exps) == 2 else ((),)
         for (ci, ck, c0), window in zip(exps, windows):
-            pieces.append(_Piece(t.sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), window))
+            pieces.append(_Piece(t.sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), window, level))
     return tuple(pieces)
 
 
@@ -592,9 +598,9 @@ def _strip_pair(piece: _Piece, sx: Strip, sy: Strip, out: list) -> None:
 
 
 def _point_pair(
-    pieces: tuple, i: int, k: int, c: Optional[Coeff], j: int, points: dict, swept: dict
+    pieces: tuple, i: int, k: int, c: Optional[Coeff], j: int, l: int, points: dict, swept: dict
 ) -> None:
-    """Each piece at the integers i and k, times c (None for 1), into level j.
+    """Each piece at the integers i and k, times c (None for 1), into its level at (j, l).
 
     A point piece adds one value at n = i + tk*k inside its window; a span
     adds a geometric run between its forms' bounds on n at (i, k).
@@ -616,8 +622,9 @@ def _point_pair(
         elif lo > hi:
             continue
         w = piece.scalar if c is None else piece.scalar * c
-        e = piece.ei * i + piece.ek * k
-        _add_run(points, swept, (piece.sheet, j), lo, hi, piece.en, w * Coeff.s_power(e) if e else w)
+        e, (cj, cl) = piece.ei * i + piece.ek * k, piece.level
+        _add_run(points, swept, (piece.sheet, cj * j + cl * l), lo, hi, piece.en,
+                 w * Coeff.s_power(e) if e else w)
 
 
 def _sgn(v: int) -> int:
@@ -631,25 +638,25 @@ def mul(
     _check_perturbation(perturbation)
     points: dict[tuple[int, int], dict[int, Coeff]] = {}
     swept: dict[tuple[int, int], list[Strip]] = {}
-    for kx, rx in x.rows:
-        for ky, ry in y.rows:
-            j, l = kx.j, ky.j
-            if j * l < 0:
-                continue
+    for (a, j), rx in x.rows:
+        for (b, l), ry in y.rows:
+            js, ls = _sgn(j), _sgn(l)
             for sx in rx.strips:
+                xlo = sx.lo  # level-0 strips are points; the table splits them by index sign
+                isg, x_point = 1 if xlo >= 0 else -1, xlo == sx.hi
                 for sy in ry.strips:
-                    # level-0 strips are points; the table splits them by index sign
-                    signs = (1 if sx.lo >= 0 else -1, 1 if sy.lo >= 0 else -1)
-                    pieces = _pieces(kx.a, ky.a, _sgn(j), _sgn(l), *signs, perturbation)
-                    if sx.lo == sx.hi and sy.lo == sy.hi:
-                        c = sx.terms[0].poly[0] * sy.terms[0].poly[0]  # element._point
-                        _point_pair(pieces, sx.lo, sy.lo, c, j + l, points, swept)
+                    pieces = _pieces(a, b, js, ls, isg, 1 if sy.lo >= 0 else -1, perturbation)
+                    if not pieces:
                         continue
-                    emitted: list = []
+                    if x_point and sy.lo == sy.hi:
+                        c = sx.terms[0].poly[0] * sy.terms[0].poly[0]  # element._point
+                        _point_pair(pieces, xlo, sy.lo, c, j, l, points, swept)
+                        continue
                     for piece in pieces:
+                        emitted, (cj, cl) = [], piece.level
                         _strip_pair(piece, sx, sy, emitted)
-                    for sheet, lo, hi, st in emitted:
-                        swept.setdefault((sheet, j + l), []).append(Strip(lo, hi, st))
+                        for sheet, lo, hi, st in emitted:
+                            swept.setdefault((sheet, cj * j + cl * l), []).append(Strip(lo, hi, st))
     return _element(_normal_rows(points, swept))
 
 
@@ -658,7 +665,7 @@ def mul(
 
 
 @lru_cache(maxsize=65536)
-def _basis_product(xt: BasisIndex, yt: BasisIndex) -> HeckeElement:
+def _basis_product(xt: tuple, yt: tuple) -> HeckeElement:
     return mul_basis(xt, yt)
 
 
@@ -686,23 +693,29 @@ def _pair_windows(j: int, l: int, sx: Strip, sy: Strip, n: int):
                 yield i, k
 
 
+@lru_cache(maxsize=4096)
+def _levels(kx: tuple, ky: tuple) -> frozenset:
+    """The output levels that the records of rows kx = (a, j) and ky = (b, l) reach."""
+    (a, j), (b, l) = kx, ky
+    return frozenset(p.level[0] * j + p.level[1] * l for isg in (1, -1) for ksg in (1, -1)
+                     for p in _pieces(a, b, _sgn(j), _sgn(l), isg, ksg, None))
+
+
 def coeff_of_product(
     x: HeckeElement, y: HeckeElement, target: Union[BasisIndex, tuple]
 ) -> Coeff:
     """One coefficient of x*y, summed pointwise over contributing basis pairs."""
-    t = _label(target)
+    ta, n, tj = _label(target)
     total = ZERO
     for kx, rx in x.rows:
         for ky, ry in y.rows:
-            j, l = kx.j, ky.j
-            if j + l != t.j or j * l < 0:
+            if tj not in _levels(kx, ky):
                 continue
+            (a, j), (b, l) = kx, ky
             for sx in rx.strips:
                 for sy in ry.strips:
-                    for i, k in _pair_windows(j, l, sx, sy, t.i):
-                        w = _basis_product(
-                            BasisIndex(kx.a, i, j), BasisIndex(ky.a, k, l)
-                        ).coefficient_at((t.a, t.j), t.i)
+                    for i, k in _pair_windows(j, l, sx, sy, n):
+                        w = _basis_product((a, i, j), (b, k, l)).coefficient_at((ta, tj), n)
                         if w.is_zero():
                             continue
                         cx = sx.value_at(i)

@@ -274,7 +274,7 @@ def _suite_subalgebra(report: Report, p: _Params) -> None:
         zero_element(),
         mul(gens["theta(0,-1)"], gens["theta(0,1)"]),
     )
-    seen: set[BasisIndex] = set()
+    seen: set[HeckeElement] = set()
     grid = [
         (i, j)
         for i in range(-2, 3)
@@ -285,12 +285,12 @@ def _suite_subalgebra(report: Report, p: _Params) -> None:
         e = theta_monomial(i, j)
         want = chi(1, i, j).scale(Coeff.q_power(-(i + j - 1)))
         report.equal(f"monomial image ({i},{j})", want, e)
-        seen.add(BasisIndex(1, i, j))
+        seen.add(e)
     report.record(
         "monomial images pairwise distinct",
         len(seen) == len(grid),
-        f"{len(grid)} distinct labels",
-        f"{len(seen)} distinct labels",
+        f"{len(grid)} distinct images",
+        f"{len(seen)} distinct images",
     )
 
 

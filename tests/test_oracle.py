@@ -98,6 +98,19 @@ def test_non_integer_exponents_rejected(exponents):
         FieldElem2(3, {exponents: 3})  # refused though its coefficient vanishes mod q
 
 
+@pytest.mark.parametrize("c", [1.5, 3.0, True, False, Fraction(1, 1), "1"])
+def test_non_integer_coefficients_rejected(c):
+    # one int test per term: floats, bools and Fractions equal to integers alike
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        FieldElem2(3, {(0, 0): c})
+
+
+@pytest.mark.parametrize("key", [5, None, (0,), (0, 0, 0)])
+def test_exponent_keys_that_are_not_pairs_rejected(key):
+    with pytest.raises(ValueError, match="exponents must be integers, got "):
+        FieldElem2(3, {key: 1})
+
+
 def test_parse_field_elem():
     assert parse_field_elem("t1*t2", 2) == _mono(1, 1)
     assert parse_field_elem("1+t1", 2) == _mono(0, 0) + _mono(1, 0)

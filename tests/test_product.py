@@ -334,7 +334,7 @@ def test_engine_matches_point_kernel_on_point_strips():
                         for pieces in kernels:
                             engine, points, swept = [], {}, {}
                             _engine(pieces, sx, sy, engine)
-                            _point_pair(pieces, i, k, cx * cy, js + ls, points, swept)
+                            _point_pair(pieces, i, k, cx * cy, js, ls, points, swept)
                             kernel = {key.a: row.strips for key, row in _normal_rows(points, swept)}
                             assert _rows(engine) == kernel, (a, b, js, ls, i, k, pieces)
                             checked += bool(points or swept)
@@ -574,6 +574,26 @@ def test_memoised_pieces_keep_perturbations_apart():
     assert got[None] != got["flip-1e"]
 
 
+_SIGNATURES = list(itertools.product((-1, 0, 1), (-1, 0, 1), (-1, 1), (-1, 1)))
+
+
+def test_every_signature_has_a_record_and_opposite_levels_have_empty_ones():
+    # (js, ls, isg, ksg) on either left sheet; p8 and q9 state the zero product
+    for a in (1, 2):
+        for js, ls, isg, ksg in _SIGNATURES:
+            rec = product._record(a, js, ls, isg, ksg)
+            assert (rec.name in ("p8", "q9")) == (js * ls < 0), (a, js, ls, isg, ksg, rec.name)
+            if js * ls < 0:
+                assert rec.name == ("p8" if a == 1 else "q9")
+                assert all(_pieces(a, b, js, ls, isg, ksg, p) == () for b in (1, 2) for p in PERTURBATIONS)
+
+
+def test_every_compiled_piece_lands_at_level_j_plus_l():
+    levels = {piece.level for a, b in itertools.product((1, 2), repeat=2) for p in PERTURBATIONS
+              for sig in _SIGNATURES for piece in _pieces(a, b, *sig, p)}
+    assert levels == {(1, 1)}
+
+
 def _instances(rec, ls):
     # the pairs |i|,|k| <= 2, j in {0, +-1}, l in ls whose product reads rec
     for b, i, j, k, l in itertools.product((1, 2), range(-2, 3), (-1, 0, 1), range(-2, 3), ls):
@@ -630,7 +650,8 @@ def test_counting_catches_a_shifted_exponent_in_every_record_it_reaches():
             assert all(caught), (rec.name, b, term)
     assert reached == {"p1", "p2", "p4", "p5", "p6", "p7", "q3", "q4", "q5", "q8"}
     # no level-0 right factor reaches these: a shifted exponent there goes uncounted
-    assert unreached - reached == {"p3", "q1", "q2", "q6", "q7"}
+    # (p8 and q9, at opposite levels, have no terms to shift)
+    assert unreached - reached == {"p3", "p8", "q1", "q2", "q6", "q7", "q9"}
 
 
 def _frozen(name, x, y):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hecke2d import SUITES, mul, run_suite
+from hecke2d import SUITES, iota, mul, run_suite, suites
 from hecke2d.suites import Report
 from hecke2d.text import parse_element
 
@@ -35,6 +35,16 @@ def test_report_shape():
     assert blob["suite"] == "subalgebra"
     assert blob["cases"] == report.cases
     assert blob["failures"] == []
+
+
+def test_subalgebra_catches_monomial_images_that_coincide(monkeypatch):
+    # every (i, j) sent to iota: the images are all equal, so the distinctness
+    # check must fail too, not only the image checks
+    monkeypatch.setattr(suites, "theta_monomial", lambda i, j: iota())
+    report = run_suite("subalgebra")
+    failed = [case for case, _, _ in report.failures]
+    assert "monomial images pairwise distinct" in failed
+    assert len(failed) == 13
 
 
 def test_passing_suites_small_bounds():

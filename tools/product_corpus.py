@@ -20,10 +20,15 @@ run in process, for every pair of level-0 labels on sheets 1 and 2 with
 it: one sha256 over (entry point, input, exception class, text) for each
 malformed label of a fixed grid at each label entry point, and over the exit
 code and standard error of three CLI calls with a third sheet, so a change in
-how any label is refused shows.  Last comes an `evals:` line: one sha256 over
+how any label is refused shows.  Then comes an `evals:` line: one sha256 over
 (coefficient text, point, method, value or exception class and text) for
 `Coeff.eval_at_q` and `Coeff.eval_at_s` on a seeded grid of Laurent scalars,
-half of them in q alone, at 0, 1, -1, 2 to 9, 1/3, -2/5 and 9/4.
+half of them in q alone, at 0, 1, -1, 2 to 9, 1/3, -2/5 and 9/4.  A
+`basis:` line comes last: one sha256 over `mul_basis` on every pair of
+labels on sheets 1 and 2 with |i|, |k| <= 3 and |j|, |l| <= 2, then over
+`coeff_of_product` of every ordered pair of the atom pool at each target of
+a fixed grid (sheets 1 and 2, levels and indices -4 to 4), so the table
+route and the per-coefficient route are compared directly.
 
     python3 tools/product_corpus.py
 
@@ -167,6 +172,22 @@ def evals():
                 yield str(x), str(point), method, outcome
 
 
+BASIS_LABELS = [(a, i, j) for a in (1, 2) for i in range(-3, 4) for j in range(-2, 3)]
+TARGETS = [(a, i, j) for a in (1, 2) for j in range(-4, 5) for i in range(-4, 5)]
+
+
+def basis_lines():
+    """Yield each basis-pair product's JSON line, then each pool pair's
+    coefficients at the target grid, one text line per pair."""
+    for x in BASIS_LABELS:
+        for y in BASIS_LABELS:
+            yield _line(mul_basis(x, y))
+    atoms = [x for _, x in _atom_pool()]
+    for x in atoms:
+        for y in atoms:
+            yield (" ".join(str(coeff_of_product(x, y, t)) for t in TARGETS) + "\n").encode()
+
+
 def _line(x) -> bytes:
     return json.dumps(element_to_json(x), sort_keys=True).encode() + b"\n"
 
@@ -207,6 +228,11 @@ def main() -> None:
         evaluated.update(("\t".join(record) + "\n").encode())
         n += 1
     print(f"evals: {n} cases, sha256 {evaluated.hexdigest()}")
+    based, n = hashlib.sha256(), 0
+    for line in basis_lines():
+        based.update(line)
+        n += 1
+    print(f"basis: {n} lines, sha256 {based.hexdigest()}")
 
 
 if __name__ == "__main__":
