@@ -6,12 +6,12 @@ of _TABLE.  Pi = [[0,1],[t1,0]] normalises the Iwahori subgroup, so
 conjugation by Pi is an automorphism sigma of the algebra, chi^(a)_{m,j} ->
 chi^(a)_{-m-(a-1),-j}, which swaps phi0 and phi1.  A record names its branch
 (p1-p8, q1-q9), the factor signs it covers, and for each right sheet b its
-output terms, each at a level form in (j, l): a point mass at n = i +- k
-whose q-exponent is the least of some affine forms in (i, k), or a geometric
-run between affine bounds.  A twin, the sigma-image of a written record, is
+output terms at level j + l: a point mass at n = i + k or n = i - k whose
+q-exponent is the least of some affine forms in (i, k), or a geometric run
+between affine bounds.  A twin, the sigma-image of a written record, is
 derived from it.  _pieces compiles the first record that matches into kernel
-pieces at level cj*j + cl*l, each a point at n = i + tk*k or a span cut out
-by affine inequalities in (i, k, n), and two evaluators read them:
+pieces, each a point at n = i + tk*k or a span cut out by affine
+inequalities in (i, k, n), and two evaluators read them:
 
 * ``_point_pair`` evaluates the pieces at integers i and k, giving one value
   or one geometric run each.  ``mul_basis`` is this evaluator on one basis
@@ -42,9 +42,10 @@ by affine inequalities in (i, k, n), and two evaluators read them:
   it checks the sums of ``mul``, while oracle.counted_product checks the
   records themselves, exactly in q, wherever the right factor has level 0.
 
-All three read each output level off the pieces: the table alone says where
-a product lands.  Kernel pieces, like the strips and rows they act on, are
-immutable named tuples.
+Output levels add.  Products vanish between strictly positive and strictly
+negative levels: the records p8 and q9 say so with no terms, and ``mul`` and
+``coeff_of_product`` skip a strip pair whose pieces are empty.  Kernel
+pieces, like the strips and rows they act on, are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -93,28 +94,27 @@ class InfiniteSupportError(ArithmeticError):
 #
 # One record per table branch, first match wins.  A record names its branch
 # (p1-p8 for a left factor on sheet 1, q1-q9 on sheet 2), says which factor
-# signs it covers, and lists for each right sheet b its output terms, each at
-# a level form in (j, l), "j+l" unless given; p8 and q9, for levels of
-# opposite signs, have none.  The signs are x and y, each factor's sign (its
-# level's, or at level zero its index's, with 0 counted positive), and j and
-# l, the signs of the levels.  Exponents and bounds are affine forms in (i, k),
-# such as "2i-k-1".  A branch whose exponent depends on a sign (p3, q8) has one
-# record per sign case, under one name.  Sigma negates every sign, and eight
-# records are twins, appended on the negated signs of the written record that
-# names them: p2, p3 for x < 0 < l, p5, p7, q2, q5, q8 at j = 0 (q7's twin)
-# and q8 for x, y < 0.  q3, q6, p8 and q9 are their own images.
+# signs it covers, and lists for each right sheet b its output terms, all at
+# level j + l; p8 and q9, for levels of opposite signs, have none.  The signs
+# are x and y, each factor's sign (its level's, or at level zero its index's,
+# with 0 counted positive), and j and l, the signs of the levels.  Exponents
+# and bounds are affine forms in (i, k), such as "2i-k-1".  A branch whose
+# exponent depends on a sign (p3, q8) has one record per sign case, under one
+# name.  Sigma negates every sign, and eight records are twins, appended on the
+# negated signs of the written record that names them: p2, p3 for x < 0 < l,
+# p5, p7, q2, q5, q8 at j = 0 (q7's twin) and q8 for x, y < 0.  q3, q6, p8 and
+# q9 are their own images.
 
 Form = tuple[int, int, int]  # ci*i + ck*k + c0
 
 
-@lru_cache(maxsize=None)  # the table's few form texts, parsed once each
-def _form(text: str, names: str = "ik") -> Form:
-    """'2i-k-1' as (2, -1, -1): the coefficients of the two names, then the constant."""
-    acc = dict.fromkeys((*names, ""), 0)
-    for sign, digits, var in re.findall(r"([+-]?)(\d*)([a-z]?)", text):
+def _form(text: str) -> Form:
+    """'2i-k-1' as (2, -1, -1): the coefficients of i and of k, then the constant."""
+    acc = {"i": 0, "k": 0, "": 0}
+    for sign, digits, var in re.findall(r"([+-]?)(\d*)([ik]?)", text):
         if digits or var:
             acc[var] += int(sign + (digits or "1"))
-    return acc[names[0]], acc[names[1]], acc[""]
+    return acc["i"], acc["k"], acc[""]
 
 
 def _forms(text: str) -> tuple[Form, ...]:
@@ -126,7 +126,6 @@ class _Point(NamedTuple):
     sheet: int
     n: str  # "i+k" or "i-k"
     exps: str  # q^(the least of these forms)
-    level: str = "j+l"  # the output level, a form in the factor levels
 
 
 class _Run(NamedTuple):
@@ -135,7 +134,6 @@ class _Run(NamedTuple):
     exp: str
     lows: str  # from the greatest of these ("-inf": none)
     highs: str  # to the least of these ("inf": none)
-    level: str = "j+l"
 
 
 class _Branch(NamedTuple):
@@ -238,7 +236,7 @@ def mul_basis(
     points: dict[tuple[int, int], dict[int, Coeff]] = {}
     swept: dict[tuple[int, int], list[Strip]] = {}
     signs = (1 if i >= 0 else -1, 1 if k >= 0 else -1)
-    _point_pair(_pieces(a, b, _sgn(j), _sgn(l), *signs, perturbation), i, k, None, j, l, points, swept)
+    _point_pair(_pieces(a, b, _sgn(j), _sgn(l), *signs, perturbation), i, k, None, j + l, points, swept)
     return _element(_normal_rows(points, swept))
 
 
@@ -370,8 +368,7 @@ class _Piece(NamedTuple):
     ek: int
     en: int
     scalar: Coeff
-    forms: tuple[Aff, ...]  # a span's bounds on n (each cn = +-1), or a point's split window
-    level: tuple[int, int]  # (cj, cl): the output level is cj*j + cl*l
+    forms: tuple[Aff, ...] = ()  # a span's bounds on n (each cn = +-1), or a point's split window
 
 
 def _reflect(piece: _Piece, a: int, b: int) -> _Piece:
@@ -382,7 +379,7 @@ def _reflect(piece: _Piece, a: int, b: int) -> _Piece:
         return (-f[0], -f[1], -f[2], -sum(u * v for u, v in zip(f, shift)))
     forms = tuple(sorted(map(at, piece.forms), key=lambda f: -f[2]))
     ei, ek, en, e = at((piece.ei, piece.ek, piece.en, 0))
-    return _Piece(piece.sheet, piece.tk, ei, ek, en, piece.scalar * Coeff.s_power(e), forms, piece.level)
+    return _Piece(piece.sheet, piece.tk, ei, ek, en, piece.scalar * Coeff.s_power(e), forms)
 
 
 def _split(f1: Form, f2: Form, tk: int) -> tuple[tuple[Aff], tuple[Aff]]:
@@ -420,20 +417,19 @@ def _pieces(
     name, sheet, old, new = _MUTATIONS.get(perturbation, ("", 0, "", ""))
     pieces: list[_Piece] = []
     for t in rec.out[b]:
-        level = _form(t.level, "jl")[:2]
         if isinstance(t, _Run):
             ci, ck, c0 = _form(t.exp)
             lows = ((-u, -v, 1, -w) for u, v, w in _forms(t.lows))
             forms = (*lows, *((u, v, -1, w) for u, v, w in _forms(t.highs)))
             scalar = one_minus_qinv() * Coeff.q_power(c0)
-            pieces.append(_Piece(t.sheet, None, 2 * ci, 2 * ck, t.step, scalar, forms, level))
+            pieces.append(_Piece(t.sheet, None, 2 * ci, 2 * ck, t.step, scalar, forms))
             continue
         tk, exps = _form(t.n)[1], _forms(t.exps)
         if (rec.name, b) == (name, sheet):
             exps = tuple(_form(new) if f == _form(old) else f for f in exps)
         windows = _split(*exps, tk) if len(exps) == 2 else ((),)
         for (ci, ck, c0), window in zip(exps, windows):
-            pieces.append(_Piece(t.sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), window, level))
+            pieces.append(_Piece(t.sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), window))
     return tuple(pieces)
 
 
@@ -598,9 +594,9 @@ def _strip_pair(piece: _Piece, sx: Strip, sy: Strip, out: list) -> None:
 
 
 def _point_pair(
-    pieces: tuple, i: int, k: int, c: Optional[Coeff], j: int, l: int, points: dict, swept: dict
+    pieces: tuple, i: int, k: int, c: Optional[Coeff], j: int, points: dict, swept: dict
 ) -> None:
-    """Each piece at the integers i and k, times c (None for 1), into its level at (j, l).
+    """Each piece at the integers i and k, times c (None for 1), into level j.
 
     A point piece adds one value at n = i + tk*k inside its window; a span
     adds a geometric run between its forms' bounds on n at (i, k).
@@ -622,9 +618,8 @@ def _point_pair(
         elif lo > hi:
             continue
         w = piece.scalar if c is None else piece.scalar * c
-        e, (cj, cl) = piece.ei * i + piece.ek * k, piece.level
-        _add_run(points, swept, (piece.sheet, cj * j + cl * l), lo, hi, piece.en,
-                 w * Coeff.s_power(e) if e else w)
+        e = piece.ei * i + piece.ek * k
+        _add_run(points, swept, (piece.sheet, j), lo, hi, piece.en, w * Coeff.s_power(e) if e else w)
 
 
 def _sgn(v: int) -> int:
@@ -650,13 +645,13 @@ def mul(
                         continue
                     if x_point and sy.lo == sy.hi:
                         c = sx.terms[0].poly[0] * sy.terms[0].poly[0]  # element._point
-                        _point_pair(pieces, xlo, sy.lo, c, j, l, points, swept)
+                        _point_pair(pieces, xlo, sy.lo, c, j + l, points, swept)
                         continue
+                    emitted: list = []
                     for piece in pieces:
-                        emitted, (cj, cl) = [], piece.level
                         _strip_pair(piece, sx, sy, emitted)
-                        for sheet, lo, hi, st in emitted:
-                            swept.setdefault((sheet, cj * j + cl * l), []).append(Strip(lo, hi, st))
+                    for sheet, lo, hi, st in emitted:
+                        swept.setdefault((sheet, j + l), []).append(Strip(lo, hi, st))
     return _element(_normal_rows(points, swept))
 
 
@@ -693,27 +688,21 @@ def _pair_windows(j: int, l: int, sx: Strip, sy: Strip, n: int):
                 yield i, k
 
 
-@lru_cache(maxsize=4096)
-def _levels(kx: tuple, ky: tuple) -> frozenset:
-    """The output levels that the records of rows kx = (a, j) and ky = (b, l) reach."""
-    (a, j), (b, l) = kx, ky
-    return frozenset(p.level[0] * j + p.level[1] * l for isg in (1, -1) for ksg in (1, -1)
-                     for p in _pieces(a, b, _sgn(j), _sgn(l), isg, ksg, None))
-
-
 def coeff_of_product(
     x: HeckeElement, y: HeckeElement, target: Union[BasisIndex, tuple]
 ) -> Coeff:
     """One coefficient of x*y, summed pointwise over contributing basis pairs."""
     ta, n, tj = _label(target)
     total = ZERO
-    for kx, rx in x.rows:
-        for ky, ry in y.rows:
-            if tj not in _levels(kx, ky):
+    for (a, j), rx in x.rows:
+        for (b, l), ry in y.rows:
+            if j + l != tj:
                 continue
-            (a, j), (b, l) = kx, ky
+            js, ls = _sgn(j), _sgn(l)
             for sx in rx.strips:
                 for sy in ry.strips:
+                    if not _pieces(a, b, js, ls, 1 if sx.lo >= 0 else -1, 1 if sy.lo >= 0 else -1, None):
+                        continue  # as in mul: p8 and q9, at levels of opposite signs, have none
                     for i, k in _pair_windows(j, l, sx, sy, n):
                         w = _basis_product((a, i, j), (b, k, l)).coefficient_at((ta, tj), n)
                         if w.is_zero():
