@@ -161,6 +161,13 @@ def _ppow(a: tuple[int, ...], e: int) -> tuple[int, ...]:
     return out
 
 
+def _exact(x: Union[int, Fraction], var: str) -> Fraction:
+    """x as a Fraction; a float (inexact) or a bool (a truth value) is refused."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{var} must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
+
+
 def _eval(k: int, n: tuple[int, ...], d: tuple[int, ...], x: Fraction, var: str) -> Fraction:
     """var^k * n/d at var = x = p/r, in integers: Horner on p carrying powers of r gives
     r^e * a(p/r) for a of degree e, ending on r^(e+1); var^k moves p^k over r^k."""
@@ -388,7 +395,7 @@ class Coeff:
     # -- evaluation ---------------------------------------------------------
 
     def eval_at_s(self, s0: Union[int, Fraction]) -> Fraction:
-        return _eval(*self._v, Fraction(s0), "s")
+        return _eval(*self._v, _exact(s0, "s"), "s")
 
     def eval_at_q(self, q0: Union[int, Fraction]) -> Fraction:
         """Evaluate at a numeric value of q = s^2.
@@ -396,7 +403,7 @@ class Coeff:
         When only even powers of s occur the substitution is direct and any
         q0 != 0 works; otherwise q0 must have an exact rational square root.
         """
-        q0 = Fraction(q0)
+        q0 = _exact(q0, "q")
         k, n, d = self._v
         if k % 2 == 0 and not any(n[1::2]) and not any(d[1::2]):
             return _eval(k // 2, n[::2], d[::2], q0, "q")

@@ -18,9 +18,10 @@ inequalities in (i, k, n), and two evaluators read them:
   pair, and ``mul`` uses it for every pair of point masses.
 
 * ``mul`` extends the table bilinearly to whole strip rows.  One routine,
-  ``_strip_pair``, serves every pair with a ray: it puts in a point mass's
-  index, lets a point piece's n = i + tk*k fix one more index, and sums what
-  is left, the inner index k first, then the outer index i.  A product row
+  ``_strip_pair``, serves every pair with a ray.  One substitution fixes
+  indices: it pins a point mass's index at its value, and it solves a point
+  piece's n = i + tk*k for one more index.  What is left is summed, the
+  inner index k first, then the outer index i.  A product row
   that is one ray is kept as it is, without the sweep.  What is summed is
   one dict {(ei, ek, en, di, dk, dn): c}, the sum of the terms
   c * s^(ei*i + ek*k + en*n) * i^di * k^dk * n^dn; putting an affine form in
@@ -294,7 +295,7 @@ def _put(p: _Poly, var: int, aff: Aff) -> _Poly:
         if alpha * aff[3]:
             c = c * Coeff.s_power(alpha * aff[3])
         for (a, b, n), m in pows[key[3 + var]].items():
-            _acc(out, (e[0], e[1], e[2], e[3] + a, e[4] + b, e[5] + n), c * m)
+            _acc(out, (e[0], e[1], e[2], e[3] + a, e[4] + b, e[5] + n), c if m == 1 else c * m)
     return out
 
 
@@ -504,11 +505,11 @@ def _summand(piece: _Piece, sx: Strip, sy: Strip) -> _Poly:
     """The strip pair's terms times the piece's kernel, in (i, k, n)."""
     out: _Poly = {}
     for ex, px in sx.terms:
-        for ey, py in sy.terms:
-            for di, cx in enumerate(px):
+        for di, w in enumerate([piece.scalar * cx for cx in px]):  # the scalar is never 0
+            for ey, py in sy.terms:
                 for dk, cy in enumerate(py):
-                    if cx and cy:
-                        out[ex + piece.ei, ey + piece.ek, piece.en, di, dk, 0] = piece.scalar * cx * cy
+                    if w and cy:
+                        out[ex + piece.ei, ey + piece.ek, piece.en, di, dk, 0] = w * cy
     return out
 
 
@@ -561,30 +562,21 @@ def _sum(terms: _Poly, indices: list[int], forms: list[Aff], sheet: int, out: li
 def _strip_pair(piece: _Piece, sx: Strip, sy: Strip, out: list) -> None:
     """One piece over a strip pair with a ray, as output strips into out.
 
-    A point mass puts in its index p: its value, s^(e*p) and the piece's
-    scalar fold into one Coeff that scales the other strip's terms.  A point
-    piece's n = i + tk*k then fixes one more index, k = tk*(n - i), or
-    i = n - tk*k when k is pinned, and _sum sums what is left, k first.
+    The summand and every form are built over (i, k, n).  A point mass's
+    index is pinned by the same substitution, _put and _subst, that then
+    solves a point piece's n = i + tk*k for one more index: k = tk*(n - i),
+    or i = n - tk*k when k is pinned.  _sum sums what is left, k first.
     """
+    terms, indices = _summand(piece, sx, sy), [_K, _I]
+    forms = [*piece.forms, *_limits(sx, _I), *_limits(sy, _K)]
     rel = None if piece.tk is None else (1, piece.tk, -1, 0)  # i + tk*k - n = 0
-    if sx.lo != sx.hi and sy.lo != sy.hi:
-        indices, terms = [_K, _I], _summand(piece, sx, sy)
-        forms = [*piece.forms, *_limits(sx, _I), *_limits(sy, _K)]
-    else:
-        var, pin, point, ray = (_I, _K, sy, sx) if sy.lo == sy.hi else (_K, _I, sx, sy)
-        indices, key = [var], [piece.ei, piece.ek, piece.en, 0, 0, 0]
-        e, key[pin], at = key[pin] * point.lo, 0, (0, 0, 0, point.lo)
-        w = piece.scalar * point.terms[0].poly[0]  # see element._point
-        w = w * Coeff.s_power(e) if e else w
-        terms, step = {}, key[var]
-        for er, poly in ray.terms:
-            key[var] = step + er
-            for d, c in enumerate(poly):
-                if c:
-                    key[3 + var] = d
-                    terms[tuple(key)] = c * w
-        forms = [_subst(f, pin, at) for f in piece.forms] + _limits(ray, var)
-        rel = rel and _subst(rel, pin, at)
+    for var, s in ((_I, sx), (_K, sy)):
+        if s.lo == s.hi:  # a point mass at p: put in var = p
+            indices.remove(var)
+            at = (0, 0, 0, s.lo)
+            terms = _put(terms, var, at)
+            forms = [_subst(f, var, at) for f in forms]
+            rel = rel and _subst(rel, var, at)
     if rel:  # solve for k, or for i when k is pinned (its coefficient is +-1)
         var = indices.pop(0)
         at = _bound(rel, var)  # rel >= 0 bounds var by exactly its value at rel = 0

@@ -104,6 +104,14 @@ def test_eval_at_q():
         (ONE / (Q - ONE)).eval_at_q(1)
 
 
+@pytest.mark.parametrize("method", ["eval_at_q", "eval_at_s"])
+@pytest.mark.parametrize("point", [0.1, 2.0, True, False])
+def test_eval_refuses_a_float_or_bool_point(method, point):
+    # Fraction(0.1) is the binary float, not 1/10, and True would stand for 1
+    with pytest.raises(ValueError, match="must be an int or a Fraction, got "):
+        getattr(Q - ONE, method)(point)
+
+
 @given(coeffs, st.integers(2, 9))
 def test_eval_is_multiplicative(a, q0):
     try:

@@ -14,6 +14,7 @@ from hecke2d import (
     FieldElem2,
     LocalFieldMatrix,
     ShapeError,
+    WeylElement,
     chi,
     classify,
     coeff_of_product,
@@ -22,6 +23,8 @@ from hecke2d import (
     oracle,
     product_counts,
     valuation,
+    weyl_mul,
+    zero_element,
 )
 from hecke2d.oracle import (
     INFINITE,
@@ -334,6 +337,55 @@ def test_counts_match_the_table_for_every_q():
                     assert oracle.counted_product(x, y) == mul_basis(x, y), (x, y)
                     checked += 1
     assert checked == 676 + 1296
+
+
+def _inverse(t):
+    # the label of g^-1 for g in the double coset t: (1, i, j)^-1 = (1, -i, -j), (2, i, j)^-1 = (2, i, j)
+    a, i, j = t
+    return BasisIndex(1, -i, -j) if a == 1 else BasisIndex(2, i, j)
+
+
+def test_counting_a_level_zero_left_factor_agrees_with_the_table_on_level():
+    """chi_x * chi_y for x at level 0 and y at level l, counted as chi_{y^-1} * chi_{x^-1}
+    with each target t read at t^-1.  This assumes the Haar measure is invariant under
+    inversion, so that f -> f(g^-1) reverses products and keeps the 1/q normalisation
+    of the left-coset and right-coset sums.  Only the level-l part is compared: the
+    mass counting puts off level (on sheet 3 - b, at level -l) is not in the table."""
+    checked = 0
+    for a, b in itertools.product((1, 2), repeat=2):
+        for i, k in itertools.product(range(-2, 3), repeat=2):
+            for l in (-2, -1, 1, 2):
+                x, y = BasisIndex(a, i, 0), BasisIndex(b, k, l)
+                on_level = zero_element()
+                for (c, j), row in oracle.counted_product(_inverse(y), _inverse(x)).rows:
+                    for point in row.strips:  # counted rows are point masses
+                        t = _inverse((c, point.lo, j))
+                        if t.j == l:
+                            on_level = on_level + point.value_at(point.lo) * chi(*t)
+                assert on_level == mul_basis(x, y), (x, y)
+                checked += 1
+    assert checked == 400
+
+
+def _weyl_label(x, y):
+    # the label of eta_x * eta_y in the double affine Weyl group
+    u, v = (WeylElement(a == 2, i, j) for a, i, j in (x, y))
+    return weyl_mul(u, v).basis_index()
+
+
+def test_the_eta_product_label_is_weyl_mul_and_the_table_is_nonzero_there():
+    # the coset z = eta_y counts towards chi_x * chi_y at t = eta_x * eta_y, so its
+    # coefficient there is at least 1/q; checked where the table has it today
+    small = range(-2, 3)
+    for x, y in itertools.product(itertools.product((1, 2), small, small), repeat=2):
+        assert classify(eta_matrix(*x, 2) * eta_matrix(*y, 2)) == _weyl_label(x, y), (x, y)
+    checked = 0
+    for x, y in itertools.product(itertools.product((1, 2), range(-3, 4), small), repeat=2):
+        if y[2] == 0 or (x[0] == 1 and x[2] * y[2] >= 0):
+            t = _weyl_label(x, y)
+            assert not mul_basis(x, y).coefficient_at((t.a, t.j), t.i).is_zero(), (x, y, t)
+            checked += 1
+    assert checked == 2156
 
 
 def test_product_counts_builds_no_matrix_products(monkeypatch):

@@ -15,8 +15,11 @@ first on odd seeds, for BENCHMARK.json's run_seconds (30):
 The last line of each run's standard output is its JSON result.  Each
 end-to-end metric of BENCHMARK.json gets the per-seed values, the medians
 and quartiles of both sides (inclusive method), the pairs the change won
-(strictly better by the metric's direction) and the change of the medians
-in percent.  A change that claims a gain names its workload and metric with
+(strictly better by the metric's direction), the change of the medians
+in percent, and `past_bound`: true when the change's median is worse than
+the parent's by more than the metric's `bound`, a fraction of the parent's
+median, so the file says by itself whether anything regressed.  A change
+that claims a gain names its workload and metric with
 `--claim WORKLOAD/METRIC` (say `--claim oracle_count/wall_s`), which the file
 records as its claim, `{"workload": ..., "metric": ...}`; without it the
 claim is null.
@@ -55,15 +58,17 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q[0], 4), round(q[2], 4)]
 
 
-def summarise(runs: dict[str, list[dict]], name: str, better: str) -> dict:
+def summarise(runs: dict[str, list[dict]], name: str, better: str, bound: float) -> dict:
     parent = [r["metrics"][name]["value"] for r in runs["parent"]]
     change = [r["metrics"][name]["value"] for r in runs["change"]]
     won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
+    worse = (c_med - p_med if better == "lower" else p_med - c_med) / p_med
     return {
         "parent_median": round(p_med, 4), "parent_quartiles": quartiles(parent),
         "change_median": round(c_med, 4), "change_quartiles": quartiles(change),
         "pairs_won": won, "change_pct": round(100 * (c_med - p_med) / p_med, 1),
+        "past_bound": worse > bound,
         "per_seed": [[round(p, 4), round(c, 4)] for p, c in zip(parent, change)],
     }
 
@@ -86,7 +91,7 @@ def main(argv=None) -> int:
                          f" got {args.claim!r}")
         claim = {"workload": workload, "metric": metric}
     seconds = spec["run_seconds"]
-    direction = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    rules = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     seeds = list(range(1, SEEDS + 1))
     workloads = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -107,7 +112,7 @@ def main(argv=None) -> int:
                 "seeds": seeds,
                 "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
                 "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
-                "metrics": {name: summarise(runs, name, better) for name, better in direction.items()},
+                "metrics": {name: summarise(runs, name, *rule) for name, rule in rules.items()},
             }
     out = {
         "change": args.change,
