@@ -67,8 +67,8 @@ def _cmd_reps(args: argparse.Namespace) -> int:
 
 
 def _point_values(x: HeckeElement) -> dict[BasisIndex, Coeff]:
-    # the rows of a level-0 element hold only point masses Strip(m, m, ((0, (c,)),))
-    return {BasisIndex(key.a, s.lo, key.j): s.terms[0].poly[0] for key, row in x.rows for s in row.strips}
+    # the rows of a level-0 element hold only point masses
+    return {BasisIndex(key.a, s.lo, key.j): s.value_at(s.lo) for key, row in x.rows for s in row.strips}
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")
-    p.add_argument("--range", type=int, default=None, help="index bound override")
+    p.add_argument("--range", type=int, default=None, help="index bound override, at most 16")
     p.add_argument("--q", default="2,3", metavar="p[,p]", help="residue field sizes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -11,12 +11,11 @@ Every row is kept in one normal form, which depends only on its values: a
 point mass chi(a, m, j) with a scalar for each nonzero value of the finite
 part, and at most one ray, whose terms are the unique ones of the row's tail.
 Equal elements therefore have equal rows, so equality is structural and
-elements are hashable.  A sum or a product adds its point values in one map,
-in one pass.  A row that is only such values is read straight off that map; a
-row whose other pieces are finite and cover few indices is summed index by
-index; every other row is cut into stretches at its pieces' ends and walked
-once, the walk reading the map where it lies.  A nonzero multiple of a normal
-form is one.
+elements are hashable.  The constructor, and so every sum, and a product add
+their point masses into one map of values, in one pass.  A row that is only
+such values is read straight off that map; every row with a strip is cut into
+stretches at its pieces' ends and walked once, the walk reading the map where
+it lies.  A nonzero multiple of a normal form is one.
 
 Index polynomials are immutable tuples, and terms, strips and rows immutable
 named tuples.  Strip and RowSeries check their shape when called; the
@@ -317,6 +316,18 @@ def _point_row(acc: Mapping[int, Coeff]) -> tuple[Strip, ...]:
     return tuple(_point(m, acc[m]) for m in ms)
 
 
+def _add_run(points: dict, swept: dict, key: tuple, lo: Bound, hi: Bound, e: int, c: Coeff) -> None:
+    """Add c * s^(e*n) at each lo <= n <= hi of row key: index by index into
+    points, or as one strip to sweep if the run is a ray or wider than _MAX_POINTS."""
+    if hi - lo >= _MAX_POINTS:  # a ray's width is inf
+        swept.setdefault(key, []).append(Strip(lo, hi, (ExpPolyTerm(e, IndexPoly.constant(c)),)))
+        return
+    row = points.setdefault(key, {})
+    for n in range(lo, hi + 1):
+        v = c * Coeff.s_power(e * n) if e * n else c
+        row[n] = row[n] + v if n in row else v
+
+
 def normalize_strips(pieces: Iterable[Strip], values: Optional[Mapping] = None) -> tuple[Strip, ...]:
     """The normal form of the row that the (possibly overlapping) strips and the
     values {m: value} sum to.
@@ -327,19 +338,12 @@ def normalize_strips(pieces: Iterable[Strip], values: Optional[Mapping] = None) 
     with the row and starts on a nonzero value.  Raises ShapeError for a row
     infinite on both sides or a finite part wider than _MAX_POINTS indices.
 
-    Finite pieces covering at most _MAX_POINTS indices in all are summed index
-    by index into a copy of the values.  Any other row is cut into stretches at
-    the pieces' ends, a lone piece without _atoms, and walked once by _walk.
+    Every row is walked once by _walk, reading the values where they lie: a
+    lone piece as its own stretches, any other list cut into stretches at the
+    pieces' ends by _atoms.
     """
     pieces, values = list(pieces), values or {}
-    if sum(p.hi - p.lo + 1 for p in pieces) <= _MAX_POINTS:  # a ray sums to inf
-        acc = dict(values)
-        for p in pieces:
-            for m in range(p.lo, p.hi + 1):
-                v = terms_value(p.terms, m)
-                acc[m] = acc[m] + v if m in acc else v
-        return _point_row(acc)
-    if len(pieces) > 1:
+    if len(pieces) != 1:
         return _walk(_atoms(pieces), values)
     lo, hi, terms = pieces[0]
     atoms = [(NEG_INF, lo - 1, ())] if _is_finite(lo) else []
@@ -454,20 +458,9 @@ def _normal_rows(points: Mapping, swept: Mapping) -> tuple[tuple[RowKey, RowSeri
 
 
 def _sum(xs: Iterable["HeckeElement"]) -> "HeckeElement":
-    """The sum of elements in one pass: their point values add up in one map
-    {key: {m: value}}, their rays wait in swept, and _normal_rows then builds
-    each row once, so a sum of k elements costs time linear in k."""
-    points: dict[RowKey, dict[int, Coeff]] = {}
-    swept: dict[RowKey, list[Strip]] = {}
-    for x in xs:
-        for key, row in x.rows:
-            for s in row.strips:
-                if s.lo == s.hi:  # a point mass: its value is its one coefficient
-                    acc, c = points.setdefault(key, {}), s.terms[0].poly[0]
-                    acc[s.lo] = acc[s.lo] + c if s.lo in acc else c
-                else:
-                    swept.setdefault(key, []).append(s)
-    return _element(_normal_rows(points, swept))
+    """The sum of elements in one constructor call, in time linear in their number:
+    point masses add up in one map and each row with a strip is walked once."""
+    return HeckeElement([(key, row.strips) for x in xs for key, row in x.rows])
 
 
 def _element(rows: tuple[tuple[RowKey, RowSeries], ...]) -> HeckeElement:
@@ -493,13 +486,19 @@ class HeckeElement:
         ] = (),
     ):
         items = rows.items() if isinstance(rows, Mapping) else rows
-        acc: dict[RowKey, list[Strip]] = {}
+        points: dict[RowKey, dict[int, Coeff]] = {}
+        swept: dict[RowKey, list[Strip]] = {}
         for raw_key, strips in items:
             # checked before merging: True == 1 would otherwise join row (1, j)
             key = RowKey(*raw_key)
             _check_key(key)
-            acc.setdefault(key, []).extend(strips)
-        built = _normal_rows({}, acc)
+            for s in strips:
+                if s.lo == s.hi:  # a point mass adds its value into the map
+                    acc, c = points.setdefault(key, {}), terms_value(s.terms, s.lo)
+                    acc[s.lo] = acc[s.lo] + c if s.lo in acc else c
+                else:
+                    swept.setdefault(key, []).append(s)
+        built = _normal_rows(points, swept)
         object.__setattr__(self, "rows", built)
         object.__setattr__(self, "_lookup", dict(built))
 
@@ -512,6 +511,8 @@ class HeckeElement:
         return self._lookup.get(RowKey(*key), RowSeries(()))
 
     def coefficient_at(self, key: tuple[int, int], m: int) -> Coeff:
+        a, j = key
+        _check_basis(a, m, j)  # a float or bool index or key is refused, not read
         return self.row(key).value_at(m)
 
     def is_zero(self) -> bool:

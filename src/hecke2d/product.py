@@ -66,7 +66,7 @@ from .element import (
     NEG_INF,
     POS_INF,
     Strip,
-    _MAX_POINTS,
+    _add_run,
     _element,
     _label,
     _normal_rows,
@@ -207,18 +207,6 @@ PERTURBATIONS = (None, *_MUTATIONS)
 def _check_perturbation(p: Optional[str]) -> None:
     if p not in PERTURBATIONS:
         raise ValueError(f"unknown perturbation {p!r}")
-
-
-def _add_run(points: dict, swept: dict, key: tuple, lo: Bound, hi: Bound, e: int, c: Coeff) -> None:
-    """Add c * s^(e*n) at each lo <= n <= hi of row key: index by index into
-    points, or as one strip to sweep if the run is a ray or wider than _MAX_POINTS."""
-    if hi - lo >= _MAX_POINTS:  # a ray's width is inf
-        swept.setdefault(key, []).append(Strip(lo, hi, (ExpPolyTerm(e, IndexPoly.constant(c)),)))
-        return
-    row = points.setdefault(key, {})
-    for n in range(lo, hi + 1):
-        v = c * Coeff.s_power(e * n) if e * n else c
-        row[n] = row[n] + v if n in row else v
 
 
 # ---------------------------------------------------------------------------

@@ -553,7 +553,8 @@ def run_suite(
     """Run one named suite and return its Report.
 
     Results are deterministic for a fixed seed and parameter set.  Bounds
-    default per suite; qs only matters for the counting suites.
+    default per suite, and index_bound is at most 16 so that every run ends
+    in bounded time; qs only matters for the counting suites.
     """
     key = _ALIASES.get(name, name)
     if key not in SUITES:
@@ -561,6 +562,8 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}; valid names: {valid}")
     if index_bound is not None and index_bound < 0:
         raise ValueError("index_bound must be nonnegative")
+    if index_bound is not None and index_bound > 16:  # shape_fuzz takes (2r+1)^2 cases
+        raise ValueError("index_bound must be at most 16")
     if level_bound is not None and level_bound < 0:
         raise ValueError("level_bound must be nonnegative")
     if cases is not None and cases < 0:

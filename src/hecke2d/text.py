@@ -38,6 +38,7 @@ from .element import (
     ShapeError,
     Strip,
     _check_key,
+    _check_row_shape,
     _sum,
     element_to_json,
     merge_terms,
@@ -419,8 +420,11 @@ class _ElementParser:
         degree = max(degree, 1)  # an element atom, or its body's degree in m
         terms = merge_terms(_as_mterms(body).items())
         try:
-            _check_key((a, j))  # a zero body still needs a sheet 1 or 2
-            return (HeckeElement([((a, j), (Strip(lo, hi, terms),))]) if terms else zero_element()), degree
+            # a zero body is checked as the body 1 is: its range, sheet and level shape
+            strip = Strip(lo, hi, terms or ((0, IndexPoly.constant(ONE)),))
+            _check_key((a, j))
+            _check_row_shape(j, (strip,))
+            return (HeckeElement([((a, j), (strip,))]) if terms else zero_element()), degree
         except ShapeError as err:
             raise ExprError(str(err), pos) from err
 

@@ -56,6 +56,7 @@ def test_strip_literal():
         (chi(1, m, 0) for m in range(1, 4)), chi(1, 0, 0)
     )
     assert parse_element("strip(1,1,-inf..0: m - m)") == zero_element()
+    assert parse_element("strip(1,0,0..5: 0)") == zero_element()
     # an m-term divided by a scalar
     assert parse_element("strip(1,0,0..1: m/2)") == parse_element("strip(1,0,0..1: (1/2)*m)")
 
@@ -76,6 +77,11 @@ def test_parse_errors_carry_position():
         ("strip(1,0,0..1: m^0)", "must be positive"),
         ("strip(1,0,0..1: (q+1)^m)", "bare q or s"),
         ("strip(1,0,x..1: 1)", "expected an integer or 'inf'"),
+        # a zero body gets the range and level-shape checks of the body 1
+        ("strip(1,0,5..2: 0)", "empty strip [5, 2] (column 1)"),
+        ("strip(1,0,-inf..inf: 0)", "a strip cannot be infinite on both sides (column 1)"),
+        ("strip(1,1,0..inf: 0)", "level 1 > 0 row must be bounded above (column 1)"),
+        ("strip(1,0,0..inf: m-m)", "level 0 row must have finite support (column 1)"),
     ]:
         with pytest.raises(ExprError) as err:
             parse_element(text)
@@ -176,6 +182,7 @@ def test_cli_verify(capsys):
     assert main(["verify", "shape_fuzz", "--range", "2", "--json"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["failures"] == []
+    assert main(["verify", "center", "--range", "16"]) == 0
 
 
 def test_cli_verify_reports_failure(capsys):
@@ -216,6 +223,8 @@ def test_cli_usage_error_exits_two():
         ["verify", "table_oracle", "--range", "4", "--q", "17"],
         ["classify", "[[" + "+".join(f"t1^{k}" for k in range(8000)) + ",0],[0,1]]", "--q", "3"],
         ["verify", "table_oracle", "--range", "5"],
+        ["verify", "shape_fuzz", "--range", "17"],  # an index bound is at most 16
+        ["verify", "center", "--range", "1000000000"],
     ],
 )
 def test_cli_refuses_oversized_enumerations_quickly(argv, capsys):

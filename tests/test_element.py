@@ -178,6 +178,23 @@ def test_coefficient_lookup():
     assert coefficient_at(x, (1, 5), 0).is_zero()
 
 
+@pytest.mark.parametrize(
+    "key, m, error",
+    [
+        ((2, -1), 2.5, "bound must be an integer or +-inf, got 2.5"),
+        ((2, -1), 3.0, "bound must be an integer or +-inf, got 3.0"),
+        ((2, -1), True, "bound must be an integer or +-inf, got True"),
+        ((True, -1), 0, "sheet must be 1 or 2, got True"),
+        ((2, -1.0), 0, "level must be an integer, got -1.0"),
+    ],
+)
+def test_coefficient_at_refuses_a_float_or_bool_index(key, m, error):
+    # refused by the label check, not read as a malformed scalar or another row
+    with pytest.raises(ShapeError, match=re.escape(error)):
+        theta(0, -1).coefficient_at(key, m)
+    assert theta(0, -1).coefficient_at((2, -1), 3) == -(Q - ONE) * Q**3
+
+
 def test_levels_and_projection():
     x = chi(1, 0, 2) + chi(2, 1, -1) + chi(1, 3, 2)
     assert x.levels() == (-1, 2)

@@ -388,6 +388,23 @@ def test_the_eta_product_label_is_weyl_mul_and_the_table_is_nonzero_there():
     assert checked == 2156
 
 
+def _iota(x):
+    # f -> f(g^-1) on an element of point masses: chi(t) goes to chi(t^-1)
+    return sum(
+        (point.value_at(point.lo) * chi(*_inverse((a, point.lo, j))) for (a, j), row in x.rows for point in row.strips),
+        zero_element(),
+    )
+
+
+def test_inversion_reverses_level_zero_products():
+    """iota(f)(g) = f(g^-1) reverses products, iota(chi_x * chi_y) = chi_{y^-1} * chi_{x^-1},
+    when the Haar measure is invariant under inversion.  Checked where the table
+    has it, at level 0 x 0; its violations off that level are not pinned."""
+    labels = [BasisIndex(a, i, 0) for a in (1, 2) for i in range(-4, 5)]
+    for x, y in itertools.product(labels, repeat=2):
+        assert _iota(mul_basis(x, y)) == mul_basis(_inverse(y), _inverse(x)), (x, y)
+
+
 def test_product_counts_builds_no_matrix_products(monkeypatch):
     calls = {"mul": 0, "inverse": 0, "classify": 0, "matrix": 0, "field": 0}
 

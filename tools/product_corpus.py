@@ -8,7 +8,7 @@ Each product adds its element_to_json text, keys sorted, to the digest of the
 perturbation it was computed under (the last two parts are unperturbed), so
 two checkouts that print the same line for a perturbation gave byte-identical
 products under it.  A change to one perturbation can so show that the
-unperturbed corpus is unchanged.  The last line is the sha256 of
+unperturbed corpus is unchanged.  The next line is the sha256 of
 run_suite("identity_assoc").text(), the report that `hecke2d verify
 identity_assoc` prints, with its case and failure counts.  A `sums:` line
 follows: one sha256 over x + y and x - y for every ordered pair of the atom
@@ -30,7 +30,11 @@ labels on sheets 1 and 2 with |i|, |k| <= 3 and |j|, |l| <= 2, then over
 a fixed grid (sheets 1 and 2, levels and indices -4 to 4), so the table
 route and the per-coefficient route are compared directly.
 
-    python3 tools/product_corpus.py
+Standard output holds only these eight lines; the corpus's timing goes to
+standard error.  So `diff` of two checkouts' output is empty exactly when
+every digest matches:
+
+    python3 tools/product_corpus.py > corpus.txt
 
 Standard library only; it imports hecke2d from this checkout's src/.
 """
@@ -199,7 +203,7 @@ def main() -> None:
     for p, prod in corpus():
         digests[p].update(_line(prod))
         counts[p] += 1
-    print(f"{sum(counts.values())} products in {time.perf_counter() - start:.1f} s")
+    print(f"{sum(counts.values())} products in {time.perf_counter() - start:.1f} s", file=sys.stderr)
     for p in PERTURBATIONS:
         print(f"{p}: {counts[p]} products, sha256 {digests[p].hexdigest()}")
     report = run_suite("identity_assoc")
