@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 from .coeff import ZERO, Coeff, CoeffError
 from .element import BasisIndex, HeckeElement, _label
-from .oracle import EnumerationError, _level_zero_pair, classify, counted_product, enumerate_reps
+from .oracle import (EnumerationError, _level_zero_pair, classify, count_reps, counted_product,
+                     enumerate_reps)
 from .product import mul, mul_basis
 from .suites import run_suite
 from .text import ExprError, format_element, format_matrix, parse_element, parse_matrix
@@ -57,11 +58,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_reps(args: argparse.Namespace) -> int:
-    reps = enumerate_reps(args.a, args.i, args.q)
     if args.count_only:
-        print(len(reps))
+        print(count_reps(args.a, args.i, args.q))
     else:
-        for rep in reps:
+        for rep in enumerate_reps(args.a, args.i, args.q):
             print(format_matrix(rep))
     return 0
 

@@ -310,10 +310,11 @@ def _point_row(acc: Mapping[int, Coeff]) -> tuple[Strip, ...]:
     """One point mass per nonzero value of {m: value}, refusing a span past _MAX_POINTS."""
     if not acc:
         return ()
-    ms = sorted(m for m, c in acc.items() if not c.is_zero())
+    ms = sorted([m for m, c in acc.items() if not c.is_zero()])
     if ms and ms[-1] - ms[0] >= _MAX_POINTS:
         raise ShapeError(f"finite part of a row spans more than {_MAX_POINTS} indices")
-    return tuple(_point(m, acc[m]) for m in ms)
+    new = tuple.__new__  # _point's nested build, inlined: one pass, no call per point
+    return tuple([new(Strip, (m, m, (new(ExpPolyTerm, (0, new(IndexPoly, (acc[m],)))),))) for m in ms])
 
 
 def _add_run(points: dict, swept: dict, key: tuple, lo: Bound, hi: Bound, e: int, c: Coeff) -> None:
@@ -431,8 +432,8 @@ _LABEL = "a label is a sheet 1 or 2 and two integers"
 
 def _label(x: object) -> BasisIndex:
     """x as a BasisIndex, refused with _check_basis's errors: the one label check."""
-    try:
-        b = BasisIndex(*x)
+    try:  # a tuple of three skips the named tuple's Python-level __new__
+        b = tuple.__new__(BasisIndex, x) if type(x) in (tuple, BasisIndex) and len(x) == 3 else BasisIndex(*x)
     except TypeError:  # not iterable, or not three entries
         raise ShapeError(f"{_LABEL}, got {x!r}") from None
     _check_basis(*b)
@@ -446,14 +447,14 @@ def _normal_rows(points: Mapping, swept: Mapping) -> tuple[tuple[RowKey, RowSeri
     with its values as the map.  Rows with a strip get their level's shape
     check; none needs RowSeries' check again."""
     built = []
-    for key in sorted(points.keys() | swept.keys(), key=lambda k: (k[1], k[0])):
-        if key in swept:
-            strips = normalize_strips(swept[key], points.get(key))
-            _check_row_shape(key[1], strips)
+    for j, a in sorted([(j, a) for a, j in points.keys() | swept.keys()]):
+        if (a, j) in swept:
+            strips = normalize_strips(swept[a, j], points.get((a, j)))
+            _check_row_shape(j, strips)
         else:
-            strips = _point_row(points[key])
+            strips = _point_row(points[a, j])
         if strips:
-            built.append((RowKey(*key), tuple.__new__(RowSeries, (strips,))))
+            built.append((tuple.__new__(RowKey, (a, j)), tuple.__new__(RowSeries, (strips,))))
     return tuple(built)
 
 
@@ -485,7 +486,7 @@ class HeckeElement:
             Iterable[tuple[tuple[int, int], Iterable[Strip]]],
         ] = (),
     ):
-        items = rows.items() if isinstance(rows, Mapping) else rows
+        items = rows.items() if type(rows) not in (list, tuple) and isinstance(rows, Mapping) else rows
         points: dict[RowKey, dict[int, Coeff]] = {}
         swept: dict[RowKey, list[Strip]] = {}
         for raw_key, strips in items:

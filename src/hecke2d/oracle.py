@@ -33,6 +33,7 @@ __all__ = [
     "INFINITE",
     "LocalFieldMatrix",
     "classify",
+    "count_reps",
     "counted_product",
     "enumerate_reps",
     "eta_matrix",
@@ -261,7 +262,8 @@ def _check_index(i: int) -> None:
 
 
 def _check_cell(a: int, i: int, q: int) -> None:
-    # (a, i) is a checked label: only q and the coset count are checked here
+    # the label (a, i, 0), q and the coset count of enumerate_reps(a, i, q)
+    _label((a, i, 0))
     _check_q(q)
     _check_index(i)
     if (count := q ** (2 * abs(i) if a == 1 else abs(2 * i + 1))) > _MAX_REPS:
@@ -296,10 +298,9 @@ def enumerate_reps(a: int, i: int, q: int) -> list[LocalFieldMatrix]:
     with the standard representative eta; the rest expand each family of
     _families by its unit lifts.  Only level zero is enumerable.  The list
     has q^{2|i|} entries on sheet 1 and q^{|2i+1|} on sheet 2, so the index
-    and that count are capped before anything is built; counting products
-    reads the same families through _census and builds nothing.
+    and that count are capped before anything is built; count_reps and
+    counting products read the same families through _census and build nothing.
     """
-    _label((a, i, 0))
     _check_cell(a, i, q)
     reps = []
     for entries, slot, degree in _families(a, i):
@@ -307,6 +308,12 @@ def enumerate_reps(a: int, i: int, q: int) -> list[LocalFieldMatrix]:
         for u in _unit_lifts(q, degree):
             reps.append(LocalFieldMatrix(*(f * u if n == slot else f for n, f in enumerate(fixed))))
     return reps
+
+
+def count_reps(a: int, i: int, q: int) -> int:
+    """len(enumerate_reps(a, i, q)), with its refusals, summed from the census."""
+    _check_cell(a, i, q)
+    return sum(_census.__wrapped__(a, i, q).values())  # uncached: one call, one sum
 
 
 @lru_cache(maxsize=1024)  # read by every left factor of one right factor; never mutated

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,27 @@ def test_row_shape_constraints():
         HeckeElement([((1, 0), [one]), ((1, False), [one])])
     with pytest.raises(ShapeError):
         HeckeElement([((3, 0), [])])
+
+
+def _containers(rows: dict) -> list:
+    # a mapping, read through the Mapping check, or (key, strips) pairs in a
+    # list, a tuple or a generator
+    pairs = list(rows.items())
+    return [rows, types.MappingProxyType(rows), pairs, tuple(pairs), (pair for pair in pairs)]
+
+
+def test_constructor_takes_rows_in_every_container():
+    one = (ExpPolyTerm(0, IndexPoly.constant(ONE)),)
+    rows = {(1, 0): [Strip(-1, -1, one), Strip(2, 3, one)], (2, -1): [Strip(0, POS_INF, one)],
+            (1, 2): (Strip(NEG_INF, 1, one), Strip(4, 4, one))}
+    built = [HeckeElement(form) for form in _containers(rows)]
+    assert built[0].levels() == (-1, 0, 2)
+    assert all(x == built[0] for x in built)
+    for bad, reason in [((3, 0), "sheet must be 1 or 2, got 3"), ((1, 0.5), "level must be an integer, got 0.5")]:
+        for form in _containers({**rows, bad: [Strip(0, 0, one)]}):
+            with pytest.raises(ShapeError) as err:
+                HeckeElement(form)
+            assert str(err.value) == reason
 
 
 def test_strip_rejects_bool_bounds():

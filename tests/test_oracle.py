@@ -28,6 +28,7 @@ from hecke2d import (
 )
 from hecke2d.oracle import (
     INFINITE,
+    count_reps,
     eta_matrix,
     identity_matrix,
     in_iwahori,
@@ -197,6 +198,39 @@ def test_rep_counts():
         for i in range(-3, 0):
             assert len(enumerate_reps(1, i, q)) == q ** (-2 * i)
             assert len(enumerate_reps(2, i, q)) == q ** (-2 * i - 1)
+
+
+def test_count_reps_sums_the_census_to_the_enumeration():
+    for q in (2, 3):
+        for a in (1, 2):
+            for i in range(-4, 5):
+                assert count_reps(a, i, q) == len(enumerate_reps(a, i, q)), (a, i, q)
+
+
+def _refusal(call) -> str:
+    with pytest.raises(EnumerationError) as err:
+        call()
+    return str(err.value)
+
+
+def test_count_reps_refuses_with_the_enumeration_text():
+    # past the index limit or the cap (q^(2|i|) on sheet 1, q^|2i+1| on sheet 2)
+    # both refuse alike; under them the count is that closed form, not enumerated
+    refused = 0
+    for q in (5, 7, 17):
+        for a in (1, 2):
+            for i in range(-5, 6):
+                n = q ** (2 * abs(i) if a == 1 else abs(2 * i + 1))
+                if abs(i) > 4 or n > 200_000:
+                    text = _refusal(lambda: count_reps(a, i, q))
+                    assert text == _refusal(lambda: enumerate_reps(a, i, q)), (a, i, q)
+                    refused += 1
+                else:
+                    assert count_reps(a, i, q) == n, (a, i, q)
+    assert refused == 29
+    for a, i, q in [(0, 0, 2), (3, 0, 2), (True, 0, 2), (1.0, 0, 2), (1, True, 2), (1, 0.5, 2),
+                    (1, 0, 4), (1, 0, 6)]:
+        assert _refusal(lambda: count_reps(a, i, q)) == _refusal(lambda: enumerate_reps(a, i, q))
 
 
 def test_reps_classify_home():

@@ -24,13 +24,18 @@ how any label is refused shows.  Then comes an `evals:` line: one sha256 over
 (coefficient text, point, method, value or exception class and text) for
 `Coeff.eval_at_q` and `Coeff.eval_at_s` on a seeded grid of Laurent scalars,
 half of them in q alone, at 0, 1, -1, 2 to 9, 1/3, -2/5 and 9/4.  A
-`basis:` line comes last: one sha256 over `mul_basis` on every pair of
+`basis:` line follows: one sha256 over `mul_basis` on every pair of
 labels on sheets 1 and 2 with |i|, |k| <= 3 and |j|, |l| <= 2, then over
 `coeff_of_product` of every ordered pair of the atom pool at each target of
 a fixed grid (sheets 1 and 2, levels and indices -4 to 4), so the table
-route and the per-coefficient route are compared directly.
+route and the per-coefficient route are compared directly.  A `reps:` line
+comes last: one sha256 over the exit code, standard output and standard error
+of `hecke2d reps a i --q q --count-only`, run in process, for sheets 1 and
+2, |i| <= 5 and q = 2, 3, 4, 5 and 17 (110 calls), so the coset counts and
+the refusals past the index limit, of a q that is not a prime and past the
+cap are compared too.
 
-Standard output holds only these eight lines; the corpus's timing goes to
+Standard output holds only these nine lines; the corpus's timing goes to
 standard error.  So `diff` of two checkouts' output is empty exactly when
 every digest matches:
 
@@ -111,6 +116,14 @@ BAD_LABELS = [(0, 0, 0), (3, 0, 0), (True, 0, 0), (1.0, 0, 0), (1, True, 0), (1,
               (1, 0, True), (1, 0, 1.0), (1, 0), 5]
 BAD_CLI = [["oracle", "3,1", "1,-1", "--q", "4"], ["coeff", "iota", "--at", "3,0,0"],
            ["mul", "strip(3,0,0..1: 0)", "iota"]]
+
+
+def reps_calls():
+    """Yield the argv of every `hecke2d reps --count-only` call of the corpus."""
+    for a in (1, 2):
+        for i in range(-5, 6):
+            for q in (2, 3, 4, 5, 17):
+                yield ["reps", str(a), str(i), "--q", str(q), "--count-only"]
 
 
 def refusals():
@@ -237,6 +250,14 @@ def main() -> None:
         based.update(line)
         n += 1
     print(f"basis: {n} lines, sha256 {based.hexdigest()}")
+    counted, n = hashlib.sha256(), 0
+    for argv in reps_calls():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        counted.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
+        n += 1
+    print(f"reps: {n} calls, sha256 {counted.hexdigest()}")
 
 
 if __name__ == "__main__":
