@@ -313,8 +313,7 @@ def _point_row(acc: Mapping[int, Coeff]) -> tuple[Strip, ...]:
     ms = sorted([m for m, c in acc.items() if not c.is_zero()])
     if ms and ms[-1] - ms[0] >= _MAX_POINTS:
         raise ShapeError(f"finite part of a row spans more than {_MAX_POINTS} indices")
-    new = tuple.__new__  # _point's nested build, inlined: one pass, no call per point
-    return tuple([new(Strip, (m, m, (new(ExpPolyTerm, (0, new(IndexPoly, (acc[m],)))),))) for m in ms])
+    return tuple([_point(m, acc[m]) for m in ms])
 
 
 def _add_run(points: dict, swept: dict, key: tuple, lo: Bound, hi: Bound, e: int, c: Coeff) -> None:
@@ -432,10 +431,12 @@ _LABEL = "a label is a sheet 1 or 2 and two integers"
 
 def _label(x: object) -> BasisIndex:
     """x as a BasisIndex, refused with _check_basis's errors: the one label check."""
-    try:  # a tuple of three skips the named tuple's Python-level __new__
-        b = tuple.__new__(BasisIndex, x) if type(x) in (tuple, BasisIndex) and len(x) == 3 else BasisIndex(*x)
-    except TypeError:  # not iterable, or not three entries
+    try:  # unpacks as BasisIndex(*x) does, without its Python-level __new__
+        b = tuple.__new__(BasisIndex, x)
+    except TypeError:  # not iterable
         raise ShapeError(f"{_LABEL}, got {x!r}") from None
+    if len(b) != 3:
+        raise ShapeError(f"{_LABEL}, got {x!r}")
     _check_basis(*b)
     return b
 

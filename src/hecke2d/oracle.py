@@ -261,13 +261,13 @@ def _check_index(i: int) -> None:
         raise EnumerationError(f"|i| = {abs(i)} exceeds the enumeration limit {_MAX_INDEX}")
 
 
-def _check_cell(a: int, i: int, q: int) -> None:
-    # the label (a, i, 0), q and the coset count of enumerate_reps(a, i, q)
-    _label((a, i, 0))
+def _check_cell(a: int, i: int, q: int) -> int:
+    # (a, i) is a checked label: checks q and the index, returns the capped coset count
     _check_q(q)
     _check_index(i)
     if (count := q ** (2 * abs(i) if a == 1 else abs(2 * i + 1))) > _MAX_REPS:
         raise EnumerationError(f"({a},{i}) has {count} cosets at q={q}, over the cap {_MAX_REPS}")
+    return count
 
 
 def _families(a: int, i: int) -> Iterator[tuple[tuple, int, int]]:
@@ -298,9 +298,10 @@ def enumerate_reps(a: int, i: int, q: int) -> list[LocalFieldMatrix]:
     with the standard representative eta; the rest expand each family of
     _families by its unit lifts.  Only level zero is enumerable.  The list
     has q^{2|i|} entries on sheet 1 and q^{|2i+1|} on sheet 2, so the index
-    and that count are capped before anything is built; count_reps and
-    counting products read the same families through _census and build nothing.
+    and that count are capped before anything is built; count_reps returns it
+    and counting products read the families through _census, building nothing.
     """
+    _label((a, i, 0))
     _check_cell(a, i, q)
     reps = []
     for entries, slot, degree in _families(a, i):
@@ -311,9 +312,9 @@ def enumerate_reps(a: int, i: int, q: int) -> list[LocalFieldMatrix]:
 
 
 def count_reps(a: int, i: int, q: int) -> int:
-    """len(enumerate_reps(a, i, q)), with its refusals, summed from the census."""
-    _check_cell(a, i, q)
-    return sum(_census.__wrapped__(a, i, q).values())  # uncached: one call, one sum
+    """len(enumerate_reps(a, i, q)), with its refusals, from the closed form."""
+    _label((a, i, 0))
+    return _check_cell(a, i, q)
 
 
 @lru_cache(maxsize=1024)  # read by every left factor of one right factor; never mutated

@@ -200,7 +200,7 @@ def test_rep_counts():
             assert len(enumerate_reps(2, i, q)) == q ** (-2 * i - 1)
 
 
-def test_count_reps_sums_the_census_to_the_enumeration():
+def test_count_reps_equals_the_enumeration():
     for q in (2, 3):
         for a in (1, 2):
             for i in range(-4, 5):
