@@ -89,6 +89,79 @@ def test_parse_errors_carry_position():
         assert fragment in str(err.value), (text, str(err.value))
 
 
+_LONG = "7" * 4301
+_ERROR_TABLE = [
+    # the tokenizer: a bad character or an over-long integer, the first one
+    # in the text, comes before any grammar error
+    ("element", "chi(1,0,0) @", "unexpected character '@' (column 12)"),
+    ("element", "chi(1,0 @", "unexpected character '@' (column 9)"),
+    ("element", ") . 2", "unexpected character '.' (column 3)"),
+    ("element", "x\u00e9", "unexpected character 'é' (column 2)"),
+    ("element", _LONG + "*chi(1,0,0)", "integer literal longer than 4300 digits (column 1)"),
+    ("element", ") " + _LONG, "integer literal longer than 4300 digits (column 3)"),
+    ("element", "chi(1,0,0) + " + _LONG + " @", "integer literal longer than 4300 digits (column 14)"),
+    ("element", "chi(1,0,0) @ " + _LONG, "unexpected character '@' (column 12)"),
+    # the grammar
+    ("element", "chi(1,0,0) + q", "cannot add a scalar to an element (column 12)"),
+    ("element", "strip(1,0,0..1: m*chi(1,0,0))", "cannot multiply an element by a term in m (column 18)"),
+    ("element", "chi(1,0,0)/chi(1,0,0)", "division is only defined by a scalar (column 11)"),
+    ("element", "chi(1,0,0)/(q-q)", "division by zero scalar (column 11)"),
+    ("element", "phi2^17", "degree 17 is above 16 (column 5)"),
+    ("element", "phi2^8 * phi2^9", "degree 17 is above 16 (column 8)"),
+    ("element", "chi(1,0,0", "expected ')' before end of input (column 10)"),
+    ("element", "chi(1,0,0 \u3000 ", "expected ')' before end of input (column 13)"),
+    ("element", "chi(1 0,0)", "expected ',', found '0' (column 7)"),
+    ("element", "chi(1,0,0) chi(1,0,0)", "unexpected 'chi' after expression (column 12)"),
+    ("element", "strip(1,0,0..1: q^(2*q))", "expected 'm' after '*' in an exponent (column 22)"),
+    ("element", "q^x", "malformed exponent (column 3)"),
+    ("element", "q^", "malformed exponent (column 3)"),
+    ("element", "(q-q)^-1*iota", "division by zero scalar (column 6)"),
+    ("element", "chi(1,0,0)^-1", "negative powers of elements are not defined (column 11)"),
+    ("element", "strip(1,0,0..1: m^0)", "powers of a term in m must be positive (column 18)"),
+    ("element", "q^m*iota", "an exponent in m is only allowed inside strip(...) (column 2)"),
+    ("element", "strip(1,0,0..1: (q+1)^m)", "an exponent in m must sit on a bare q or s (column 22)"),
+    ("element", "chi(1,0,0) +", "unexpected end of input (column 13)"),
+    ("element", ")", "unexpected ')' (column 1)"),
+    ("element", "m", "'m' is only defined inside strip(...) (column 1)"),
+    ("element", "foo", "unknown name 'foo' (column 1)"),
+    ("element", "chi(3,0,0)", "sheet must be 1 or 2, got 3 (column 1)"),
+    ("element", "iota + theta(2,0)", "theta is defined for (+-1,0) and (0,+-1), got (2, 0) (column 8)"),
+    ("element", "chi(x,0,0)", "expected an integer (column 5)"),
+    ("element", "strip(1,0,x..1: 1)", "expected an integer or 'inf' (column 11)"),
+    ("element", "strip(1,0,0..1: chi(1,0,0))", "a strip body must be scalar in m (column 1)"),
+    ("element", "strip(1,0,5..2: 0)", "empty strip [5, 2] (column 1)"),
+    ("element", "iota - strip(1,1,0..inf: 1)", "level 1 > 0 row must be bounded above (column 8)"),
+    ("element", "q", "expression denotes a scalar, not an element (column 1)"),
+    ("scalar", "iota", "expression denotes an element, not a scalar (column 1)"),
+    ("scalar", "1/(s-s)", "division by zero scalar (column 2)"),
+    ("scalar", "", "unexpected end of input (column 1)"),
+    ("scalar", "   ", "unexpected end of input (column 4)"),
+    # matrix literals and their entries
+    ("matrix", "[[x,0],[0,1]]", "expected an integer, t1 or t2 (column 3)"),
+    ("matrix", "[[1,0],[0,1]", "expected ']' before end of input (column 13)"),
+    ("matrix", "[[1,0],[0,1]] x", "unexpected 'x' after expression (column 15)"),
+    ("matrix", "[(1,0],[0,1]]", "expected '[', found '(' (column 2)"),
+    ("matrix", "[[1,0],[0,1 @ 2]]", "unexpected character '@' (column 13)"),
+    ("field", "+".join(["1"] * 257), "an entry may have at most 256 terms (column 513)"),
+    ("field", "t1^x", "expected an integer (column 4)"),
+    ("field", "", "expected an integer, t1 or t2 (column 1)"),
+]
+
+
+@pytest.mark.parametrize("entry,source,message", _ERROR_TABLE, ids=[m for _, _, m in _ERROR_TABLE])
+def test_every_parse_error_names_its_message_and_column(entry, source, message):
+    parse = {
+        "element": parse_element,
+        "scalar": text.parse_scalar,
+        "matrix": lambda s: text.parse_matrix(s, 3),
+        "field": lambda s: text.parse_field_elem(s, 3),
+    }[entry]
+    with pytest.raises(ExprError) as err:
+        parse(source)
+    assert str(err.value) == message
+    assert f"(column {err.value.pos + 1})" in message
+
+
 def test_format_text_round_trip():
     for text in [
         "iota",
