@@ -86,7 +86,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    qs = tuple(int(p) for p in args.q.split(",")) if args.q else ()
+    bad_q = f"--q must be comma-separated integers, got {args.q!r}"
+    qs = _parse_ints(args.q, args.q.count(",") + 1, bad_q) if args.q else ()
     report = run_suite(args.suite, index_bound=args.range, qs=qs, seed=args.seed)
     print(report.json_text() if args.json else report.text())
     return 0 if report.passed else 1

@@ -17,7 +17,9 @@ requires a scalar result; ``Coeff.parse`` is that function.
 Matrix literals ``[[a,b],[c,d]]`` over F_q((t1))((t2)) share the tokenizer; an
 entry (``parse_field_elem``) sums at most 256 signed products of integers and
 ``t1``, ``t2`` powers.  ``parse_matrix`` and ``format_matrix`` round-trip
-exactly.  All malformed text raises ``ExprError`` with its column.
+exactly.  Tokens are plain strings from one regular-expression scan, and the
+grammar keeps an index into them; all malformed text raises ``ExprError`` with
+its column, which a second scan finds only then.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 from .coeff import Coeff, CoeffError, ONE, ParseError, Q, S
 from .element import (
@@ -80,32 +82,35 @@ class ExprError(ParseError):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-
-class _Token(NamedTuple):
-    kind: str  # "int" | "name" | "op" | "end"
-    text: str
-    pos: int
-
-
-# whitespace matches no group, so finditer skips it; any other character that
-# starts no token is caught by "bad"
-_TOKEN_RE = re.compile(
-    r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>\.\.|[-+*/^(),:\[\]])|(?P<bad>\S)"
-)
+# A token is its text, which gives its kind: "" is the end, a leading decimal
+# digit (str.isdecimal is \d's class) makes an integer, a leading ASCII letter
+# a name, anything else an operator.  Whitespace starts no token; any other
+# character that starts none is matched by \S and refused by _tokenize.
+_LEX_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\.\.|[-+*/^(),:\[\]]|\S")
+_OPS = frozenset(("..", *"-+*/^(),:[]"))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    new = tuple.__new__
-    for match in _TOKEN_RE.finditer(text):
-        kind, lexeme, pos = match.lastgroup, match.group(), match.start()
-        if kind == "bad":
-            raise ExprError(f"unexpected character {lexeme!r}", pos)
-        if kind == "int" and len(lexeme) > _MAX_DIGITS:
-            raise ExprError(f"integer literal longer than {_MAX_DIGITS} digits", pos)
-        out.append(new(_Token, (kind, lexeme, pos)))
-    out.append(new(_Token, ("end", "", len(text))))
-    return out
+def _tokenize(text: str) -> list[str]:
+    toks = _LEX_RE.findall(text)
+    for tok in toks:
+        if tok in _OPS:
+            continue
+        # toks.index(tok) is this token: an earlier copy would have been refused
+        if tok[0].isdecimal():
+            if len(tok) > _MAX_DIGITS:
+                raise ExprError(f"integer literal longer than {_MAX_DIGITS} digits",
+                                _column(text, toks.index(tok)))
+        elif not (tok[0].isascii() and tok[0].isalpha()):
+            raise ExprError(f"unexpected character {tok!r}", _column(text, toks.index(tok)))
+    toks.append("")
+    return toks
+
+
+def _column(text: str, at: int) -> int:
+    # the column of token number at, the end's being len(text): a second scan,
+    # made only when an error is raised
+    match = next(itertools.islice(_LEX_RE.finditer(text), at, None), None)
+    return len(text) if match is None else match.start()
 
 
 # ---------------------------------------------------------------------------
@@ -124,50 +129,12 @@ def _negate(value: _Value) -> _Value:
     return -value
 
 
-def _combine_add(a: _Value, b: _Value, pos: int) -> _Value:
-    # scalars only: _ElementParser.expr adds up element addends itself
-    if isinstance(a, HeckeElement) or isinstance(b, HeckeElement):
-        raise ExprError("cannot add a scalar to an element", pos)
-    if isinstance(a, Coeff) and isinstance(b, Coeff):
-        return a + b
-    return dict(merge_terms([*_as_mterms(a).items(), *_as_mterms(b).items()]))
-
-
-def _combine_mul(a: _Value, b: _Value, pos: int) -> _Value:
-    if not isinstance(a, dict) and not isinstance(b, dict):
-        # scalars and elements: Coeff products, scaling, or convolution
-        return a * b
-    if isinstance(a, HeckeElement) or isinstance(b, HeckeElement):
-        raise ExprError("cannot multiply an element by a term in m", pos)
-    pairs = itertools.product(_as_mterms(a).items(), _as_mterms(b).items())
-    return dict(merge_terms((e1 + e2, p1 * p2) for (e1, p1), (e2, p2) in pairs))
-
-
-def _combine_div(a: _Value, b: _Value, pos: int) -> _Value:
-    if not isinstance(b, Coeff):
-        raise ExprError("division is only defined by a scalar", pos)
-    try:
-        if isinstance(a, Coeff):
-            return a / b
-        if isinstance(a, HeckeElement):
-            return a.scale(ONE / b)
-        return {e: p * (ONE / b) for e, p in a.items()}
-    except CoeffError as err:
-        raise ExprError(str(err), pos) from err
-
-
-def _bounded(degree: int, pos: int) -> int:
-    if degree > _MAX_DEGREE:
-        raise ExprError(f"degree {degree} is above {_MAX_DEGREE}", pos)
-    return degree
-
-
 # ---------------------------------------------------------------------------
 # recursive-descent parser
 
 
 class _ElementParser:
-    """One-pass parser over the token stream.
+    """One-pass parser over the token strings; ``at`` indexes the next one.
 
     Each grammar rule returns its value with its degree, so that ``*`` and
     ``^`` can refuse a degree above the cap before building the result.
@@ -176,29 +143,22 @@ class _ElementParser:
     """
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.toks = _tokenize(text)
         self.at = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.at]
+    def error(self, message: str, at: int) -> ExprError:
+        # the refusal at token number at, with that token's column
+        return ExprError(message, _column(self.text, at))
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.at]
-        if tok.kind != "end":
+    def expect(self, op: str) -> None:
+        tok = self.toks[self.at]
+        if tok == op:
             self.at += 1
-        return tok
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
-
-    def expect(self, op: str) -> _Token:
-        tok = self.take()
-        if tok.kind == "end":
-            raise ExprError(f"expected {op!r} before end of input", tok.pos)
-        if tok.kind != "op" or tok.text != op:
-            raise ExprError(f"expected {op!r}, found {tok.text!r}", tok.pos)
-        return tok
+        elif tok:
+            raise self.error(f"expected {op!r}, found {tok!r}", self.at)
+        else:
+            raise self.error(f"expected {op!r} before end of input", self.at)
 
     def whole(self) -> _Value:
         """The whole input as one expression, outside any strip."""
@@ -207,92 +167,135 @@ class _ElementParser:
         return value
 
     def end(self) -> None:
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ExprError(f"unexpected {tail.text!r} after expression", tail.pos)
+        tail = self.toks[self.at]
+        if tail:
+            raise self.error(f"unexpected {tail!r} after expression", self.at)
+
+    # -- value algebra at a token -------------------------------------
+
+    def combine_add(self, a: _Value, b: _Value, at: int) -> _Value:
+        # scalars only: expr adds up element addends itself
+        if isinstance(a, HeckeElement) or isinstance(b, HeckeElement):
+            raise self.error("cannot add a scalar to an element", at)
+        if isinstance(a, Coeff) and isinstance(b, Coeff):
+            return a + b
+        return dict(merge_terms([*_as_mterms(a).items(), *_as_mterms(b).items()]))
+
+    def combine_mul(self, a: _Value, b: _Value, at: int) -> _Value:
+        if not isinstance(a, dict) and not isinstance(b, dict):
+            # scalars and elements: Coeff products, scaling, or convolution
+            return a * b
+        if isinstance(a, HeckeElement) or isinstance(b, HeckeElement):
+            raise self.error("cannot multiply an element by a term in m", at)
+        pairs = itertools.product(_as_mterms(a).items(), _as_mterms(b).items())
+        return dict(merge_terms((e1 + e2, p1 * p2) for (e1, p1), (e2, p2) in pairs))
+
+    def combine_div(self, a: _Value, b: _Value, at: int) -> _Value:
+        if not isinstance(b, Coeff):
+            raise self.error("division is only defined by a scalar", at)
+        try:
+            if isinstance(a, Coeff):
+                return a / b
+            if isinstance(a, HeckeElement):
+                return a.scale(ONE / b)
+            return {e: p * (ONE / b) for e, p in a.items()}
+        except CoeffError as err:
+            raise self.error(str(err), at) from err
+
+    def bounded(self, degree: int, at: int) -> int:
+        if degree > _MAX_DEGREE:
+            raise self.error(f"degree {degree} is above {_MAX_DEGREE}", at)
+        return degree
 
     # -- grammar, loosest binding first -------------------------------
 
     def expr(self, in_strip: bool) -> _Rule:
         value, degree = self.term(in_strip)
         addends = [value]  # of a sum of elements, added up once when it ends
-        while self.at_op("+", "-"):
-            tok = self.take()
+        toks = self.toks
+        while toks[self.at] in ("+", "-"):
+            at = self.at
+            self.at = at + 1
             rhs, rhs_degree = self.term(in_strip)
-            if tok.text == "-":
+            if toks[at] == "-":
                 rhs = _negate(rhs)
             if isinstance(value, HeckeElement) and isinstance(rhs, HeckeElement):
                 addends.append(rhs)
             else:
-                value = _combine_add(value, rhs, tok.pos)
+                value = self.combine_add(value, rhs, at)
             degree = max(degree, rhs_degree)
         return (_sum(addends) if len(addends) > 1 else value), degree
 
     def term(self, in_strip: bool) -> _Rule:
         value, degree = self.factor(in_strip)
-        while self.at_op("*", "/"):
-            tok = self.take()
+        toks = self.toks
+        while toks[self.at] in ("*", "/"):
+            at = self.at
+            self.at = at + 1
             rhs, rhs_degree = self.factor(in_strip)
-            if tok.text == "*":
-                degree = _bounded(degree + rhs_degree, tok.pos)
-                value = _combine_mul(value, rhs, tok.pos)
+            if toks[at] == "*":
+                degree = self.bounded(degree + rhs_degree, at)
+                value = self.combine_mul(value, rhs, at)
             else:
-                value = _combine_div(value, rhs, tok.pos)
+                value = self.combine_div(value, rhs, at)
         return value, degree
 
     def factor(self, in_strip: bool) -> _Rule:
-        if self.at_op("-"):
-            self.take()
+        tok = self.toks[self.at]
+        if tok == "-":
+            self.at += 1
             value, degree = self.factor(in_strip)
             return _negate(value), degree
-        if self.at_op("+"):
-            self.take()
+        if tok == "+":
+            self.at += 1
             return self.factor(in_strip)
         return self.power(in_strip)
 
     def power(self, in_strip: bool) -> _Rule:
         start = self.at
-        head = self.peek()
         base, degree = self.atom(in_strip)
         # an exponent linear in m is only meaningful on a bare q or s
-        bare = self.at == start + 1 and head.kind == "name"
-        qs_name = head.text if bare and head.text in ("q", "s") else ""
-        while self.at_op("^"):
-            caret = self.take()
-            base, degree = self.apply_exponent(base, degree, caret.pos, in_strip, qs_name)
+        head = self.toks[start]
+        qs_name = head if self.at == start + 1 and head in ("q", "s") else ""
+        while self.toks[self.at] == "^":
+            caret = self.at
+            self.at = caret + 1
+            base, degree = self.apply_exponent(base, degree, caret, in_strip, qs_name)
             qs_name = ""
         return base, degree
 
     def exponent(self) -> tuple[str, int]:
         # INT, m, k*m, each optionally negated and optionally parenthesized
-        if self.at_op("("):
-            self.take()
+        if self.toks[self.at] == "(":
+            self.at += 1
             body = self.exponent_body(parenthesized=True)
             self.expect(")")
             return body
         return self.exponent_body(parenthesized=False)
 
     def exponent_body(self, parenthesized: bool) -> tuple[str, int]:
-        sign = 1
-        if self.at_op("-"):
-            self.take()
+        toks, sign = self.toks, 1
+        if toks[self.at] == "-":
+            self.at += 1
             sign = -1
-        tok = self.take()
-        if tok.kind == "int":
-            k = sign * int(tok.text)
-            if parenthesized and self.at_op("*"):
-                self.take()
-                name = self.take()
-                if name.kind != "name" or name.text != "m":
-                    raise ExprError("expected 'm' after '*' in an exponent", name.pos)
+        at = self.at
+        tok = toks[at]
+        self.at = at + 1
+        if tok.isdecimal():
+            k = sign * int(tok)
+            if parenthesized and toks[self.at] == "*":
+                at = self.at + 1
+                if toks[at] != "m":
+                    raise self.error("expected 'm' after '*' in an exponent", at)
+                self.at = at + 1
                 return ("m", k)
             return ("int", k)
-        if tok.kind == "name" and tok.text == "m":
+        if tok == "m":
             return ("m", sign)
-        raise ExprError("malformed exponent", tok.pos)
+        raise self.error("malformed exponent", at)
 
     def apply_exponent(
-        self, base: _Value, degree: int, pos: int, in_strip: bool, qs_name: str
+        self, base: _Value, degree: int, at: int, in_strip: bool, qs_name: str
     ) -> _Rule:
         kind, k = self.exponent()
         if kind == "int":
@@ -300,74 +303,75 @@ class _ElementParser:
                 try:
                     return base**k, 0
                 except CoeffError as err:
-                    raise ExprError(str(err), pos) from err
+                    raise self.error(str(err), at) from err
             # an element or a term in m counts as degree at least 1 here, so
             # that a power of x^0 is bounded too
-            degree = _bounded(max(degree, 1) * abs(k), pos)
+            degree = self.bounded(max(degree, 1) * abs(k), at)
             if isinstance(base, HeckeElement):
                 if k < 0:
-                    raise ExprError("negative powers of elements are not defined", pos)
+                    raise self.error("negative powers of elements are not defined", at)
                 return base**k, degree
             if k < 1:
-                raise ExprError("powers of a term in m must be positive", pos)
+                raise self.error("powers of a term in m must be positive", at)
             out = base
             for _ in range(k - 1):
-                out = _combine_mul(out, base, pos)
+                out = self.combine_mul(out, base, at)
             return out, degree
         if not in_strip:
-            raise ExprError("an exponent in m is only allowed inside strip(...)", pos)
+            raise self.error("an exponent in m is only allowed inside strip(...)", at)
         if not qs_name:
-            raise ExprError("an exponent in m must sit on a bare q or s", pos)
+            raise self.error("an exponent in m must sit on a bare q or s", at)
         e = 2 * k if qs_name == "q" else k
         return {e: IndexPoly.constant(ONE)}, 0
 
     # -- atoms --------------------------------------------------------
 
     def atom(self, in_strip: bool) -> _Rule:
-        tok = self.take()
-        if tok.kind == "int":
-            return Coeff.integer(int(tok.text)), 0
-        if tok.kind == "op" and tok.text == "(":
+        at = self.at
+        tok = self.toks[at]
+        self.at = at + 1
+        if tok.isdecimal():
+            return Coeff.integer(int(tok)), 0
+        if tok == "(":
             rule = self.expr(in_strip)
             self.expect(")")
             return rule
-        if tok.kind == "name" and tok.text == "strip":
-            return self.strip_atom(tok.pos)
-        if tok.kind == "name":
-            value = self.named_atom(tok, in_strip)
+        if tok == "strip":
+            return self.strip_atom(at)
+        if tok.isalnum():  # a name: integers are read above
+            value = self.named_atom(tok, at, in_strip)
             # q and s are scalars; every other name is an element or m
             return value, int(not isinstance(value, Coeff))
-        if tok.kind == "end":
-            raise ExprError("unexpected end of input", tok.pos)
-        raise ExprError(f"unexpected {tok.text!r}", tok.pos)
+        if not tok:
+            raise self.error("unexpected end of input", at)
+        raise self.error(f"unexpected {tok!r}", at)
 
-    def named_atom(self, tok: _Token, in_strip: bool) -> _Value:
-        name = tok.text
+    def named_atom(self, name: str, at: int, in_strip: bool) -> _Value:
         if name == "q":
             return Q
         if name == "s":
             return S
         if name == "m":
             if not in_strip:
-                raise ExprError("'m' is only defined inside strip(...)", tok.pos)
+                raise self.error("'m' is only defined inside strip(...)", at)
             return {0: IndexPoly((0, 1))}
         if name == "iota":
             return iota()
         if name in ("phi0", "phi1", "phi2"):
             return phi(int(name[3]))
         if name == "chi":
-            return self.call(chi, self.int_args(3), tok.pos)
+            return self.call(chi, self.int_args(3), at)
         if name == "theta":
-            return self.call(theta, self.int_args(2), tok.pos)
-        raise ExprError(f"unknown name {name!r}", tok.pos)
+            return self.call(theta, self.int_args(2), at)
+        raise self.error(f"unknown name {name!r}", at)
 
     def call(
-        self, fn: Callable[..., HeckeElement], args: tuple[int, ...], pos: int
+        self, fn: Callable[..., HeckeElement], args: tuple[int, ...], at: int
     ) -> HeckeElement:
         try:
             return fn(*args)
         except ValueError as err:
-            raise ExprError(str(err), pos) from err
+            raise self.error(str(err), at) from err
 
     def int_args(self, count: int) -> tuple[int, ...]:
         self.expect("(")
@@ -380,30 +384,33 @@ class _ElementParser:
         return tuple(out)
 
     def signed_int(self) -> int:
-        sign = 1
-        if self.at_op("-"):
-            self.take()
+        toks, sign = self.toks, 1
+        if toks[self.at] == "-":
+            self.at += 1
             sign = -1
-        tok = self.take()
-        if tok.kind != "int":
-            raise ExprError("expected an integer", tok.pos)
-        return sign * int(tok.text)
+        at = self.at
+        if not toks[at].isdecimal():
+            raise self.error("expected an integer", at)
+        self.at = at + 1
+        return sign * int(toks[at])
 
     def bound(self) -> Bound:
-        sign = 1
-        if self.at_op("-"):
-            self.take()
+        toks, sign = self.toks, 1
+        if toks[self.at] == "-":
+            self.at += 1
             sign = -1
-        elif self.at_op("+"):
-            self.take()
-        tok = self.take()
-        if tok.kind == "int":
-            return sign * int(tok.text)
-        if tok.kind == "name" and tok.text == "inf":
+        elif toks[self.at] == "+":
+            self.at += 1
+        at = self.at
+        tok = toks[at]
+        self.at = at + 1
+        if tok.isdecimal():
+            return sign * int(tok)
+        if tok == "inf":
             return NEG_INF if sign < 0 else POS_INF
-        raise ExprError("expected an integer or 'inf'", tok.pos)
+        raise self.error("expected an integer or 'inf'", at)
 
-    def strip_atom(self, pos: int) -> _Rule:
+    def strip_atom(self, at: int) -> _Rule:
         self.expect("(")
         a = self.signed_int()
         self.expect(",")
@@ -416,7 +423,7 @@ class _ElementParser:
         body, degree = self.expr(in_strip=True)
         self.expect(")")
         if isinstance(body, HeckeElement):
-            raise ExprError("a strip body must be scalar in m", pos)
+            raise self.error("a strip body must be scalar in m", at)
         degree = max(degree, 1)  # an element atom, or its body's degree in m
         terms = merge_terms(_as_mterms(body).items())
         try:
@@ -426,7 +433,7 @@ class _ElementParser:
             _check_row_shape(j, (strip,))
             return (HeckeElement([((a, j), (strip,))]) if terms else zero_element()), degree
         except ShapeError as err:
-            raise ExprError(str(err), pos) from err
+            raise self.error(str(err), at) from err
 
 
 def parse_element(text: str) -> HeckeElement:
@@ -476,33 +483,35 @@ def _literal(text: str, q: int, shape: str) -> list[FieldElem2]:
 def _entry(p: _ElementParser, q: int) -> FieldElem2:
     # a sum of signed products of integers and t1, t2 powers, read into one dict;
     # a "-" between terms is left to negate the next one, as a leading "-" does
-    terms: dict[tuple[int, int], int] = {}
+    toks, terms = p.toks, {}
     for _ in range(_MAX_TERMS):
         c, e = 1, [0, 0]
         while True:
-            while p.at_op("-"):
-                p.take()
+            while toks[p.at] == "-":
+                p.at += 1
                 c = -c
-            tok = p.take()
-            if tok.kind == "name" and tok.text in ("t1", "t2"):
+            at = p.at
+            tok = toks[at]
+            p.at = at + 1
+            if tok in ("t1", "t2"):
                 k = 1
-                if p.at_op("^"):
-                    p.take()
+                if toks[p.at] == "^":
+                    p.at += 1
                     k = p.signed_int()
-                e[tok.text == "t2"] += k
-            elif tok.kind == "int":
-                c = c * int(tok.text) % q
+                e[tok == "t2"] += k
+            elif tok.isdecimal():
+                c = c * int(tok) % q
             else:
-                raise ExprError("expected an integer, t1 or t2", tok.pos)
-            if not p.at_op("*"):
+                raise p.error("expected an integer, t1 or t2", at)
+            if toks[p.at] != "*":
                 break
-            p.take()
+            p.at += 1
         terms[tuple(e)] = terms.get(tuple(e), 0) + c
-        if p.at_op("+"):
-            p.take()
-        elif not p.at_op("-"):
+        if toks[p.at] == "+":
+            p.at += 1
+        elif toks[p.at] != "-":
             return FieldElem2(q, terms)
-    raise ExprError(f"an entry may have at most {_MAX_TERMS} terms", p.peek().pos)
+    raise p.error(f"an entry may have at most {_MAX_TERMS} terms", p.at)
 
 
 def parse_field_elem(text: str, q: int) -> FieldElem2:

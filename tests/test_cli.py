@@ -263,6 +263,21 @@ def test_cli_verify_reports_failure(capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "q,message",
+    [
+        ("2,,3", "error: --q must be comma-separated integers, got '2,,3'\n"),
+        ("2,x", "error: --q must be comma-separated integers, got '2,x'\n"),
+        ("3,", "error: --q must be comma-separated integers, got '3,'\n"),
+        ("", "error: qs must name at least one q\n"),
+    ],
+)
+def test_cli_verify_names_a_malformed_q_list(q, message, capsys):
+    assert main(["verify", "table_oracle", "--q", q]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", message)
+
+
 def test_cli_error_exit_codes(capsys):
     assert main(["mul", "chi(9,0,0)", "iota"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -403,7 +418,8 @@ _OLD_TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\.\.|[-+*/^(),:\[\]]")
 
 
 def _reference_tokenize(s):
-    """The per-character tokenizer that text._tokenize replaced, as a reference."""
+    """The per-character tokenizer that text._tokenize replaced, as a reference:
+    (kind, text, column) for each token and for the end."""
     out, pos = [], 0
     while pos < len(s):
         if s[pos].isspace():
@@ -421,10 +437,23 @@ def _reference_tokenize(s):
             kind = "name"
         else:
             kind = "op"
-        out.append(text._Token(kind, lexeme, pos))
+        out.append((kind, lexeme, pos))
         pos = match.end()
-    out.append(text._Token("end", "", len(s)))
+    out.append(("end", "", len(s)))
     return out
+
+
+def _parser_tokens(s):
+    """(kind, text, column) for each token text._tokenize gives, the kind read
+    off its text and the column found as the parser finds it on an error."""
+    def kind(tok):
+        if not tok:
+            return "end"
+        if tok[0].isdecimal():
+            return "int"
+        return "name" if tok[0].isascii() and tok[0].isalpha() else "op"
+
+    return [(kind(tok), tok, text._column(s, at)) for at, tok in enumerate(text._tokenize(s))]
 
 
 def _tokens_or_error(tokenize, s):
@@ -471,8 +500,8 @@ def test_tokenizer_matches_its_reference_on_readme_products_and_literals():
     products = [format_element(mul(x, y)) for x in pool for y in pool]
     for s in [*readme, *products, *_TOKENIZER_CASES]:
         want = _tokens_or_error(_reference_tokenize, s)
-        assert _tokens_or_error(text._tokenize, s) == want, s
-    errors = [s for s in _TOKENIZER_CASES if isinstance(_tokens_or_error(text._tokenize, s), str)]
+        assert _tokens_or_error(_parser_tokens, s) == want, s
+    errors = [s for s in _TOKENIZER_CASES if isinstance(_tokens_or_error(_parser_tokens, s), str)]
     assert len(errors) == 8
 
 

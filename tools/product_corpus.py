@@ -33,9 +33,15 @@ comes last: one sha256 over the exit code, standard output and standard error
 of `hecke2d reps a i --q q --count-only`, run in process, for sheets 1 and
 2, |i| <= 5 and q = 2, 3, 4, 5 and 17 (110 calls), so the coset counts and
 the refusals past the index limit, of a q that is not a prime and past the
-cap are compared too.
+cap are compared too.  A `text:` line ends it: one sha256 over (entry point,
+input, result text or exception class and text) of `parse_element`,
+`parse_scalar` and `parse_matrix` at q = 3, each on every input: the quoted
+arguments of README's `hecke2d` lines, the `format_element` text of every
+ordered pair product of the atom pool, each distinct scalar string of those
+products' `element_to_json`, and each README argument with one token
+deleted, so what the text layer reads and how it refuses are compared too.
 
-Standard output holds only these nine lines; the corpus's timing goes to
+Standard output holds only these ten lines; the corpus's timing goes to
 standard error.  So `diff` of two checkouts' output is empty exactly when
 every digest matches:
 
@@ -49,6 +55,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -71,6 +78,13 @@ from hecke2d import (  # noqa: E402
 from hecke2d.oracle import counted_product, eta_matrix  # noqa: E402
 from hecke2d.product import PERTURBATIONS  # noqa: E402
 from hecke2d.suites import _atom_pool, run_suite  # noqa: E402
+from hecke2d.text import (  # noqa: E402
+    format_element,
+    format_matrix,
+    parse_element,
+    parse_matrix,
+    parse_scalar,
+)
 
 
 def corpus():
@@ -205,6 +219,47 @@ def basis_lines():
             yield (" ".join(str(coeff_of_product(x, y, t)) for t in TARGETS) + "\n").encode()
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+#: the tokens of the text layer, kept here so that the deletions do not hang on its internals
+TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\.\.|[-+*/^(),:\[\]]|\S")
+READERS = {
+    "parse_element": lambda s: format_element(parse_element(s)),
+    "parse_scalar": lambda s: str(parse_scalar(s)),
+    "parse_matrix": lambda s: format_matrix(parse_matrix(s, 3)),
+}
+
+
+def text_inputs():
+    """Yield every input of the `text:` line, in a fixed order."""
+    lines = [ln for ln in README.read_text().splitlines() if ln.startswith("hecke2d ")]
+    readme = [arg for ln in lines for arg in re.findall(r"'([^']*)'", ln)]
+    yield from readme
+    atoms = [x for _, x in _atom_pool()]
+    products = [mul(x, y) for x in atoms for y in atoms]
+    yield from (format_element(p) for p in products)
+    scalars = {}
+    for p in products:
+        for row in element_to_json(p)["rows"]:
+            for strip in row["strips"]:
+                for term in strip["terms"]:
+                    scalars.update(dict.fromkeys(term["poly"]))
+    yield from scalars
+    for arg in readme:
+        for match in TOKEN_RE.finditer(arg):
+            yield arg[: match.start()] + arg[match.end():]
+
+
+def readings():
+    """Yield (entry point, input, outcome) for every reader on every input."""
+    for s in text_inputs():
+        for name, read in READERS.items():
+            try:
+                outcome = read(s)
+            except Exception as err:  # the class is the record
+                outcome = f"{type(err).__name__}: {err}"
+            yield name, s, outcome
+
+
 def _line(x) -> bytes:
     return json.dumps(element_to_json(x), sort_keys=True).encode() + b"\n"
 
@@ -258,6 +313,11 @@ def main() -> None:
         counted.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
         n += 1
     print(f"reps: {n} calls, sha256 {counted.hexdigest()}")
+    read, n = hashlib.sha256(), 0
+    for record in readings():
+        read.update(("\t".join(record) + "\n").encode())
+        n += 1
+    print(f"text: {n} cases, sha256 {read.hexdigest()}")
 
 
 if __name__ == "__main__":
