@@ -220,7 +220,8 @@ def basis_lines():
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-#: the tokens of the text layer, kept here so that the deletions do not hang on its internals
+#: the text layer's token pattern, matched here: its tokenizer is internal and may differ
+#: between the two checkouts compared
 TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\.\.|[-+*/^(),:\[\]]|\S")
 READERS = {
     "parse_element": lambda s: format_element(parse_element(s)),
