@@ -302,6 +302,81 @@ def test_cli_usage_error_exits_two():
     assert err.value.code == 2
 
 
+_USAGE = "usage: hecke2d [-h] {mul,coeff,classify,reps,oracle,verify} ...\n"
+_CHOICES = "(choose from 'mul', 'coeff', 'classify', 'reps', 'oracle', 'verify')"
+_MUL_USAGE = "usage: hecke2d mul [-h] [--json] left right\n"
+_REPS_USAGE = "usage: hecke2d reps [-h] --q Q [--count-only] a i\n"
+_HELP = _USAGE + """
+Exact products, coset classification, and verification suites for the rank-two
+Iwahori-Hecke kernel.
+
+positional arguments:
+  {mul,coeff,classify,reps,oracle,verify}
+    mul                 multiply two element expressions
+    coeff               print one basis coefficient of an expression
+    classify            print the double-coset label of a matrix
+    reps                list the level-zero coset representatives
+    oracle              compare the counting oracle with the symbolic product
+    verify              run a verification suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+_MUL_HELP = _MUL_USAGE + """
+positional arguments:
+  left
+  right
+
+options:
+  -h, --help  show this help message and exit
+  --json      print the normal form as JSON
+"""
+_PHI2_PHI1_JSON = (
+    '{"rows": [{"a": 1, "j": -1, "strips": [{"hi": 1, "lo": 1, "terms": [{"e": 0, "poly": ["s^2"]}]}]},'
+    ' {"a": 2, "j": -1, "strips": [{"hi": 0, "lo": 0, "terms": [{"e": 0, "poly": ["s^2 - 1"]}]}]}]}\n'
+)
+
+#: (argv, exit code, stdout, stderr): each usage refusal, the help texts, and the
+#: abbreviated, `=`-joined, negative and `--`-escaped forms that argparse accepts
+_USAGE_TABLE = [
+    ([], 2, "", _USAGE + "hecke2d: error: the following arguments are required: command\n"),
+    (["-h"], 0, _HELP, ""),
+    (["--nope"], 2, "", _USAGE + "hecke2d: error: the following arguments are required: command\n"),
+    (["frob"], 2, "", _USAGE + f"hecke2d: error: argument command: invalid choice: 'frob' {_CHOICES}\n"),
+    (["multiply"], 2, "", _USAGE + f"hecke2d: error: argument command: invalid choice: 'multiply' {_CHOICES}\n"),
+    (["--", "mul", "a", "b"], 2, "", _USAGE + f"hecke2d: error: argument command: invalid choice: '--' {_CHOICES}\n"),
+    (["mul"], 2, "", _MUL_USAGE + "hecke2d mul: error: the following arguments are required: left, right\n"),
+    (["mul", "iota"], 2, "", _MUL_USAGE + "hecke2d mul: error: the following arguments are required: right\n"),
+    (["mul", "-phi1", "phi2"], 2, "", _MUL_USAGE + "hecke2d mul: error: the following arguments are required: right\n"),
+    (["mul", "phi2", "phi1", "extra"], 2, "", _USAGE + "hecke2d: error: unrecognized arguments: extra\n"),
+    (["classify", "[[1,0],[0,1]]", "--q", "2", "zz"], 2, "", _USAGE + "hecke2d: error: unrecognized arguments: zz\n"),
+    (["mul", "phi2", "phi1", "--bogus"], 2, "", _USAGE + "hecke2d: error: unrecognized arguments: --bogus\n"),
+    (["mul", "-h"], 0, _MUL_HELP, ""),
+    (["coeff", "phi2"], 2, "", "usage: hecke2d coeff [-h] --at a,i,j expr\n"
+     "hecke2d coeff: error: the following arguments are required: --at\n"),
+    (["reps", "1", "x", "--q", "3"], 2, "", _REPS_USAGE + "hecke2d reps: error: argument i: invalid int value: 'x'\n"),
+    (["reps", "1", "2"], 2, "", _REPS_USAGE + "hecke2d reps: error: the following arguments are required: --q\n"),
+    (["mul", "phi2", "phi1", "--js"], 0, _PHI2_PHI1_JSON, ""),
+    (["reps", "1", "1", "--q", "2", "--count"], 0, "4\n", ""),
+    (["verify", "im_relations", "--se", "3"], 0, "suite im_relations: 44 cases, 0 failures [PASS]\n", ""),
+    (["coeff", "phi2*phi2", "--at=2,3,-2"], 0, "s^6 - s^4\n", ""),
+    (["reps", "1", "-2", "--q", "3", "--count-only"], 0, "81\n", ""),
+    (["mul", "--", "-phi1", "phi2"], 0, "(-s^2 + 1)*chi(2,0,-1)\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _USAGE_TABLE,
+                         ids=[" ".join(row[0]) or "no arguments" for row in _USAGE_TABLE])
+def test_cli_usage_refusals_and_help_are_pinned(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal's width
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    got = capsys.readouterr()
+    assert (status, got.out, got.err) == (code, out, err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

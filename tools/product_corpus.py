@@ -40,8 +40,14 @@ arguments of README's `hecke2d` lines, the `format_element` text of every
 ordered pair product of the atom pool, each distinct scalar string of those
 products' `element_to_json`, and each README argument with one token
 deleted, so what the text layer reads and how it refuses are compared too.
+A `cli:` line closes the output: one sha256 over (argv, exit code, standard
+output, standard error) of `hecke2d` run in process on each call of the
+usage table that `tests/test_cli.py` pins (each usage refusal, the help
+texts, and the abbreviated, `=`-joined, negative and `--`-escaped forms
+that argparse accepts), with help wrapped at 80 columns, so a change in how
+the command line is read shows.
 
-Standard output holds only these ten lines; the corpus's timing goes to
+Standard output holds only these eleven lines; the corpus's timing goes to
 standard error.  So `diff` of two checkouts' output is empty exactly when
 every digest matches:
 
@@ -54,6 +60,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import sys
@@ -219,6 +226,29 @@ def basis_lines():
             yield (" ".join(str(coeff_of_product(x, y, t)) for t in TARGETS) + "\n").encode()
 
 
+#: the argv of each call of tests/test_cli.py's usage table
+CLI_TABLE = [[], ["-h"], ["--nope"], ["frob"], ["multiply"], ["--", "mul", "a", "b"],
+             ["mul"], ["mul", "iota"], ["mul", "-phi1", "phi2"], ["mul", "phi2", "phi1", "extra"],
+             ["classify", "[[1,0],[0,1]]", "--q", "2", "zz"], ["mul", "phi2", "phi1", "--bogus"],
+             ["mul", "-h"], ["coeff", "phi2"], ["reps", "1", "x", "--q", "3"], ["reps", "1", "2"],
+             ["mul", "phi2", "phi1", "--js"], ["reps", "1", "1", "--q", "2", "--count"],
+             ["verify", "im_relations", "--se", "3"], ["coeff", "phi2*phi2", "--at=2,3,-2"],
+             ["reps", "1", "-2", "--q", "3", "--count-only"], ["mul", "--", "-phi1", "phi2"]]
+
+
+def cli_calls():
+    """Yield [argv, exit code, stdout, stderr] for each call of CLI_TABLE, run in process."""
+    os.environ["COLUMNS"] = "80"  # argparse wraps help at the terminal's width
+    for argv in CLI_TABLE:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse ends usage errors and help this way
+                code = exc.code
+        yield [argv, code, out.getvalue(), err.getvalue()]
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 #: the text layer's token pattern, matched here: its tokenizer is internal and may differ
 #: between the two checkouts compared
@@ -319,6 +349,11 @@ def main() -> None:
         read.update(("\t".join(record) + "\n").encode())
         n += 1
     print(f"text: {n} cases, sha256 {read.hexdigest()}")
+    called, n = hashlib.sha256(), 0
+    for record in cli_calls():
+        called.update((json.dumps(record) + "\n").encode())
+        n += 1
+    print(f"cli: {n} calls, sha256 {called.hexdigest()}")
 
 
 if __name__ == "__main__":
