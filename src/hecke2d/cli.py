@@ -1,5 +1,9 @@
 """Command-line front end: argparse and the subcommands.
 
+A call whose first argument names a subcommand is read by that subcommand's
+parser alone, and what it leaves over is refused with the top-level usage, as
+argparse refuses it; any other call goes through the top-level parser.
+
 Element expressions and matrix literals are read and printed by
 :mod:`hecke2d.text`; ``parse_element``, ``format_element`` and ``ExprError``
 are importable from here under the same names.
@@ -94,38 +98,40 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 @functools.lru_cache(maxsize=None)  # built once: parsing leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="hecke2d",
         description="Exact products, coset classification, and verification "
         "suites for the rank-two Iwahori-Hecke kernel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("mul", help="multiply two element expressions")
+    p = commands["mul"] = sub.add_parser("mul", help="multiply two element expressions")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--json", action="store_true", help="print the normal form as JSON")
     p.set_defaults(func=_cmd_mul)
 
-    p = sub.add_parser("coeff", help="print one basis coefficient of an expression")
+    p = commands["coeff"] = sub.add_parser("coeff", help="print one basis coefficient of an expression")
     p.add_argument("expr")
     p.add_argument("--at", required=True, metavar="a,i,j")
     p.set_defaults(func=_cmd_coeff)
 
-    p = sub.add_parser("classify", help="print the double-coset label of a matrix")
+    p = commands["classify"] = sub.add_parser("classify", help="print the double-coset label of a matrix")
     p.add_argument("matrix", help="literal like '[[1,1],[t1,1+t1]]'")
     p.add_argument("--q", type=int, required=True, help="residue field size")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("reps", help="list the level-zero coset representatives")
+    p = commands["reps"] = sub.add_parser("reps", help="list the level-zero coset representatives")
     p.add_argument("a", type=int)
     p.add_argument("i", type=int)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_reps)
 
-    p = sub.add_parser(
+    p = commands["oracle"] = sub.add_parser(
         "oracle", help="compare the counting oracle with the symbolic product"
     )
     p.add_argument("left", metavar="a,i")
@@ -133,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = commands["verify"] = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")
     p.add_argument("--range", type=int, default=None, help="index bound override, at most 16")
     p.add_argument("--q", default="2,3", metavar="p[,p]", help="residue field sizes")
@@ -141,12 +147,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, commands
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Dispatch a subcommand; 0 on pass, 1 on verification failure, 2 on bad input."""
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     try:
         return args.func(args)
     except (ExprError, ValueError, CoeffError, EnumerationError) as err:

@@ -377,6 +377,20 @@ def test_cli_usage_refusals_and_help_are_pinned(argv, code, out, err, capsys, mo
     assert (status, got.out, got.err) == (code, out, err)
 
 
+def test_main_without_argv_reads_sys_argv_on_both_routes(capsys, monkeypatch):
+    # a subcommand first goes to that subcommand's parser, anything else to the top level
+    monkeypatch.setattr(sys, "argv", ["hecke2d", "reps", "1", "1", "--q", "2", "--count-only"])
+    assert main() == 0
+    assert capsys.readouterr() == ("4\n", "")
+    for argv, message in ((["frob"], f"argument command: invalid choice: 'frob' {_CHOICES}"),
+                          (["mul", "phi2", "phi1", "extra"], "unrecognized arguments: extra")):
+        monkeypatch.setattr(sys, "argv", ["hecke2d", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"{_USAGE}hecke2d: error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
