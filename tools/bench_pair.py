@@ -3,10 +3,14 @@ write the paired result as a BENCH_<n>.json file.
 
     python3 tools/bench_pair.py --parent HEAD --change "what changed" --out BENCH_22.json
 
-The parent is unpacked from `git archive` into a temporary directory, which
-leaves the repository's worktree list untouched, and this checkout's
-perfbench/ is copied over it, so both sides
-run the same harness on their own src/.  For each workload and each of the
+Both sides run from sibling directories of one temporary directory, so that
+neither runs from a different place than the other: the parent unpacked
+from `git archive` of the parent revision, and the change from `git archive`
+of `git stash create`, which snapshots the checkout's tracked files with
+their uncommitted edits (of HEAD when there are none; untracked files are
+left out).  This leaves the repository's worktree list and stash untouched.
+The change's perfbench/ is copied over the parent's, so both sides run the
+same harness on their own src/.  For each workload and each of the
 seeds 1 to 10 the two sides run back to back, one run at a time, the change
 first on odd seeds, for BENCHMARK.json's run_seconds (30):
 
@@ -53,6 +57,12 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def unpack(revision: str, dest: Path) -> None:
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", revision], cwd=ROOT, check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
 def quartiles(values: list[float]) -> list[float]:
     q = statistics.quantiles(values, n=4, method="inclusive")
     return [round(q[0], 4), round(q[2], 4)]
@@ -94,19 +104,20 @@ def main(argv=None) -> int:
     rules = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     seeds = list(range(1, SEEDS + 1))
     workloads = {}
+    snapshot = subprocess.run(["git", "stash", "create"], cwd=ROOT, check=True, capture_output=True,
+                              text=True).stdout.strip() or "HEAD"
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        parent.mkdir()
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True, capture_output=True)
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        parent, change = Path(tmp) / "parent", Path(tmp) / "change"
+        unpack(args.parent, parent)
+        unpack(snapshot, change)
         shutil.rmtree(parent / "perfbench", ignore_errors=True)
-        shutil.copytree(ROOT / "perfbench", parent / "perfbench")
+        shutil.copytree(change / "perfbench", parent / "perfbench")
         for w in spec["workloads"]:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for seed in seeds:
                 order = ("change", "parent") if seed % 2 else ("parent", "change")
                 for side in order:
-                    runs[side].append(run(ROOT if side == "change" else parent, w["name"], seed, seconds))
+                    runs[side].append(run(change if side == "change" else parent, w["name"], seed, seconds))
                     print(f"{w['name']} seed {seed} {side} done", file=sys.stderr)
             workloads[w["name"]] = {
                 "seeds": seeds,
@@ -118,7 +129,8 @@ def main(argv=None) -> int:
         "change": args.change,
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0",
         "pairing": "parent and change run back to back per seed, the change first on odd seeds and the"
-                   " parent first on even seeds; the parent unpacked by git archive, with this checkout's perfbench/",
+                   " parent first on even seeds; each side unpacked by git archive into a sibling temporary"
+                   " directory (the change from git stash create), the parent with the change's perfbench/",
         "machine": f"{os.cpu_count()} vCPU, Python {platform.python_version()};"
                    " times are seconds at perfbench's reference speed",
         "quartiles": "inclusive method over the per-seed values; pairs_won counts seeds where the change"
