@@ -326,7 +326,8 @@ class Coeff:
         return self + (-o)
 
     def __rsub__(self, other: Union["Coeff", int, Fraction]) -> "Coeff":
-        return (-self) + other
+        o = Coeff._coerce(other)
+        return o if o is NotImplemented else o - self
 
     def __mul__(self, other: Union["Coeff", int, Fraction]) -> "Coeff":
         o = Coeff._coerce(other)
@@ -361,7 +362,8 @@ class Coeff:
         return self * o._inverse()
 
     def __rtruediv__(self, other: Union["Coeff", int, Fraction]) -> "Coeff":
-        return Coeff._coerce(other) / self
+        o = Coeff._coerce(other)
+        return o if o is NotImplemented else o / self
 
     def __pow__(self, e: int) -> "Coeff":
         if not e:

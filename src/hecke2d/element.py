@@ -469,14 +469,13 @@ def _element(rows: tuple[tuple[RowKey, RowSeries], ...]) -> HeckeElement:
     """The element with these rows, which must be sorted and in normal form."""
     out = object.__new__(HeckeElement)
     object.__setattr__(out, "rows", rows)
-    object.__setattr__(out, "_lookup", dict(rows))
     return out
 
 
 class HeckeElement:
     """Immutable algebra element: a finite family of rows keyed by (sheet, level)."""
 
-    __slots__ = ("rows", "_lookup")
+    __slots__ = ("rows",)
 
     rows: tuple[tuple[RowKey, RowSeries], ...]
 
@@ -502,7 +501,6 @@ class HeckeElement:
                     swept.setdefault(key, []).append(s)
         built = _normal_rows(points, swept)
         object.__setattr__(self, "rows", built)
-        object.__setattr__(self, "_lookup", dict(built))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HeckeElement is immutable")
@@ -510,7 +508,7 @@ class HeckeElement:
     # -- queries ------------------------------------------------------------
 
     def row(self, key: tuple[int, int]) -> RowSeries:
-        return self._lookup.get(RowKey(*key), RowSeries(()))
+        return dict(self.rows).get(RowKey(*key), RowSeries(()))
 
     def coefficient_at(self, key: tuple[int, int], m: int) -> Coeff:
         a, j = key

@@ -6,12 +6,13 @@ of _TABLE.  Pi = [[0,1],[t1,0]] normalises the Iwahori subgroup, so
 conjugation by Pi is an automorphism sigma of the algebra, chi^(a)_{m,j} ->
 chi^(a)_{-m-(a-1),-j}, which swaps phi0 and phi1.  A record names its branch
 (p1-p8, q1-q9), the factor signs it covers, and for each right sheet b its
-output terms at level j + l: a point mass at n = i + k or n = i - k whose
-q-exponent is the least of some affine forms in (i, k), or a geometric run
-between affine bounds.  A twin, the sigma-image of a written record, is
-derived from it.  _pieces compiles the first record that matches into kernel
-pieces, each a point at n = i + tk*k or a span cut out by affine
-inequalities in (i, k, n), and two evaluators read them:
+output terms at level j + l: a point mass at weyl_mul's index (n = i + k on
+left sheet 1, i - k on sheet 2) whose q-exponent is the least of some affine
+forms in (i, k), or a geometric run (1 - 1/q) q^(top - n) from the greatest of
+some affine lower bounds up to an affine top.  A twin, the sigma-image of a
+written record, is derived from it.  _pieces compiles the first record that
+matches into kernel pieces, each a point at n = i + tk*k or a span cut out by
+affine inequalities in (i, k, n), and two evaluators read them:
 
 * ``_point_pair`` evaluates the pieces at integers i and k, giving one value
   or one geometric run each.  ``mul_basis`` is this evaluator on one basis
@@ -98,13 +99,15 @@ class InfiniteSupportError(ArithmeticError):
 # signs it covers, and lists for each right sheet b its output terms, all at
 # level j + l; p8 and q9, for levels of opposite signs, have none.  The signs
 # are x and y, each factor's sign (its level's, or at level zero its index's,
-# with 0 counted positive), and j and l, the signs of the levels.  Exponents
-# and bounds are affine forms in (i, k), such as "2i-k-1".  A branch whose
-# exponent depends on a sign (p3, q8) has one record per sign case, under one
-# name.  Sigma negates every sign, and eight records are twins, appended on the
-# negated signs of the written record that names them: p2, p3 for x < 0 < l,
-# p5, p7, q2, q5, q8 at j = 0 (q7's twin) and q8 for x, y < 0.  q3, q6, p8 and
-# q9 are their own images.
+# with 0 counted positive), and j and l, the signs of the levels.  A point
+# sits at n = i + k on a sheet-1 record and n = i - k on a sheet-2 one; a
+# run's top is its upper bound and its exponent.  Exponents and bounds are
+# affine forms in (i, k), such as "2i-k-1".  A branch whose exponent depends
+# on a sign (p3, q8) has one record per sign case, under one name.  Sigma
+# negates every sign, and eight records are twins, appended on the negated
+# signs of the written record that names them: p2, p3 for x < 0 < l, p5, p7,
+# q2, q5, q8 at j = 0 (q7's twin) and q8 for x, y < 0.  q3, q6, p8 and q9 are
+# their own images.
 
 Form = tuple[int, int, int]  # ci*i + ck*k + c0
 
@@ -125,16 +128,13 @@ def _forms(text: str) -> tuple[Form, ...]:
 
 class _Point(NamedTuple):
     sheet: int
-    n: str  # "i+k" or "i-k"
-    exps: str  # q^(the least of these forms)
+    exps: str  # q^(the least of these forms) at n = i + k, or i - k on left sheet 2
 
 
 class _Run(NamedTuple):
     sheet: int
-    step: int  # (1 - 1/q) q^exp s^(step*n) at each n
-    exp: str
-    lows: str  # from the greatest of these ("-inf": none)
-    highs: str  # to the least of these ("inf": none)
+    lows: str  # (1 - 1/q) q^(top - n) at each n from the greatest of these ("-inf": none)
+    top: str  # up to this
 
 
 class _Branch(NamedTuple):
@@ -152,32 +152,32 @@ def _each(term: Callable[[int], Union[_Point, _Run]]) -> dict[int, tuple]:
 
 _TABLE: list[_Branch] = [
     _Branch("p1", 1, lambda x, j, y, l: x > 0 and y > 0,
-            _each(lambda b: _Point(b, "i+k", "-1")), "p2"),
+            _each(lambda b: _Point(b, "-1")), "p2"),
     _Branch("p3", 1, lambda x, j, y, l: j == 0 and l < 0 < x,
-            _each(lambda b: _Point(b, "i+k", "2i-1")), "p3"),
+            _each(lambda b: _Point(b, "2i-1")), "p3"),
     _Branch("p4", 1, lambda x, j, y, l: j > 0 and l == 0 and y < 0, {
-        1: (_Point(1, "i+k", "-2k-1"), _Run(2, -2, "i-k-1", "i+k", "i-k-1")),
-        2: (_Run(1, -2, "i-k-1", "i+k+1", "i-k-1"), _Point(2, "i+k", "-2k-2")),
+        1: (_Point(1, "-2k-1"), _Run(2, "i+k", "i-k-1")),
+        2: (_Run(1, "i+k+1", "i-k-1"), _Point(2, "-2k-2")),
     }, "p5"),
     _Branch("p6", 1, lambda x, j, y, l: j == l == 0 and x > 0 > y, {
-        1: (_Point(1, "i+k", "2i-1, -2k-1"), _Run(2, -2, "i-k-1", "i+k, -i-k", "i-k-1")),
-        2: (_Run(1, -2, "i-k-1", "i+k+1, -i-k", "i-k-1"), _Point(2, "i+k", "2i-1, -2k-2")),
+        1: (_Point(1, "2i-1, -2k-1"), _Run(2, "i+k, -i-k", "i-k-1")),
+        2: (_Run(1, "i+k+1, -i-k", "i-k-1"), _Point(2, "2i-1, -2k-2")),
     }, "p7"),
     _Branch("p8", 1, lambda x, j, y, l: j * l < 0, {1: (), 2: ()}),
     _Branch("q1", 2, lambda x, j, y, l: j > 0 and l > 0,
-            _each(lambda b: _Run(b, -2, "i+k", "-inf", "i+k")), "q2"),
+            _each(lambda b: _Run(b, "-inf", "i+k")), "q2"),
     _Branch("q3", 2, lambda x, j, y, l: l == 0 and x != y,
-            _each(lambda b: _Point(3 - b, "i-k", "-1"))),
+            _each(lambda b: _Point(3 - b, "-1"))),
     _Branch("q4", 2, lambda x, j, y, l: j > 0 and l == 0 and y > 0, {
-        1: (_Run(1, -2, "i+k", "i-k+1", "i+k"), _Point(2, "i-k", "2k-1")),
-        2: (_Point(1, "i-k", "2k"), _Run(2, -2, "i+k", "i-k", "i+k")),
+        1: (_Run(1, "i-k+1", "i+k"), _Point(2, "2k-1")),
+        2: (_Point(1, "2k"), _Run(2, "i-k", "i+k")),
     }, "q5"),
     _Branch("q6", 2, lambda x, j, y, l: j == 0 and l != 0 and x != y, {1: (), 2: ()}),
     _Branch("q7", 2, lambda x, j, y, l: j == 0 and l > 0 and x > 0,
-            _each(lambda b: _Run(b, -2, "i+k", "-i+k", "i+k")), "q8"),
+            _each(lambda b: _Run(b, "-i+k", "i+k")), "q8"),
     _Branch("q8", 2, lambda x, j, y, l: j == l == 0 and x > 0 and y > 0, {
-        1: (_Run(1, -2, "i+k", "i-k+1, -i+k", "i+k"), _Point(2, "i-k", "2i, 2k-1")),
-        2: (_Point(1, "i-k", "2i, 2k"), _Run(2, -2, "i+k", "i-k, -i+k", "i+k")),
+        1: (_Run(1, "i-k+1, -i+k", "i+k"), _Point(2, "2i, 2k-1")),
+        2: (_Point(1, "2i, 2k"), _Run(2, "i-k, -i+k", "i+k")),
     }, "q8"),
     _Branch("q9", 2, lambda x, j, y, l: j * l < 0, {1: (), 2: ()}),
 ]
@@ -395,10 +395,10 @@ def _pieces(
 ) -> tuple:
     """Kernel pieces of the first record covering the signature, on right sheet b.
 
-    q^(ci*i + ck*k + c0) becomes ei = 2ci, ek = 2ck and the scalar q^c0, times
-    1 - 1/q for a run, whose bounds f become the forms n - f >= 0 and f - n >= 0.
-    A point whose exponent is the least of two forms becomes two point pieces,
-    split on n.  A twin reflects its partner's unperturbed pieces.
+    q^(ci*i + ck*k + c0) becomes ei = 2ci, ek = 2ck and the scalar q^c0.  A
+    point sits at n = i + tk*k (tk = 1 on left sheet 1, -1 on sheet 2); two
+    exponent forms make two point pieces, split on n.  A run is q^top times
+    1 - 1/q at en = -2, between the forms n - low >= 0 and top - n >= 0.  A twin reflects its partner's unperturbed pieces.
     """
     rec = _record(a, js, ls, isg, ksg)
     if rec.out is None:
@@ -407,13 +407,12 @@ def _pieces(
     pieces: list[_Piece] = []
     for t in rec.out[b]:
         if isinstance(t, _Run):
-            ci, ck, c0 = _form(t.exp)
-            lows = ((-u, -v, 1, -w) for u, v, w in _forms(t.lows))
-            forms = (*lows, *((u, v, -1, w) for u, v, w in _forms(t.highs)))
+            ci, ck, c0 = _form(t.top)
+            forms = (*((-u, -v, 1, -w) for u, v, w in _forms(t.lows)), (ci, ck, -1, c0))
             scalar = one_minus_qinv() * Coeff.q_power(c0)
-            pieces.append(_Piece(t.sheet, None, 2 * ci, 2 * ck, t.step, scalar, forms))
+            pieces.append(_Piece(t.sheet, None, 2 * ci, 2 * ck, -2, scalar, forms))
             continue
-        tk, exps = _form(t.n)[1], _forms(t.exps)
+        tk, exps = 1 if rec.a == 1 else -1, _forms(t.exps)
         if (rec.name, b) == (name, sheet):
             exps = tuple(_form(new) if f == _form(old) else f for f in exps)
         windows = _split(*exps, tk) if len(exps) == 2 else ((),)

@@ -298,3 +298,14 @@ def test_integer_evaluation_matches_fraction_horner(x):
             with mock.patch.object(coeff, "_eval", _fraction_eval):
                 want = _outcome(x, method, point)
             assert got == want, (str(x), point, method)
+
+
+def test_repr_and_arithmetic_with_a_string():
+    c = Coeff.parse("s^2 - 1/s")
+    assert repr(c) == "Coeff[(s^3 - 1)/s]"
+    for op in (lambda: c + "1", lambda: "1" + c, lambda: c - "1", lambda: "1" - c,
+               lambda: c * "1", lambda: c / "1", lambda: "1" / c, lambda: 1.5 / c):
+        with pytest.raises(TypeError):  # from either side, not a recursion
+            op()
+    assert 1 - c == -(c - 1) and 1 / c == c**-1 and Fraction(1, 2) / c == c**-1 / 2
+    assert (c == "(s^3 - 1)/s") is False

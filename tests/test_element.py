@@ -864,3 +864,30 @@ def test_a_sum_too_wide_is_refused_when_its_expression_ends(capsys):
     assert "cannot add a scalar to an element (column 28)" in capsys.readouterr().err
     assert main(["coeff", "chi(1,0,0) + chi(1,1100,0) - chi(1,1100,0)", "--at", "1,0,0"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_elements_are_immutable_and_print_their_levels():
+    x = chi(1, 0, 1) + chi(2, 1, -1)
+    with pytest.raises(AttributeError, match="immutable"):
+        x.rows = ()
+    assert repr(x) == "HeckeElement[2 rows at levels (-1, 1)]"
+    assert repr(zero_element()) == "HeckeElement[0]"
+
+
+def test_arithmetic_with_a_string_is_a_type_error():
+    x = chi(1, 0, 0)
+    for op in (lambda: x + "chi(1,0,0)", lambda: x - "chi(1,0,0)", lambda: x * "2",
+               lambda: "2" * x, lambda: "chi(1,0,0)" + x):
+        with pytest.raises(TypeError):
+            op()
+    assert (x == "chi(1,0,0)") is False
+
+
+def test_a_ray_in_minus_m_prints_and_parses_back():
+    poly = IndexPoly((Coeff.integer(3), -ONE))  # 3 - m
+    assert str(poly) == "-m + 3"
+    for lo, hi, j in ((NEG_INF, 0, 1), (0, POS_INF, -1)):
+        x = HeckeElement([((1, j), (Strip(lo, hi, ((2, poly),)),))])
+        text = format_element(x)
+        assert "(-m + 3)*s^(2*m)" in text
+        assert parse_element(text) == x

@@ -543,3 +543,13 @@ def test_enumeration_refuses_more_than_the_rep_cap():
 def test_counted_product_needs_a_level_zero_right_factor():
     with pytest.raises(EnumerationError, match="level zero"):
         oracle.counted_product((1, 0, 0), (1, 0, 1))
+
+
+def test_field_elements_and_matrices_hash_by_value():
+    q = 3
+    x, y = _mono(1, 0, 1, q), FieldElem2(q, {(1, 0): 4})  # 4 = 1 mod 3
+    assert x == y and hash(x) == hash(y)
+    assert FieldElem2(q, {(0, 0): 3}).is_zero() and not x.is_zero()
+    g, h = eta_matrix(2, 1, -1, q), eta_matrix(2, 1, -1, q)
+    assert g.q == q and g == h and hash(g) == hash(h)
+    assert len({g, h, identity_matrix(q)}) == 2

@@ -5,6 +5,7 @@ everything else is pinned by closed forms checked through two independent
 evaluation paths.
 """
 
+import functools
 import itertools
 import json
 import os
@@ -42,21 +43,27 @@ from hecke2d.coeff import ONE, Q, S, ZERO
 from hecke2d.element import NEG_INF, POS_INF, _atoms, _normal_rows, normalize_strips
 from hecke2d.product import (
     PERTURBATIONS,
+    CaseTableError,
     _I,
     _K,
     _N,
     _antiderivative,
     _between,
+    _bound,
     _limits,
     _pieces,
     _point_pair,
     _put,
+    _record,
+    _split,
     _strip_pair,
+    _strip_terms,
     _subst,
     _sum,
     _summand,
 )
 from hecke2d.suites import _atom_pool
+from hecke2d.text import format_element, parse_element
 
 _OMQ = one_minus_qinv()
 
@@ -148,6 +155,39 @@ def test_associativity_holds_at_level_zero():
     rng_pairs = [(a, b, c) for a in atoms[:4] for b in atoms[4:7] for c in atoms[7:]]
     for x, y, z in rng_pairs[:30]:
         assert mul(mul(x, y), z) == mul(x, mul(y, z))
+
+
+def test_associativity_census_on_the_basis_box():
+    # every triple of chi(a,i,j) with |i| <= 2, |j| <= 1, by the signs of the
+    # three levels: a finding of the table as it stands, not a goal
+    labels = [(a, i, j) for a in (1, 2) for i in range(-2, 3) for j in (-1, 0, 1)]
+    basis = {x: chi(*x) for x in labels}
+    pair = {(x, y): mul_basis(x, y) for x in labels for y in labels}
+    left = functools.lru_cache(maxsize=None)(lambda p, z: mul(p, basis[z]))
+    right = functools.lru_cache(maxsize=None)(lambda x, p: mul(basis[x], p))
+    sign = lambda v: (v > 0) - (v < 0)
+    cases, failures, witness = Counter(), Counter(), {}
+    for x, y, z in itertools.product(labels, repeat=3):
+        cls = (sign(x[2]), sign(y[2]), sign(z[2]))
+        cases[cls] += 1
+        if left(pair[x, y], z) != right(x, pair[y, z]):
+            failures[cls] += 1
+            witness.setdefault(cls, (x, y, z))
+    assert sum(cases.values()) == 27000 and set(cases.values()) == {1000}
+    assert failures == {(0, 0, 1): 490, (0, 0, -1): 490, (1, 0, 1): 700, (-1, 0, -1): 700}
+    assert witness == {
+        (-1, 0, -1): ((1, -2, -1), (1, 1, 0), (1, -2, -1)),
+        (0, 0, -1): ((1, -2, 0), (1, 1, 0), (1, -2, -1)),
+        (1, 0, 1): ((1, -2, 1), (1, -2, 0), (1, -2, 1)),
+        (0, 0, 1): ((1, 1, 0), (1, -2, 0), (1, -2, 1)),
+    }
+    # each witness, written by format_element, parses back to both groupings
+    for x, y, z in witness.values():
+        fx, fy, fz = (format_element(basis[v]) for v in (x, y, z))
+        xy_z, x_yz = left(pair[x, y], z), right(x, pair[y, z])
+        assert parse_element(f"({fx}*{fy})*{fz}") == xy_z
+        assert parse_element(f"{fx}*({fy}*{fz})") == x_yz
+        assert parse_element(format_element(xy_z - x_yz)) == xy_z - x_yz != zero_element()
 
 
 @given(st.sampled_from([(1, 1, 1), (2, 0, -1), (1, -2, 2), (2, 2, 0)]),
@@ -577,6 +617,20 @@ def test_memoised_pieces_keep_perturbations_apart():
 _SIGNATURES = list(itertools.product((-1, 0, 1), (-1, 0, 1), (-1, 1), (-1, 1)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: _record(3, 0, 0, 1, 1), "no record covers sheet 3 with signs (1, 0, 1, 0)"),
+    (lambda: _strip_terms({(2, 0, 0, 0, 0, 0): ONE}), "unsummed index in output term"),
+    (lambda: _split((1, 0, 0), (0, 0, 0), 1), "a point's exponents must differ by a multiple of n"),
+    (lambda: _split((1, 1, 0), (1, 1, -1), 1), "a point's exponents must differ by a multiple of n"),
+    (lambda: _bound((3, 0, 1, 0), _I), "bound comparison outside the supported geometry"),
+    (lambda: _bound((1, 2, 0, 0), _K), "bound comparison outside the supported geometry"),
+])
+def test_malformed_table_data_is_a_case_table_error(call, message):
+    with pytest.raises(CaseTableError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_every_signature_has_a_record_and_opposite_levels_have_empty_ones():
     # (js, ls, isg, ksg) on either left sheet; p8 and q9 state the zero product
     for a in (1, 2):
@@ -597,9 +651,10 @@ def _instances(rec, ls):
 
 
 def _shifted(term):
-    # the term with the constant of its (first) exponent form raised by 1
+    # the term with the constant of its (first) exponent form raised by 1; a
+    # run's top is its exponent and its upper bound, so both move
     if isinstance(term, product._Run):
-        return term._replace(exp=term.exp + "+1")
+        return term._replace(top=term.top + "+1")
     first, *rest = term.exps.split(",")
     return term._replace(exps=",".join([first + "+1", *rest]))
 

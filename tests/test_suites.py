@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hecke2d import SUITES, iota, mul, run_suite, suites
+from hecke2d import SUITES, chi, iota, mul, phi, run_suite, suites
 from hecke2d.suites import Report
 from hecke2d.text import parse_element
 
@@ -140,3 +140,9 @@ def test_report_text_lists_failures():
     text = report.text(max_failures=2)
     assert "[FAIL]" in text
     assert "expected:" in text and "actual:" in text
+
+
+def test_actual_shape_names_stray_levels_and_mixed_infinite_rows():
+    assert suites._actual_shape(parse_element("chi(1,0,1) + chi(1,0,2)"), 1) == "levels [1, 2]"
+    mixed = mul(phi(2), phi(2)) + chi(1, 0, -2)
+    assert suites._actual_shape(mixed, -2) == "mixed rows with infinite support"
