@@ -39,7 +39,8 @@ print("eta(1,0,0) in Iwahori:", in_iwahori(eta_matrix(1, 0, 0, q)))
 print("eta(2,0,0) in Iwahori:", in_iwahori(eta_matrix(2, 0, 0, q)))
 
 # The point of it all: count a product and compare it with the table,
-# exactly in q.  product_counts is the numeric view at one prime.
+# exactly in q.  product_counts reads the same memoised count, free of q,
+# and evaluates its polynomials at one prime.
 left, right = BasisIndex(1, 1, 0), BasisIndex(1, -1, 0)
 counted = counted_product(left, right)
 table = mul(chi(*left), chi(*right))

@@ -5,14 +5,15 @@ the symbolic product table.  Field elements are Laurent polynomials in t1,
 t2 with coefficients mod q; every matrix this module touches stays inside
 that dense subring, so valuations, coset classification, and convolution
 counts are all exact.  Structure coefficients come out of a count over the
-right factor's cosets, which reads their entry valuations and multiplicities
-from a closed-form census and applies classify's chamber rule to them
-shifted by each target's monomial representative, so no matrix is built.
-The census's multiplicities are polynomials in q, so counted_product's
-coefficients are an identity in q, for a left factor at any level times a
-right factor at level 0; product_counts gives them at a concrete q, both
-factors at level 0.  Matrix literals are read and written by hecke2d.text,
-which owns every text format.
+right factor's cosets, which reads their entry valuations and degrees from a
+closed-form census and applies classify's chamber rule to them shifted by
+each target's monomial representative, so no matrix is built.  A family's
+multiplicity is a polynomial in q, so one memoised count per label pair, free
+of q, gives integer polynomials in q; counted_product reads them as an
+identity in q, for a left factor at any level times a right factor at level
+0, and product_counts evaluates them at a concrete q, both factors at level
+0.  Matrix literals are read and written by hecke2d.text, which owns every
+text format.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from random import Random
 from typing import Iterator, Mapping, Union
 
 from . import element
-from .coeff import Coeff
+from .coeff import _PONE, _make
 from .element import _LABEL, BasisIndex, HeckeElement, ShapeError, _check_basis, _element, _normal_rows
 
 __all__ = [
@@ -299,7 +300,8 @@ def enumerate_reps(a: int, i: int, q: int) -> list[LocalFieldMatrix]:
     _families by its unit lifts.  Only level zero is enumerable.  The list
     has q^{2|i|} entries on sheet 1 and q^{|2i+1|} on sheet 2, so the index
     and that count are capped before anything is built; count_reps returns it
-    and counting products read the families through _census, building nothing.
+    and counting products read the families through _census_keys, building
+    nothing.
     """
     _label((a, i, 0))
     _check_cell(a, i, q)
@@ -317,24 +319,30 @@ def count_reps(a: int, i: int, q: int) -> int:
     return _check_cell(a, i, q)
 
 
-@lru_cache(maxsize=1024)  # read by every left factor of one right factor; never mutated
-def _census(b: int, k: int, q):
-    # {entry valuations: multiplicity} of enumerate_reps(b, k, q), uncapped; a
-    # family of degree d has (q-1)*q^(d-1) members. q may be Coeff.q_power(1).
-    return {
-        tuple(INFINITE if e is None else e[:2] for e in entries):
-            (q - 1) * q ** (degree - 1) if degree else 1
-        for entries, _, degree in _families(b, k)
-    }
+@lru_cache(maxsize=1024)  # q-free: read by every left factor of one right factor at every q
+def _census_keys(b: int, k: int) -> tuple:
+    # ((entry valuation keys, degree d), ...) over the families of enumerate_reps(b, k, q),
+    # uncapped; the degrees are 0, 1, 2, ..., one family each, of (q-1)*q^(d-1) members
+    return tuple((tuple(_val_key(INFINITE if e is None else e[:2]) for e in entries), degree)
+                 for entries, _, degree in _families(b, k))
 
 
-def _count(x: BasisIndex, y: BasisIndex, q) -> dict:
-    # q * (chi_x * chi_y) at targets of x's level j, y at level zero, for any q that
-    # _census takes; a key times t1^m*t2^j gains (j, m), and zero's stays (inf, inf)
+def _census(b: int, k: int, q: int) -> dict:
+    # {entry valuations: multiplicity} of enumerate_reps(b, k, q), read off _census_keys
+    return {tuple(INFINITE if key[0] == INFINITE else key[::-1] for key in keys):
+            (q - 1) * q ** (degree - 1) if degree else 1 for keys, degree in _census_keys(b, k)}
+
+
+@lru_cache(maxsize=65536)  # keyed by checked labels only; the counts are immutable
+def _count(x: BasisIndex, y: BasisIndex) -> tuple:
+    # q * (chi_x * chi_y) at targets of x's level j, y at level zero, as pairs
+    # (target, (p0, p1, ...)) in label order, p0 + p1*q + ... an identity in q: the
+    # family of degree d (one per d) adds q^d - q^(d-1), or 1 at d = 0, so p_e is bit
+    # e minus bit e + 1 of the target's mask of degrees.  A key times t1^m*t2^j
+    # gains (j, m), and zero's stays (inf, inf)
     a, i, j = x
     out: dict = {}
-    for vals, count in _census(y[0], y[1], q).items():
-        ka, kb, kc, kd = [_val_key(v) for v in vals]
+    for (ka, kb, kc, kd), degree in _census_keys(y[0], y[1]):
         # z^{-1} = [[d, -b], [-c, a]]; eta(c, m, j) scales its rows by
         # t1^m*t2^j and t1^-m*t2^-j, and for c = 2 also swaps them
         for c, (k0, k1, k2, k3) in ((1, (kd, kb, kc, ka)), (2, (kc, ka, kd, kb))):
@@ -345,8 +353,10 @@ def _count(x: BasisIndex, y: BasisIndex, q) -> dict:
                 shifted = ((k0[0] + j, k0[1] + m), (k1[0] + j, k1[1] + m),
                            (k2[0] - j, k2[1] - m), (k3[0] - j, k3[1] - m))
                 if _chamber(*shifted) == x:
-                    out[c, m] = out.get((c, m), 0) + count
-    return {BasisIndex(c, m, j): n for (c, m), n in sorted(out.items())}
+                    out[c, m] = out.get((c, m), 0) | 1 << degree
+    return tuple((BasisIndex(c, m, j), tuple((mask >> e & 1) - (mask >> e + 1 & 1)
+                                             for e in range(mask.bit_length())))
+                 for (c, m), mask in sorted(out.items()))
 
 
 def _label(x: BasisIndex) -> BasisIndex:
@@ -361,15 +371,20 @@ def _label(x: BasisIndex) -> BasisIndex:
 def counted_product(x: BasisIndex, y: BasisIndex) -> HeckeElement:
     """chi_x * chi_y by counting, exactly in q, for x at any level j and y at level 0.
 
-    The census's multiplicities are polynomials in q = Coeff.q_power(1), and
-    the sum runs over y's cosets, so the rows are finite and sit at level j.
+    Each coefficient is q^-1 * P(q) for the integer polynomial P that the
+    memoised q-free count gives, written straight in canonical form with no
+    scalar arithmetic; the sum runs over y's cosets, so the rows are finite
+    and sit at level j.
     """
     x, y = _label(x), _label(y)
     if y.j != 0:
         raise EnumerationError("counting needs the right factor at level zero")
     points: dict = {}
-    for t, n in _count(x, y, Coeff.q_power(1)).items():
-        points.setdefault((t.a, t.j), {})[t.i] = Coeff.q_power(-1) * n
+    for t, p in _count(x, y):
+        v = next(e for e, c in enumerate(p) if c)  # P is not zero: its top term is positive
+        n = [0] * (2 * (len(p) - v) - 1)
+        n[::2] = p[v:]  # P(s^2) / s^(2v), prime to s
+        points.setdefault((t.a, t.j), {})[t.i] = _make(2 * v - 2, tuple(n), _PONE)
     return _element(_normal_rows(points, {}))
 
 
@@ -390,15 +405,17 @@ def product_counts(x: BasisIndex, y: BasisIndex, q: int) -> dict[BasisIndex, Fra
     representatives z of the right factor whose adjusted product
     eta(target) * z^{-1} classifies into the left factor's coset.  As
     eta(c, m, 0) is monomial, the chamber rule runs on z's entry valuations,
-    shifted, taken with their multiplicities from the census: no
-    representative and no matrix is built.  The right factor must lie in
-    enumerate_reps's domain, whose cap bounds the domain, not the work.
-    Keys are emitted in sorted label order and zero coefficients are dropped.
-    This numeric view of counted_product is kept for the oracle_count
-    benchmark workload and the tests against literal matrices.
+    shifted, family by family of the census: no representative and no matrix
+    is built.  That count is counted_product's, memoised and free of q; here
+    its polynomials are evaluated at q in integers.  The right factor must lie
+    in enumerate_reps's domain, whose cap bounds the domain, not the work, and
+    every refusal comes before the memo is read.  Keys are emitted in sorted
+    label order and zero coefficients are dropped.  This numeric view is kept
+    for the oracle_count benchmark workload and the tests against literal
+    matrices.
     """
     x, y = _level_zero_pair(x, y, q)
-    return {t: Fraction(n, q) for t, n in _count(x, y, q).items()}
+    return {t: Fraction(sum(c * q**e for e, c in enumerate(p)), q) for t, p in _count(x, y)}
 
 
 # ---------------------------------------------------------------------------

@@ -553,3 +553,97 @@ def test_field_elements_and_matrices_hash_by_value():
     g, h = eta_matrix(2, 1, -1, q), eta_matrix(2, 1, -1, q)
     assert g.q == q and g == h and hash(g) == hash(h)
     assert len({g, h, identity_matrix(q)}) == 2
+
+
+def _point_values(h, q):
+    # {label: coefficient at q} of an element whose rows are finite, in label order
+    return {BasisIndex(c, m, j): v.eval_at_q(q)
+            for (c, j), row in h.rows for s in row.strips
+            for m in range(s.lo, s.hi + 1) if (v := s.value_at(m))}
+
+
+def _within_cap(b, k, q):
+    try:
+        return count_reps(b, k, q) > 0
+    except EnumerationError:
+        return False
+
+
+def test_one_count_two_views():
+    # product_counts at q is counted_product's polynomial in q read at q, wherever
+    # the cap lets the right factor in: both views read the same memoised count
+    checked = 0
+    for a, b in itertools.product((1, 2), repeat=2):
+        for i, k in itertools.product(range(-3, 4), repeat=2):
+            x, y = BasisIndex(a, i, 0), BasisIndex(b, k, 0)
+            exact = oracle.counted_product(x, y)
+            for q in (2, 3, 5, 7):
+                if _within_cap(b, k, q):
+                    want = _point_values(exact, q)
+                    assert list(product_counts(x, y, q).items()) == list(want.items()), (x, y, q)
+                    checked += 1
+    assert checked == 770  # (2, 3) at q = 7 is the one right factor over the cap
+
+
+def test_count_is_the_same_cold_and_warm():
+    pairs = [(BasisIndex(a, i, j), BasisIndex(b, k, 0))
+             for a, b in itertools.product((1, 2), repeat=2)
+             for i, k in itertools.product(range(-3, 4), repeat=2) for j in (-1, 0, 2)]
+    oracle._count.cache_clear()
+    oracle._census_keys.cache_clear()
+    cold = [oracle._count(x, y) for x, y in pairs]
+    assert oracle._count.cache_info().misses == len(pairs)
+    warm = [oracle._count(x, y) for x, y in pairs]
+    assert oracle._count.cache_info().hits == len(pairs)
+    assert warm == cold == [oracle._count.__wrapped__(x, y) for x, y in pairs]
+
+
+# the counting rows of the label refusal table, then each level, index, cap and q refusal
+_COUNTING_REFUSALS = {
+    f"{entry}/{label}": (lambda call=call, x=_BAD_LABELS[label][0]: call(x))
+    for entry, (call, _, takes) in _LABEL_ENTRY_POINTS.items()
+    if entry.startswith(("product_counts-", "counted_product-"))
+    for label in takes
+} | {
+    "counts-left-level": lambda: product_counts((1, 0, 1), (1, 0, 0), 2),
+    "counts-right-level": lambda: product_counts((1, 0, 0), (2, 0, -1), 2),
+    "counted-right-level": lambda: oracle.counted_product((1, 0, 0), (1, 0, 1)),
+    "counts-left-index": lambda: product_counts((1, 5, 0), (1, 0, 0), 2),
+    "counts-right-index": lambda: product_counts((1, 0, 0), (2, -5, 0), 2),
+    "counts-cap-17^8": lambda: product_counts((1, 0, 0), (1, 4, 0), 17),
+    "counts-cap-7^7": lambda: product_counts((2, 1, 0), (2, 3, 0), 7),
+    "counts-q-4": lambda: product_counts((1, 0, 0), (1, 0, 0), 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_COUNTING_REFUSALS))
+def test_counting_refuses_before_reading_the_count_cache(case):
+    oracle.counted_product((1, 1, 0), (2, 0, 0))  # one entry at least
+    before = oracle._count.cache_info()
+    with pytest.raises(EnumerationError):
+        _COUNTING_REFUSALS[case]()
+    assert oracle._count.cache_info() == before
+
+
+def test_product_counts_builds_no_matrix_products_on_a_cache_miss(monkeypatch):
+    oracle._count.cache_clear()
+    oracle._census_keys.cache_clear()
+    calls = {"mul": 0, "inverse": 0, "classify": 0, "matrix": 0, "field": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    M, F = oracle.LocalFieldMatrix, oracle.FieldElem2
+    monkeypatch.setattr(M, "__mul__", counted("mul", M.__mul__))
+    monkeypatch.setattr(M, "inverse", counted("inverse", M.inverse))
+    monkeypatch.setattr(oracle, "classify", counted("classify", oracle.classify))
+    monkeypatch.setattr(M, "__init__", counted("matrix", M.__init__))
+    monkeypatch.setattr(F, "__init__", counted("field", F.__init__))
+    assert product_counts((1, 2, 0), (2, -2, 0), 3)
+    assert product_counts((2, 4, 0), (1, -3, 0), 5)
+    assert oracle._count.cache_info().misses == 2 and oracle._count.cache_info().hits == 0
+    assert calls == {"mul": 0, "inverse": 0, "classify": 0, "matrix": 0, "field": 0}
