@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -133,6 +134,18 @@ def test_parse_matrix_and_determinant():
 @given(_field_elems)
 def test_field_elem_text_round_trips(x):
     assert parse_field_elem(_entry_text(x), 3) == x
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_reprs_wrap_a_literal_that_parses_back(q):
+    elems = [FieldElem2.zero(q), FieldElem2.one(q), _mono(-2, 1, 1, q) + _mono(0, 3, q - 1, q)]
+    for x in elems:
+        q_text, literal = re.fullmatch(r"FieldElem2\(q=(\d+), (.*)\)", repr(x)).groups()
+        assert (int(q_text), parse_field_elem(literal, q)) == (q, x), repr(x)
+    g = eta_matrix(1, -2, 1, q) * iwahori_sample(random.Random(q), q)
+    for m in (identity_matrix(q), eta_matrix(2, 1, -1, q), g):
+        q_text, literal = re.fullmatch(r"LocalFieldMatrix\(q=(\d+), (.*)\)", repr(m)).groups()
+        assert (int(q_text), parse_matrix(literal, q)) == (q, m), repr(m)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -348,6 +361,12 @@ def test_product_counts_match_literal_matrix_counts(q):
                     got = product_counts(x, y, q)
                     want = _literal_counts(x, y, q)
                     assert list(got.items()) == list(want.items()), (x, y, q)
+                    counted = {
+                        BasisIndex(c, point.lo, j): point.value_at(point.lo).eval_at_q(q)
+                        for (c, j), row in oracle.counted_product(x, y).rows
+                        for point in row.strips  # counted rows are point masses
+                    }
+                    assert counted == want, (x, y, q)
 
 
 @pytest.mark.parametrize("q, bound", [(2, 3), (3, 3), (5, 2)])
@@ -422,6 +441,30 @@ def test_the_eta_product_label_is_weyl_mul_and_the_table_is_nonzero_there():
     assert checked == 2156
 
 
+def _level_class(j, l):
+    if l == 0:
+        return "j x 0"
+    if j == 0:
+        return "0 x l"
+    return "same signs" if j * l > 0 else "opposite signs"
+
+
+def test_the_table_misses_the_eta_product_label_by_level_class():
+    # where mul_basis is 0 at the eta product's label, as (misses, pairs) by left
+    # sheet and level class; the classes with no miss are the 2156 pairs checked above
+    tally = Counter()
+    for x, y in itertools.product(itertools.product((1, 2), range(-3, 4), range(-2, 3)), repeat=2):
+        t = _weyl_label(x, y)
+        missed = mul_basis(x, y).coefficient_at((t.a, t.j), t.i).is_zero()
+        tally[x[0], _level_class(x[2], y[2]), missed] += 1
+    assert tally == {
+        (1, "j x 0", False): 490, (1, "0 x l", False): 392, (1, "same signs", False): 784,
+        (1, "opposite signs", True): 784,
+        (2, "j x 0", False): 490, (2, "0 x l", True): 392, (2, "same signs", True): 784,
+        (2, "opposite signs", True): 784,
+    }
+
+
 def _iota(x):
     # f -> f(g^-1) on an element of point masses: chi(t) goes to chi(t^-1)
     return sum(
@@ -433,10 +476,33 @@ def _iota(x):
 def test_inversion_reverses_level_zero_products():
     """iota(f)(g) = f(g^-1) reverses products, iota(chi_x * chi_y) = chi_{y^-1} * chi_{x^-1},
     when the Haar measure is invariant under inversion.  Checked where the table
-    has it, at level 0 x 0; its violations off that level are not pinned."""
+    has it, at level 0 x 0."""
     labels = [BasisIndex(a, i, 0) for a in (1, 2) for i in range(-4, 5)]
     for x, y in itertools.product(labels, repeat=2):
         assert _iota(mul_basis(x, y)) == mul_basis(_inverse(y), _inverse(x)), (x, y)
+
+
+def _has_ray(x):
+    return any(s.lo != s.hi for _, row in x.rows for s in row.strips)
+
+
+def test_inversion_violations_off_level_zero_are_pinned_by_level_signs():
+    """iota(chi_x * chi_y) = chi_{iota(y)} * chi_{iota(x)} on both sheets, |i|, |k|, |j|, |l| <= 2.
+    A pair with a ray on either side is skipped; of the 1900 finite pairs, the failures
+    are counted by (left sheet, sign of j, sign of l), and no other class fails."""
+    labels = [BasisIndex(a, i, j) for a in (1, 2) for i in range(-2, 3) for j in range(-2, 3)]
+    skipped, failed = 0, Counter()
+    for x, y in itertools.product(labels, repeat=2):
+        xy, yx = mul_basis(x, y), mul_basis(_inverse(y), _inverse(x))
+        if _has_ray(xy) or _has_ray(yx):
+            skipped += 1
+        elif _iota(xy) != yx:
+            failed[x.a, (x.j > 0) - (x.j < 0), (y.j > 0) - (y.j < 0)] += 1
+    assert skipped == 600
+    assert failed == {
+        (1, 1, 1): 100, (1, -1, -1): 100, (1, 1, 0): 70, (1, -1, 0): 70, (1, 0, 1): 40, (1, 0, -1): 40,
+        (2, 1, -1): 100, (2, -1, 1): 100, (2, 0, 1): 100, (2, 0, -1): 100, (2, 1, 0): 70, (2, -1, 0): 70,
+    }
 
 
 def test_product_counts_builds_no_matrix_products(monkeypatch):
