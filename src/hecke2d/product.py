@@ -44,10 +44,12 @@ affine inequalities in (i, k, n), and two evaluators read them:
   it checks the sums of ``mul``, while oracle.counted_product checks the
   records themselves, exactly in q, wherever the right factor has level 0.
 
-Output levels add.  Products vanish between strictly positive and strictly
-negative levels: the records p8 and q9 say so with no terms, and ``mul`` and
-``coeff_of_product`` skip a strip pair whose pieces are empty.  Kernel
-pieces, like the strips and rows they act on, are immutable named tuples.
+All three routes read the table through one lookup, ``_cell``, which picks
+the covering record's pieces on the level signs and, at level 0, the index
+signs (0 counted positive), and puts them at level j + l; ``mul`` and
+``coeff_of_product`` share one walk over strip pairs, ``_cells``, which skips
+p8 and q9: products vanish between levels of opposite signs.  Kernel pieces,
+like the strips and rows they act on, are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -224,8 +226,8 @@ def mul_basis(
     (a, i, j), (b, k, l) = _label(x), _label(y)
     points: dict[tuple[int, int], dict[int, Coeff]] = {}
     swept: dict[tuple[int, int], list[Strip]] = {}
-    signs = (1 if i >= 0 else -1, 1 if k >= 0 else -1)
-    _point_pair(_pieces(a, b, _sgn(j), _sgn(l), *signs, perturbation), i, k, None, j + l, points, swept)
+    pieces, level = _cell(a, i, j, b, k, l, perturbation)
+    _point_pair(pieces, i, k, None, level, points, swept)
     return _element(_normal_rows(points, swept))
 
 
@@ -421,6 +423,25 @@ def _pieces(
     return tuple(pieces)
 
 
+def _cell(a: int, i: int, j: int, b: int, k: int, l: int, perturbation: Optional[str]) -> tuple:
+    """The covering record's pieces for chi^(a)_{i,j} * chi^(b)_{k,l}, and their level j + l;
+    the index signs, 0 counted positive, matter only at level 0."""
+    isg, ksg = 1 if i >= 0 else -1, 1 if k >= 0 else -1
+    return _pieces(a, b, (j > 0) - (j < 0), (l > 0) - (l < 0), isg, ksg, perturbation), j + l
+
+
+def _cells(x: HeckeElement, y: HeckeElement, perturbation: Optional[str]):
+    """Yield ((a, j, sx), (b, l, sy), pieces, level) for each strip pair of x and y whose
+    record has terms; a strip's lo gives its index sign, read only at level 0 (points)."""
+    for (a, j), rx in x.rows:
+        for (b, l), ry in y.rows:
+            for sx in rx.strips:
+                for sy in ry.strips:
+                    pieces, level = _cell(a, sx.lo, j, b, sy.lo, l, perturbation)
+                    if pieces:
+                        yield (a, j, sx), (b, l, sy), pieces, level
+
+
 # ---------------------------------------------------------------------------
 # summing between affine bounds
 #
@@ -601,10 +622,6 @@ def _point_pair(
         _add_run(points, swept, (piece.sheet, j), lo, hi, piece.en, w * Coeff.s_power(e) if e else w)
 
 
-def _sgn(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
 def mul(
     x: HeckeElement, y: HeckeElement, *, perturbation: Optional[str] = None
 ) -> HeckeElement:
@@ -612,25 +629,16 @@ def mul(
     _check_perturbation(perturbation)
     points: dict[tuple[int, int], dict[int, Coeff]] = {}
     swept: dict[tuple[int, int], list[Strip]] = {}
-    for (a, j), rx in x.rows:
-        for (b, l), ry in y.rows:
-            js, ls = _sgn(j), _sgn(l)
-            for sx in rx.strips:
-                xlo = sx.lo  # level-0 strips are points; the table splits them by index sign
-                isg, x_point = 1 if xlo >= 0 else -1, xlo == sx.hi
-                for sy in ry.strips:
-                    pieces = _pieces(a, b, js, ls, isg, 1 if sy.lo >= 0 else -1, perturbation)
-                    if not pieces:
-                        continue
-                    if x_point and sy.lo == sy.hi:
-                        c = sx.terms[0].poly[0] * sy.terms[0].poly[0]  # element._point
-                        _point_pair(pieces, xlo, sy.lo, c, j + l, points, swept)
-                        continue
-                    emitted: list = []
-                    for piece in pieces:
-                        _strip_pair(piece, sx, sy, emitted)
-                    for sheet, lo, hi, st in emitted:
-                        swept.setdefault((sheet, j + l), []).append(Strip(lo, hi, st))
+    for (_, _, sx), (_, _, sy), pieces, level in _cells(x, y, perturbation):
+        if sx.lo == sx.hi and sy.lo == sy.hi:
+            c = sx.terms[0].poly[0] * sy.terms[0].poly[0]  # element._point
+            _point_pair(pieces, sx.lo, sy.lo, c, level, points, swept)
+            continue
+        emitted: list = []
+        for piece in pieces:
+            _strip_pair(piece, sx, sy, emitted)
+        for sheet, lo, hi, st in emitted:
+            swept.setdefault((sheet, level), []).append(Strip(lo, hi, st))
     return _element(_normal_rows(points, swept))
 
 
@@ -673,24 +681,11 @@ def coeff_of_product(
     """One coefficient of x*y, summed pointwise over contributing basis pairs."""
     ta, n, tj = _label(target)
     total = ZERO
-    for (a, j), rx in x.rows:
-        for (b, l), ry in y.rows:
-            if j + l != tj:
-                continue
-            js, ls = _sgn(j), _sgn(l)
-            for sx in rx.strips:
-                for sy in ry.strips:
-                    if not _pieces(a, b, js, ls, 1 if sx.lo >= 0 else -1, 1 if sy.lo >= 0 else -1, None):
-                        continue  # as in mul: p8 and q9, at levels of opposite signs, have none
-                    for i, k in _pair_windows(j, l, sx, sy, n):
-                        w = _basis_product((a, i, j), (b, k, l)).coefficient_at((ta, tj), n)
-                        if w.is_zero():
-                            continue
-                        cx = sx.value_at(i)
-                        if cx.is_zero():
-                            continue
-                        cy = sy.value_at(k)
-                        if cy.is_zero():
-                            continue
-                        total = total + cx * cy * w
+    for (a, j, sx), (b, l, sy), _, level in _cells(x, y, None):
+        if level != tj:
+            continue
+        for i, k in _pair_windows(j, l, sx, sy, n):
+            w = _basis_product((a, i, j), (b, k, l)).coefficient_at((ta, tj), n)
+            if not w.is_zero():
+                total = total + sx.value_at(i) * sy.value_at(k) * w
     return total
