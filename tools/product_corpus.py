@@ -47,7 +47,7 @@ texts, and the abbreviated, `=`-joined, negative and `--`-escaped forms
 that argparse accepts), with help wrapped at 80 columns, so a change in how
 the command line is read shows.
 
-Standard output holds only these eleven lines; the corpus's timing goes to
+Standard output holds only these eleven lines; each line's timing goes to
 standard error.  So `diff` of two checkouts' output is empty exactly when
 every digest matches:
 
@@ -94,24 +94,20 @@ from hecke2d.text import (  # noqa: E402
 )
 
 
-def corpus():
-    """Yield (perturbation, product) for the whole corpus, in a fixed order."""
+def corpus(p):
+    """Yield the corpus's products under the perturbation p, in a fixed order."""
     atoms = [x for _, x in _atom_pool()]
-    distinct = {}
-    for p in PERTURBATIONS:
-        for x in atoms:
-            for y in atoms:
-                prod = mul(x, y, perturbation=p)
-                if p is None and prod:
-                    distinct.setdefault(prod, None)
-                yield p, prod
-    for prod in distinct:
+    products = [mul(x, y, perturbation=p) for x in atoms for y in atoms]
+    yield from products
+    if p is not None:
+        return
+    for prod in dict.fromkeys(filter(None, products)):
         for atom in atoms:
-            yield None, mul(prod, atom)
-            yield None, mul(atom, prod)
+            yield mul(prod, atom)
+            yield mul(atom, prod)
     for i in range(-4, 4):
         for j in range(-3, 4):
-            yield None, theta_monomial(i, j)
+            yield theta_monomial(i, j)
 
 
 def sums():
@@ -176,10 +172,8 @@ def refusals():
                 outcome = f"{type(err).__name__}: {err}"
             yield name, repr(x), outcome
     for argv in BAD_CLI:
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        yield "cli", " ".join(argv), f"exit {code}: {err.getvalue()}"
+        code, _, err = _run_cli(argv)
+        yield "cli", " ".join(argv), f"exit {code}: {err}"
 
 
 EVAL_POINTS = [0, 1, -1, *range(2, 10), Fraction(1, 3), Fraction(-2, 5), Fraction(9, 4)]
@@ -237,16 +231,10 @@ CLI_TABLE = [[], ["-h"], ["--nope"], ["frob"], ["multiply"], ["--", "mul", "a", 
 
 
 def cli_calls():
-    """Yield [argv, exit code, stdout, stderr] for each call of CLI_TABLE, run in process."""
+    """Yield [argv, exit code, stdout, stderr] for each call of CLI_TABLE."""
     os.environ["COLUMNS"] = "80"  # argparse wraps help at the terminal's width
     for argv in CLI_TABLE:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse ends usage errors and help this way
-                code = exc.code
-        yield [argv, code, out.getvalue(), err.getvalue()]
+        yield [argv, *_run_cli(argv)]
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -291,69 +279,63 @@ def readings():
             yield name, s, outcome
 
 
+def _run_cli(argv: list) -> tuple:
+    """(exit code, standard output, standard error) of `hecke2d argv`, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse ends usage errors and help this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def _line(x) -> bytes:
     return json.dumps(element_to_json(x), sort_keys=True).encode() + b"\n"
 
 
-def main() -> None:
-    start = time.perf_counter()
-    digests = {p: hashlib.sha256() for p in PERTURBATIONS}
-    counts = dict.fromkeys(PERTURBATIONS, 0)
-    for p, prod in corpus():
-        digests[p].update(_line(prod))
-        counts[p] += 1
-    print(f"{sum(counts.values())} products in {time.perf_counter() - start:.1f} s", file=sys.stderr)
-    for p in PERTURBATIONS:
-        print(f"{p}: {counts[p]} products, sha256 {digests[p].hexdigest()}")
+def _tabbed(record) -> bytes:
+    return ("\t".join(record) + "\n").encode()
+
+
+def _tally(records, noun: str) -> tuple[str, str]:
+    """The count and the sha256 of a section's records, each a bytes string."""
+    digest, n = hashlib.sha256(), 0
+    for record in records:
+        digest.update(record)
+        n += 1
+    return f"{n} {noun}", digest.hexdigest()
+
+
+def identity_assoc() -> tuple[str, str]:
     report = run_suite("identity_assoc")
     digest = hashlib.sha256(report.text().encode()).hexdigest()
-    print(f"identity_assoc: {report.cases} cases, {len(report.failures)} failures, sha256 {digest}")
-    summed, n = hashlib.sha256(), 0
-    for x in sums():
-        summed.update(_line(x))
-        n += 1
-    print(f"sums: {n} sums, sha256 {summed.hexdigest()}")
-    oracled, n = hashlib.sha256(), 0
-    for argv in oracle_calls():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
-        oracled.update(f"{code}\n{out.getvalue()}".encode())
-        n += 1
-    print(f"oracle: {n} calls, sha256 {oracled.hexdigest()}")
-    refused, n = hashlib.sha256(), 0
-    for record in refusals():
-        refused.update(("\t".join(record) + "\n").encode())
-        n += 1
-    print(f"refusals: {n} cases, sha256 {refused.hexdigest()}")
-    evaluated, n = hashlib.sha256(), 0
-    for record in evals():
-        evaluated.update(("\t".join(record) + "\n").encode())
-        n += 1
-    print(f"evals: {n} cases, sha256 {evaluated.hexdigest()}")
-    based, n = hashlib.sha256(), 0
-    for line in basis_lines():
-        based.update(line)
-        n += 1
-    print(f"basis: {n} lines, sha256 {based.hexdigest()}")
-    counted, n = hashlib.sha256(), 0
-    for argv in reps_calls():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        counted.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
-        n += 1
-    print(f"reps: {n} calls, sha256 {counted.hexdigest()}")
-    read, n = hashlib.sha256(), 0
-    for record in readings():
-        read.update(("\t".join(record) + "\n").encode())
-        n += 1
-    print(f"text: {n} cases, sha256 {read.hexdigest()}")
-    called, n = hashlib.sha256(), 0
-    for record in cli_calls():
-        called.update((json.dumps(record) + "\n").encode())
-        n += 1
-    print(f"cli: {n} calls, sha256 {called.hexdigest()}")
+    return f"{report.cases} cases, {len(report.failures)} failures", digest
+
+
+#: each output line's name and the call that gives its count and sha256, in print order
+SECTIONS = {
+    **{str(p): lambda p=p: _tally(map(_line, corpus(p)), "products") for p in PERTURBATIONS},
+    "identity_assoc": identity_assoc,
+    "sums": lambda: _tally(map(_line, sums()), "sums"),
+    "oracle": lambda: _tally(
+        (f"{c}\n{out}".encode() for c, out, _ in map(_run_cli, oracle_calls())), "calls"),
+    "refusals": lambda: _tally(map(_tabbed, refusals()), "cases"),
+    "evals": lambda: _tally(map(_tabbed, evals()), "cases"),
+    "basis": lambda: _tally(basis_lines(), "lines"),
+    "reps": lambda: _tally(
+        (f"{c}\n{out}\n{err}".encode() for c, out, err in map(_run_cli, reps_calls())), "calls"),
+    "text": lambda: _tally(map(_tabbed, readings()), "cases"),
+    "cli": lambda: _tally(((json.dumps(record) + "\n").encode() for record in cli_calls()), "calls"),
+}
+
+
+def main() -> None:
+    for name, section in SECTIONS.items():
+        start = time.perf_counter()
+        counts, digest = section()
+        print(f"{name}: {counts}, sha256 {digest}")
+        print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
 if __name__ == "__main__":
