@@ -30,6 +30,10 @@ def test_parse_arithmetic():
     assert x.coefficient_at((1, 0), 1) == parse_element("2*chi(1,1,0)").coefficient_at((1, 0), 1)
     assert parse_element("chi(1,0,0) + chi(1,0,0)") == parse_element("2*chi(1,0,0)")
     assert parse_element("-chi(1,0,0)") == chi(1, 0, 0).scale(-1)
+    # a factor takes any run of signs
+    for signs in ("+-", "-+"):
+        assert parse_element(signs + "chi(1,0,0)") == parse_element("-chi(1,0,0)")
+    assert parse_element("--chi(1,0,0)") == chi(1, 0, 0)
     assert parse_element("0") == zero_element()
 
 
@@ -59,6 +63,11 @@ def test_strip_literal():
     assert parse_element("strip(1,0,0..5: 0)") == zero_element()
     # an m-term divided by a scalar
     assert parse_element("strip(1,0,0..1: m/2)") == parse_element("strip(1,0,0..1: (1/2)*m)")
+    # a bound takes a '+', and an exponent in m a '-' with or without parentheses
+    assert parse_element("strip(1,0,+1..2: 1)") == parse_element("strip(1,0,1..2: 1)")
+    bare, parenthesized, scaled = (
+        parse_element(f"strip(1,0,0..2: s^{e})") for e in ("-m", "(-m)", "(-1*m)"))
+    assert bare == parenthesized == scaled
 
 
 def test_parse_errors_carry_position():
@@ -132,6 +141,17 @@ _ERROR_TABLE = [
     ("element", "strip(1,0,5..2: 0)", "empty strip [5, 2] (column 1)"),
     ("element", "iota - strip(1,1,0..inf: 1)", "level 1 > 0 row must be bounded above (column 8)"),
     ("element", "q", "expression denotes a scalar, not an element (column 1)"),
+    # the strip context: it ends with its strip, and a nested strip restores it
+    ("element", "strip(1,0,0..2: strip(1,0,0..1: 1) + m)", "cannot add a scalar to an element (column 36)"),
+    ("element", "strip(1,0,0..2: 1) + m", "'m' is only defined inside strip(...) (column 22)"),
+    ("element", "strip(1,0,0..2: s^m) + s^m", "an exponent in m is only allowed inside strip(...) (column 25)"),
+    # where a sign may stand: no '+' before an integer or an exponent, one sign at most
+    ("element", "chi(+1,0,0)", "expected an integer (column 5)"),
+    ("element", "strip(1,0,--1..2: 1)", "expected an integer or 'inf' (column 12)"),
+    ("element", "strip(1,0,0..2: s^(2*-m))", "expected 'm' after '*' in an exponent (column 22)"),
+    ("scalar", "q^+2", "malformed exponent (column 3)"),
+    ("scalar", "q^(-)", "malformed exponent (column 5)"),
+    ("scalar", "q^(2", "expected ')' before end of input (column 5)"),
     ("scalar", "iota", "expression denotes an element, not a scalar (column 1)"),
     ("scalar", "1/(s-s)", "division by zero scalar (column 2)"),
     ("scalar", "", "unexpected end of input (column 1)"),

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from hecke2d import Coeff, CoeffDivisionError, ParseError, PoleError, coeff, one_minus_qinv
 from hecke2d.coeff import ONE, Q, S, ZERO, CoeffError
+from hecke2d.text import parse_scalar
 
 
 def _from_ints(nums: list[int], dens: list[int]) -> Coeff:
@@ -88,6 +89,10 @@ def test_division_by_zero():
         ONE / ZERO
     with pytest.raises(CoeffDivisionError):
         ZERO**-1
+    # a positive power of zero is zero, and its zeroth power is one
+    assert ZERO**3 == ZERO
+    assert parse_scalar("0^3") == ZERO
+    assert parse_scalar("0^0") == ONE
     with pytest.raises(CoeffDivisionError, match="zero denominator"):
         Coeff((1,), (0,))
 

@@ -621,6 +621,12 @@ def test_field_elements_and_matrices_hash_by_value():
     assert len({g, h, identity_matrix(q)}) == 2
 
 
+def test_field_elements_and_matrices_are_unequal_to_other_types():
+    assert (FieldElem2.one(2) == 1) is False
+    assert (FieldElem2.one(2) != 1) is True
+    assert (identity_matrix(2) == "x") is False
+
+
 def _point_values(h, q):
     # {label: coefficient at q} of an element whose rows are finite, in label order
     return {BasisIndex(c, m, j): v.eval_at_q(q)

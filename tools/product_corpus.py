@@ -40,14 +40,16 @@ arguments of README's `hecke2d` lines, the `format_element` text of every
 ordered pair product of the atom pool, each distinct scalar string of those
 products' `element_to_json`, and each README argument with one token
 deleted, so what the text layer reads and how it refuses are compared too.
-A `cli:` line closes the output: one sha256 over (argv, exit code, standard
+A `cli:` line follows: one sha256 over (argv, exit code, standard
 output, standard error) of `hecke2d` run in process on each call of the
 usage table that `tests/test_cli.py` pins (each usage refusal, the help
 texts, and the abbreviated, `=`-joined, negative and `--`-escaped forms
 that argparse accepts), with help wrapped at 80 columns, so a change in how
-the command line is read shows.
+the command line is read shows.  A `latex:` line ends it: one sha256 over
+the `format_element(p, "latex")` text of each unperturbed corpus product,
+one line each, so a change in how LaTeX is rendered shows.
 
-Standard output holds only these eleven lines; each line's timing goes to
+Standard output holds only these twelve lines; each line's timing goes to
 standard error.  So `diff` of two checkouts' output is empty exactly when
 every digest matches:
 
@@ -327,6 +329,8 @@ SECTIONS = {
         (f"{c}\n{out}\n{err}".encode() for c, out, err in map(_run_cli, reps_calls())), "calls"),
     "text": lambda: _tally(map(_tabbed, readings()), "cases"),
     "cli": lambda: _tally(((json.dumps(record) + "\n").encode() for record in cli_calls()), "calls"),
+    "latex": lambda: _tally(
+        ((format_element(p, "latex") + "\n").encode() for p in corpus(None)), "products"),
 }
 
 
