@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 
 from .coeff import ZERO, Coeff, CoeffError
 from .element import BasisIndex, HeckeElement, _label
-from .oracle import (EnumerationError, _level_zero_pair, classify, count_reps, counted_product,
-                     enumerate_reps)
+from .oracle import _level_zero_pair, classify, count_reps, counted_product, enumerate_reps
 from .product import mul, mul_basis
 from .suites import run_suite
 from .text import ExprError, format_element, format_matrix, parse_element, parse_matrix
@@ -164,7 +163,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.command = argv[0]
     try:
         return args.func(args)
-    except (ExprError, ValueError, CoeffError, EnumerationError) as err:
+    except (ValueError, CoeffError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -138,14 +138,16 @@ class _ElementParser:
 
     Each grammar rule returns its value with its degree, so that ``*`` and
     ``^`` can refuse a degree above the cap before building the result.
-    ``in_strip`` threads the context in which ``m`` and exponents linear in
-    ``m`` are meaningful; outside ``strip(...)`` they are rejected.
+    ``in_strip`` is set while a ``strip(...)`` body is read: only there are
+    ``m`` and exponents linear in ``m`` meaningful.  ``strip_atom`` restores
+    it after the body, so a nested strip leaves its outer body in context.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.at = 0
+        self.in_strip = False
 
     def error(self, message: str, at: int) -> ExprError:
         # the refusal at token number at, with that token's column
@@ -162,7 +164,7 @@ class _ElementParser:
 
     def whole(self) -> _Value:
         """The whole input as one expression, outside any strip."""
-        value, _ = self.expr(in_strip=False)
+        value, _ = self.expr()
         self.end()
         return value
 
@@ -209,14 +211,14 @@ class _ElementParser:
 
     # -- grammar, loosest binding first -------------------------------
 
-    def expr(self, in_strip: bool) -> _Rule:
-        value, degree = self.term(in_strip)
+    def expr(self) -> _Rule:
+        value, degree = self.term()
         addends = [value]  # of a sum of elements, added up once when it ends
         toks = self.toks
         while toks[self.at] in ("+", "-"):
             at = self.at
             self.at = at + 1
-            rhs, rhs_degree = self.term(in_strip)
+            rhs, rhs_degree = self.term()
             if toks[at] == "-":
                 rhs = _negate(rhs)
             if isinstance(value, HeckeElement) and isinstance(rhs, HeckeElement):
@@ -226,13 +228,13 @@ class _ElementParser:
             degree = max(degree, rhs_degree)
         return (_sum(addends) if len(addends) > 1 else value), degree
 
-    def term(self, in_strip: bool) -> _Rule:
-        value, degree = self.factor(in_strip)
+    def term(self) -> _Rule:
+        value, degree = self.factor()
         toks = self.toks
         while toks[self.at] in ("*", "/"):
             at = self.at
             self.at = at + 1
-            rhs, rhs_degree = self.factor(in_strip)
+            rhs, rhs_degree = self.factor()
             if toks[at] == "*":
                 degree = self.bounded(degree + rhs_degree, at)
                 value = self.combine_mul(value, rhs, at)
@@ -240,63 +242,66 @@ class _ElementParser:
                 value = self.combine_div(value, rhs, at)
         return value, degree
 
-    def factor(self, in_strip: bool) -> _Rule:
-        tok = self.toks[self.at]
-        if tok == "-":
-            self.at += 1
-            value, degree = self.factor(in_strip)
-            return _negate(value), degree
-        if tok == "+":
-            self.at += 1
-            return self.factor(in_strip)
-        return self.power(in_strip)
-
-    def power(self, in_strip: bool) -> _Rule:
+    def factor(self) -> _Rule:
+        # any run of signs, read one at a time
         start = self.at
-        base, degree = self.atom(in_strip)
+        sign = self.sign(plus=True)
+        if self.at == start:
+            return self.power()
+        value, degree = self.factor()
+        return (_negate(value) if sign < 0 else value), degree
+
+    def power(self) -> _Rule:
+        start = self.at
+        base, degree = self.atom()
         # an exponent linear in m is only meaningful on a bare q or s
         head = self.toks[start]
         qs_name = head if self.at == start + 1 and head in ("q", "s") else ""
         while self.toks[self.at] == "^":
             caret = self.at
             self.at = caret + 1
-            base, degree = self.apply_exponent(base, degree, caret, in_strip, qs_name)
+            base, degree = self.apply_exponent(base, degree, caret, qs_name)
             qs_name = ""
         return base, degree
 
-    def exponent(self) -> tuple[str, int]:
-        # INT, m, k*m, each optionally negated and optionally parenthesized
-        if self.toks[self.at] == "(":
+    def sign(self, plus: bool = False) -> int:
+        # -1 after a leading "-", else 1; a leading "+" is read too if plus is set
+        tok = self.toks[self.at]
+        if tok == "-":
             self.at += 1
-            body = self.exponent_body(parenthesized=True)
-            self.expect(")")
-            return body
-        return self.exponent_body(parenthesized=False)
+            return -1
+        if plus and tok == "+":
+            self.at += 1
+        return 1
 
-    def exponent_body(self, parenthesized: bool) -> tuple[str, int]:
-        toks, sign = self.toks, 1
-        if toks[self.at] == "-":
+    def exponent(self) -> tuple[str, int]:
+        # INT or m, optionally negated and optionally parenthesized, or (k*m)
+        # with k optionally negated
+        toks = self.toks
+        parenthesized = toks[self.at] == "("
+        if parenthesized:
             self.at += 1
-            sign = -1
+        sign = self.sign()
         at = self.at
         tok = toks[at]
         self.at = at + 1
-        if tok.isdecimal():
-            k = sign * int(tok)
-            if parenthesized and toks[self.at] == "*":
-                at = self.at + 1
-                if toks[at] != "m":
-                    raise self.error("expected 'm' after '*' in an exponent", at)
-                self.at = at + 1
-                return ("m", k)
-            return ("int", k)
         if tok == "m":
-            return ("m", sign)
-        raise self.error("malformed exponent", at)
+            kind, k = "m", sign
+        elif not tok.isdecimal():
+            raise self.error("malformed exponent", at)
+        elif parenthesized and toks[self.at] == "*":
+            at = self.at + 1
+            if toks[at] != "m":
+                raise self.error("expected 'm' after '*' in an exponent", at)
+            self.at = at + 1
+            kind, k = "m", sign * int(tok)
+        else:
+            kind, k = "int", sign * int(tok)
+        if parenthesized:
+            self.expect(")")
+        return kind, k
 
-    def apply_exponent(
-        self, base: _Value, degree: int, at: int, in_strip: bool, qs_name: str
-    ) -> _Rule:
+    def apply_exponent(self, base: _Value, degree: int, at: int, qs_name: str) -> _Rule:
         kind, k = self.exponent()
         if kind == "int":
             if isinstance(base, Coeff):
@@ -317,7 +322,7 @@ class _ElementParser:
             for _ in range(k - 1):
                 out = self.combine_mul(out, base, at)
             return out, degree
-        if not in_strip:
+        if not self.in_strip:
             raise self.error("an exponent in m is only allowed inside strip(...)", at)
         if not qs_name:
             raise self.error("an exponent in m must sit on a bare q or s", at)
@@ -326,33 +331,33 @@ class _ElementParser:
 
     # -- atoms --------------------------------------------------------
 
-    def atom(self, in_strip: bool) -> _Rule:
+    def atom(self) -> _Rule:
         at = self.at
         tok = self.toks[at]
         self.at = at + 1
         if tok.isdecimal():
             return Coeff.integer(int(tok)), 0
         if tok == "(":
-            rule = self.expr(in_strip)
+            rule = self.expr()
             self.expect(")")
             return rule
         if tok == "strip":
             return self.strip_atom(at)
         if tok.isalnum():  # a name: integers are read above
-            value = self.named_atom(tok, at, in_strip)
+            value = self.named_atom(tok, at)
             # q and s are scalars; every other name is an element or m
             return value, int(not isinstance(value, Coeff))
         if not tok:
             raise self.error("unexpected end of input", at)
         raise self.error(f"unexpected {tok!r}", at)
 
-    def named_atom(self, name: str, at: int, in_strip: bool) -> _Value:
+    def named_atom(self, name: str, at: int) -> _Value:
         if name == "q":
             return Q
         if name == "s":
             return S
         if name == "m":
-            if not in_strip:
+            if not self.in_strip:
                 raise self.error("'m' is only defined inside strip(...)", at)
             return {0: IndexPoly((0, 1))}
         if name == "iota":
@@ -384,25 +389,18 @@ class _ElementParser:
         return tuple(out)
 
     def signed_int(self) -> int:
-        toks, sign = self.toks, 1
-        if toks[self.at] == "-":
-            self.at += 1
-            sign = -1
+        sign = self.sign()
         at = self.at
-        if not toks[at].isdecimal():
+        tok = self.toks[at]
+        if not tok.isdecimal():
             raise self.error("expected an integer", at)
         self.at = at + 1
-        return sign * int(toks[at])
+        return sign * int(tok)
 
     def bound(self) -> Bound:
-        toks, sign = self.toks, 1
-        if toks[self.at] == "-":
-            self.at += 1
-            sign = -1
-        elif toks[self.at] == "+":
-            self.at += 1
+        sign = self.sign(plus=True)
         at = self.at
-        tok = toks[at]
+        tok = self.toks[at]
         self.at = at + 1
         if tok.isdecimal():
             return sign * int(tok)
@@ -420,7 +418,9 @@ class _ElementParser:
         self.expect("..")
         hi = self.bound()
         self.expect(":")
-        body, degree = self.expr(in_strip=True)
+        outer, self.in_strip = self.in_strip, True
+        body, degree = self.expr()
+        self.in_strip = outer
         self.expect(")")
         if isinstance(body, HeckeElement):
             raise self.error("a strip body must be scalar in m", at)
@@ -551,24 +551,16 @@ def _strip_text(a: int, j: int, st: Strip) -> str:
     return f"strip({a},{j},{_bound_text(st.lo)}..{_bound_text(st.hi)}: {body})"
 
 
-def _braced_powers(text: str) -> str:
-    return re.sub(r"\^(-?\d+)", r"^{\1}", text)
-
-
-def _q_form(text: str) -> str:
-    # display even s-powers through q = s^2
-    def sub(match: re.Match) -> str:
-        n = int(match.group(1))
-        if n % 2:
-            return match.group(0)
-        half = n // 2
-        return "q" if half == 1 else f"q^{{{half}}}"
-
-    return re.sub(r"s\^\{(-?\d+)\}", sub, text)
-
-
 def _latex_scalar(c: object) -> str:
-    return _q_form(_braced_powers(str(c))).replace("*", " ")
+    # every power braced, an even power of s shown through q = s^2
+    def power(match: re.Match) -> str:
+        base, n = match.groups()
+        if base and int(n) % 2 == 0:
+            half = int(n) // 2
+            return "q" if half == 1 else f"q^{{{half}}}"
+        return f"{base}^{{{n}}}"
+
+    return re.sub(r"(s?)\^(-?\d+)", power, str(c)).replace("*", " ")
 
 
 def _term_latex(t: ExpPolyTerm) -> str:
