@@ -26,6 +26,7 @@ from hecke2d import (
     InfiniteSupportError,
     ShapeError,
     Strip,
+    WeylElement,
     chi,
     coeff_of_product,
     element_to_json,
@@ -36,6 +37,7 @@ from hecke2d import (
     phi,
     theta,
     theta_monomial,
+    weyl_mul,
     zero_element,
 )
 from hecke2d import element, oracle, product
@@ -208,6 +210,20 @@ def test_mul_basis_matches_mul():
             if xb.j * yb.j < 0:
                 continue
             assert mul_basis(xb, yb) == mul(chi(*xi), chi(*yi))
+
+
+def test_the_sheet_of_weyl_mul_holds_only_its_point():
+    # on the sheet of t = weyl_mul(x, y), the label of eta_x * eta_y, mul_basis
+    # puts nothing or the one point at t: its sheet, index and level
+    box = [BasisIndex(a, i, j) for a in (1, 2) for i in range(-4, 5) for j in range(-3, 4)]
+    carried = 0
+    for x, y in itertools.product(box, repeat=2):
+        t = weyl_mul(WeylElement(x.a == 2, *x[1:]), WeylElement(y.a == 2, *y[1:])).basis_index()
+        on_sheet = [(key, s.lo, s.hi) for key, row in mul_basis(x, y).rows if key.a == t.a
+                    for s in row.strips]
+        assert on_sheet in ([], [(t.key, t.i, t.i)]), (x, y, t)
+        carried += bool(on_sheet)
+    assert (len(box) ** 2, carried) == (15876, 6156)
 
 
 @pytest.mark.parametrize(
