@@ -34,7 +34,6 @@ from .product import (
     mul_basis,
 )
 from .presets import (
-    WeylElement,
     chi,
     iota,
     phi,
@@ -82,7 +81,6 @@ __all__ = [
     "coeff_of_product",
     "mul",
     "mul_basis",
-    "WeylElement",
     "chi",
     "iota",
     "phi",

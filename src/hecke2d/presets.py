@@ -3,14 +3,17 @@
 The generators X = theta(1, 0), Y = theta(0, 1), Z = theta(0, -1) together
 with theta(-1, 0) = X^{-1} span a large commutative subalgebra subject to
 Y * Z = 0.  The phi elements are normalized characteristic functions of the
-three reflection cosets.  The Weyl group is modeled abstractly as
-Z^2 semidirect {+-1}: monomial matrices up to diagonal units, so the sign
-produced by multiplying two antidiagonal matrices is dropped.
+three reflection cosets.  The double affine Weyl group W = Z^2 semidirect
+{+-1} indexes the basis: its elements are the labels (a, i, j), sheet 2 the
+antidiagonal monomial matrices, taken up to diagonal units, so the sign
+produced by multiplying two antidiagonal matrices is dropped.  weyl_mul is
+W's product, the label of eta_x * eta_y, and the product table reads from it
+where a point mass sits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Union
 
 from .coeff import Coeff, ONE
 from .element import (
@@ -24,12 +27,13 @@ from .element import (
     Strip,
     _check_basis,
     _element,
+    _label,
     _normal_rows,
     _point,
 )
 
 __all__ = [
-    "WeylElement", "chi", "iota", "theta", "phi", "preset", "theta_monomial",
+    "chi", "iota", "theta", "phi", "preset", "theta_monomial",
     "weyl_identity", "weyl_mul", "weyl_word", "FIXED_PRESET_NAMES",
 ]
 
@@ -49,15 +53,16 @@ def iota() -> HeckeElement:
 
 
 def theta(i: int, j: int) -> HeckeElement:
-    if (i, j) == (1, 0):
+    ij = (i, j) if type(i) is type(j) is int else None  # True and 1.0 equal 1: refused
+    if ij == (1, 0):
         return chi(1, 1, 0)
-    if (i, j) == (0, 1):
+    if ij == (0, 1):
         return chi(1, 0, 1)
-    if (i, j) == (-1, 0):
+    if ij == (-1, 0):
         # chi(1,-1,0) - (q-1) chi(2,-1,0) - (q-1) chi(2,0,0) + (q-1)^2 chi(1,0,0)
         points = {(1, 0): {-1: ONE, 0: _QM1 * _QM1}, (2, 0): {-1: -_QM1, 0: -_QM1}}
         return _element(_normal_rows(points, {}))
-    if (i, j) == (0, -1):
+    if ij == (0, -1):
         # chi(1,0,-1) minus (q-1) q^m on the sheet-2 ray m >= 0
         tail = Strip(0, POS_INF, (ExpPolyTerm(2, IndexPoly.constant(-_QM1)),))
         return chi(1, 0, -1) + HeckeElement([((2, -1), (tail,))])
@@ -66,7 +71,7 @@ def theta(i: int, j: int) -> HeckeElement:
 
 def phi(k: int) -> HeckeElement:
     """phi(0), phi(1), phi(2): s times the sheet-2 functions at (0,0), (-1,0), (0,-1)."""
-    if k not in (0, 1, 2):
+    if type(k) is not int or k not in (0, 1, 2):
         raise ValueError(f"phi index must be 0, 1 or 2, got {k}")
     a, i, j = [(2, 0, 0), (2, -1, 0), (2, 0, -1)][k]
     return chi(a, i, j).scale(Coeff.s_power(1))
@@ -116,37 +121,28 @@ def theta_monomial(i: int, j: int) -> HeckeElement:
 # the double affine Weyl group
 
 
-class WeylElement(NamedTuple):
-    """Monomial matrix class (flip, i, j): antidiagonal iff flip."""
-
-    flip: bool
-    i: int
-    j: int
-
-    def basis_index(self) -> BasisIndex:
-        return BasisIndex(2 if self.flip else 1, self.i, self.j)
+def weyl_identity() -> BasisIndex:
+    return BasisIndex(1, 0, 0)
 
 
-def weyl_identity() -> WeylElement:
-    return WeylElement(False, 0, 0)
-
-
-def weyl_mul(u: WeylElement, v: WeylElement) -> WeylElement:
-    # (f1, w1)(f2, w2) = (f1 xor f2, w1 + (-1)^{f1} w2); the sign from
-    # antidiag * antidiag lies in T(O) and is dropped
-    sign = -1 if u.flip else 1
-    return WeylElement(u.flip != v.flip, u.i + sign * v.i, u.j + sign * v.j)
+def weyl_mul(x: Union[BasisIndex, tuple], y: Union[BasisIndex, tuple]) -> BasisIndex:
+    """The label of eta_x * eta_y: the sheets compose as flips, sheet 2 the
+    antidiagonal one, and (i, j) + (-1)^(a-1) (k, l); the sign from
+    antidiag * antidiag lies in T(O) and is dropped."""
+    (a, i, j), (b, k, l) = _label(x), _label(y)
+    sign = 1 if a == 1 else -1
+    return BasisIndex(1 if a == b else 2, i + sign * k, j + sign * l)
 
 
 _LETTERS = {
-    "s0": WeylElement(True, 0, 0),
-    "s1": WeylElement(True, -1, 0),
-    "s2": WeylElement(True, 0, -1),
+    "s0": BasisIndex(2, 0, 0),
+    "s1": BasisIndex(2, -1, 0),
+    "s2": BasisIndex(2, 0, -1),
 }
 
 
-def weyl_word(letters: Iterable[str]) -> WeylElement:
-    """Fold a word in the generators s0, s1, s2 into a group element."""
+def weyl_word(letters: Iterable[str]) -> BasisIndex:
+    """Fold a word in the generators s0, s1, s2 into its label."""
     out = weyl_identity()
     for name in letters:
         try:

@@ -6,13 +6,15 @@ of _TABLE.  Pi = [[0,1],[t1,0]] normalises the Iwahori subgroup, so
 conjugation by Pi is an automorphism sigma of the algebra, chi^(a)_{m,j} ->
 chi^(a)_{-m-(a-1),-j}, which swaps phi0 and phi1.  A record names its branch
 (p1-p8, q1-q9), the factor signs it covers, and for each right sheet b its
-output terms at level j + l: a point mass at weyl_mul's index (n = i + k on
-left sheet 1, i - k on sheet 2) whose q-exponent is the least of some affine
-forms in (i, k), or a geometric run (1 - 1/q) q^(top - n) from the greatest of
-some affine lower bounds up to an affine top.  A twin, the sigma-image of a
-written record, is derived from it.  _pieces compiles the first record that
-matches into kernel pieces, each a point at n = i + tk*k or a span cut out by
-affine inequalities in (i, k, n), and two evaluators read them:
+output terms at level j + l: a point mass whose q-exponent is the least of
+some affine forms in (i, k), or a geometric run (1 - 1/q) q^(top - n) from the
+greatest of some affine lower bounds up to an affine top.  No term writes a
+sheet: a point sits at presets.weyl_mul(x, y), the label of eta_x * eta_y
+(n = i + k on left sheet 1, i - k on sheet 2), and a run lies on the other
+sheet.  A twin, the sigma-image of a written record, is derived from it.
+_pieces compiles the first record that matches into kernel pieces, each a
+point at n = i + tk*k or a span cut out by affine inequalities in (i, k, n),
+and two evaluators read them:
 
 * ``_point_pair`` evaluates the pieces at integers i and k, giving one value
   or one geometric run each.  ``mul_basis`` is this evaluator on one basis
@@ -74,6 +76,7 @@ from .element import (
     _label,
     _normal_rows,
 )
+from .presets import weyl_mul
 
 __all__ = [
     "CaseTableError",
@@ -102,14 +105,14 @@ class InfiniteSupportError(ArithmeticError):
 # level j + l; p8 and q9, for levels of opposite signs, have none.  The signs
 # are x and y, each factor's sign (its level's, or at level zero its index's,
 # with 0 counted positive), and j and l, the signs of the levels.  A point
-# sits at n = i + k on a sheet-1 record and n = i - k on a sheet-2 one; a
-# run's top is its upper bound and its exponent.  Exponents and bounds are
-# affine forms in (i, k), such as "2i-k-1".  A branch whose exponent depends
-# on a sign (p3, q8) has one record per sign case, under one name.  Sigma
-# negates every sign, and eight records are twins, appended on the negated
-# signs of the written record that names them: p2, p3 for x < 0 < l, p5, p7,
-# q2, q5, q8 at j = 0 (q7's twin) and q8 for x, y < 0.  q3, q6, p8 and q9 are
-# their own images.
+# sits at weyl_mul's label, n = i + k on a sheet-1 record and n = i - k on a
+# sheet-2 one, and a run on the other sheet; a run's top is its upper bound
+# and its exponent.  Exponents and bounds are affine forms in (i, k), such as
+# "2i-k-1".  A branch whose exponent depends on a sign (p3, q8) has one
+# record per sign case, under one name.  Sigma negates every sign, and eight
+# records are twins, appended on the negated signs of the written record that
+# names them: p2, p3 for x < 0 < l, p5, p7, q2, q5, q8 at j = 0 (q7's twin)
+# and q8 for x, y < 0.  q3, q6, p8 and q9 are their own images.
 
 Form = tuple[int, int, int]  # ci*i + ck*k + c0
 
@@ -129,12 +132,10 @@ def _forms(text: str) -> tuple[Form, ...]:
 
 
 class _Point(NamedTuple):
-    sheet: int
-    exps: str  # q^(the least of these forms) at n = i + k, or i - k on left sheet 2
+    exps: str  # q^(the least of these forms) at weyl_mul's label
 
 
 class _Run(NamedTuple):
-    sheet: int
     lows: str  # (1 - 1/q) q^(top - n) at each n from the greatest of these ("-inf": none)
     top: str  # up to this
 
@@ -147,39 +148,39 @@ class _Branch(NamedTuple):
     twin: str = ""  # the name of its sigma-image, if that is another record
 
 
-def _each(term: Callable[[int], Union[_Point, _Run]]) -> dict[int, tuple]:
-    # one term on each right sheet b, built from b
-    return {b: (term(b),) for b in (1, 2)}
+def _each(term: Union[_Point, _Run]) -> dict[int, tuple]:
+    # the one term on each right sheet b
+    return {b: (term,) for b in (1, 2)}
 
 
 _TABLE: list[_Branch] = [
     _Branch("p1", 1, lambda x, j, y, l: x > 0 and y > 0,
-            _each(lambda b: _Point(b, "-1")), "p2"),
+            _each(_Point("-1")), "p2"),
     _Branch("p3", 1, lambda x, j, y, l: j == 0 and l < 0 < x,
-            _each(lambda b: _Point(b, "2i-1")), "p3"),
+            _each(_Point("2i-1")), "p3"),
     _Branch("p4", 1, lambda x, j, y, l: j > 0 and l == 0 and y < 0, {
-        1: (_Point(1, "-2k-1"), _Run(2, "i+k", "i-k-1")),
-        2: (_Run(1, "i+k+1", "i-k-1"), _Point(2, "-2k-2")),
+        1: (_Point("-2k-1"), _Run("i+k", "i-k-1")),
+        2: (_Run("i+k+1", "i-k-1"), _Point("-2k-2")),
     }, "p5"),
     _Branch("p6", 1, lambda x, j, y, l: j == l == 0 and x > 0 > y, {
-        1: (_Point(1, "2i-1, -2k-1"), _Run(2, "i+k, -i-k", "i-k-1")),
-        2: (_Run(1, "i+k+1, -i-k", "i-k-1"), _Point(2, "2i-1, -2k-2")),
+        1: (_Point("2i-1, -2k-1"), _Run("i+k, -i-k", "i-k-1")),
+        2: (_Run("i+k+1, -i-k", "i-k-1"), _Point("2i-1, -2k-2")),
     }, "p7"),
     _Branch("p8", 1, lambda x, j, y, l: j * l < 0, {1: (), 2: ()}),
     _Branch("q1", 2, lambda x, j, y, l: j > 0 and l > 0,
-            _each(lambda b: _Run(b, "-inf", "i+k")), "q2"),
+            _each(_Run("-inf", "i+k")), "q2"),
     _Branch("q3", 2, lambda x, j, y, l: l == 0 and x != y,
-            _each(lambda b: _Point(3 - b, "-1"))),
+            _each(_Point("-1"))),
     _Branch("q4", 2, lambda x, j, y, l: j > 0 and l == 0 and y > 0, {
-        1: (_Run(1, "i-k+1", "i+k"), _Point(2, "2k-1")),
-        2: (_Point(1, "2k"), _Run(2, "i-k", "i+k")),
+        1: (_Run("i-k+1", "i+k"), _Point("2k-1")),
+        2: (_Point("2k"), _Run("i-k", "i+k")),
     }, "q5"),
     _Branch("q6", 2, lambda x, j, y, l: j == 0 and l != 0 and x != y, {1: (), 2: ()}),
     _Branch("q7", 2, lambda x, j, y, l: j == 0 and l > 0 and x > 0,
-            _each(lambda b: _Run(b, "-i+k", "i+k")), "q8"),
+            _each(_Run("-i+k", "i+k")), "q8"),
     _Branch("q8", 2, lambda x, j, y, l: j == l == 0 and x > 0 and y > 0, {
-        1: (_Run(1, "i-k+1, -i+k", "i+k"), _Point(2, "2i, 2k-1")),
-        2: (_Point(1, "2i, 2k"), _Run(2, "i-k, -i+k", "i+k")),
+        1: (_Run("i-k+1, -i+k", "i+k"), _Point("2i, 2k-1")),
+        2: (_Point("2i, 2k"), _Run("i-k, -i+k", "i+k")),
     }, "q8"),
     _Branch("q9", 2, lambda x, j, y, l: j * l < 0, {1: (), 2: ()}),
 ]
@@ -398,28 +399,30 @@ def _pieces(
     """Kernel pieces of the first record covering the signature, on right sheet b.
 
     q^(ci*i + ck*k + c0) becomes ei = 2ci, ek = 2ck and the scalar q^c0.  A
-    point sits at n = i + tk*k (tk = 1 on left sheet 1, -1 on sheet 2); two
-    exponent forms make two point pieces, split on n.  A run is q^top times
-    1 - 1/q at en = -2, between the forms n - low >= 0 and top - n >= 0.  A twin reflects its partner's unperturbed pieces.
+    point sits on weyl_mul's sheet at n = i + tk*k, tk the sign it gives k;
+    two exponent forms make two point pieces, split on n.  A run, on the other
+    sheet, is q^top times 1 - 1/q at en = -2, between the forms n - low >= 0
+    and top - n >= 0.  A twin reflects its partner's unperturbed pieces.
     """
     rec = _record(a, js, ls, isg, ksg)
     if rec.out is None:
         return tuple(_reflect(p, a, b) for p in _pieces(a, b, -js, -ls, -isg, -ksg, None))
-    name, sheet, old, new = _MUTATIONS.get(perturbation, ("", 0, "", ""))
+    name, right, old, new = _MUTATIONS.get(perturbation, ("", 0, "", ""))
+    sheet, tk, _ = weyl_mul((a, 0, 0), (b, 1, 0))  # a point's sheet; n = i + tk*k
     pieces: list[_Piece] = []
     for t in rec.out[b]:
         if isinstance(t, _Run):
             ci, ck, c0 = _form(t.top)
             forms = (*((-u, -v, 1, -w) for u, v, w in _forms(t.lows)), (ci, ck, -1, c0))
             scalar = one_minus_qinv() * Coeff.q_power(c0)
-            pieces.append(_Piece(t.sheet, None, 2 * ci, 2 * ck, -2, scalar, forms))
+            pieces.append(_Piece(3 - sheet, None, 2 * ci, 2 * ck, -2, scalar, forms))
             continue
-        tk, exps = 1 if rec.a == 1 else -1, _forms(t.exps)
-        if (rec.name, b) == (name, sheet):
+        exps = _forms(t.exps)
+        if (rec.name, b) == (name, right):
             exps = tuple(_form(new) if f == _form(old) else f for f in exps)
         windows = _split(*exps, tk) if len(exps) == 2 else ((),)
         for (ci, ck, c0), window in zip(exps, windows):
-            pieces.append(_Piece(t.sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), window))
+            pieces.append(_Piece(sheet, tk, 2 * ci, 2 * ck, 0, Coeff.q_power(c0), window))
     return tuple(pieces)
 
 

@@ -53,7 +53,6 @@ from .oracle import (
 )
 from .presets import (
     FIXED_PRESET_NAMES,
-    WeylElement,
     chi,
     iota,
     phi,
@@ -416,7 +415,7 @@ def _suite_im_relations(report: Report, p: _Params) -> None:
 
 
 # ---------------------------------------------------------------------------
-# weyl: presentation relations, label bijection, random sandwiches, counts
+# weyl: presentation relations, representatives, random sandwiches, counts
 
 
 def _suite_weyl(report: Report, p: _Params) -> None:
@@ -424,19 +423,6 @@ def _suite_weyl(report: Report, p: _Params) -> None:
     for s in ("s0", "s1", "s2"):
         report.equal(f"{s} is an involution", e, weyl_word([s, s]))
     report.equal("(s0 s1 s2)^2 = e", e, weyl_word(["s0", "s1", "s2", "s0", "s1", "s2"]))
-    grid = [
-        (flip, i, j)
-        for flip in (False, True)
-        for i in range(-2, 3)
-        for j in range(-2, 3)
-    ]
-    labels = {WeylElement(flip, i, j).basis_index() for flip, i, j in grid}
-    report.record(
-        "label map is injective on the grid",
-        len(labels) == len(grid),
-        f"{len(grid)} labels",
-        f"{len(labels)} labels",
-    )
     for q in p.qs:
         for a in (1, 2):
             for i in (-2, 0, 2):
@@ -537,8 +523,6 @@ SUITES: dict[str, Callable[[Report, _Params], None]] = {
     "shape_fuzz": _suite_shape_fuzz,
 }
 
-_ALIASES = {"appendix_oracle": "table_oracle"}
-
 
 def run_suite(
     name: str,
@@ -556,9 +540,8 @@ def run_suite(
     default per suite, and index_bound is at most 16 so that every run ends
     in bounded time; qs only matters for the counting suites.
     """
-    key = _ALIASES.get(name, name)
-    if key not in SUITES:
-        valid = ", ".join(sorted([*SUITES, *_ALIASES]))
+    if name not in SUITES:
+        valid = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {name!r}; valid names: {valid}")
     if index_bound is not None and index_bound < 0:
         raise ValueError("index_bound must be nonnegative")
@@ -579,6 +562,6 @@ def run_suite(
         cases=cases,
         perturbation=perturbation,
     )
-    report = Report(suite=key)
-    SUITES[key](report, params)
+    report = Report(suite=name)
+    SUITES[name](report, params)
     return report

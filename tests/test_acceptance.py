@@ -200,7 +200,7 @@ def test_criterion_09_reflection_model_and_classifier():
     _verdict(
         9,
         report.passed,
-        "reflection relations, label injectivity, 100 sandwich round-trips, "
+        "reflection relations, 100 sandwich round-trips, "
         "and representative counts q^(2i) hold",
         report.text(),
     )

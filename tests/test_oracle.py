@@ -15,7 +15,6 @@ from hecke2d import (
     FieldElem2,
     LocalFieldMatrix,
     ShapeError,
-    WeylElement,
     chi,
     classify,
     coeff_of_product,
@@ -420,22 +419,16 @@ def test_counting_a_level_zero_left_factor_agrees_with_the_table_on_level():
     assert checked == 400
 
 
-def _weyl_label(x, y):
-    # the label of eta_x * eta_y in the double affine Weyl group
-    u, v = (WeylElement(a == 2, i, j) for a, i, j in (x, y))
-    return weyl_mul(u, v).basis_index()
-
-
 def test_the_eta_product_label_is_weyl_mul_and_the_table_is_nonzero_there():
     # the coset z = eta_y counts towards chi_x * chi_y at t = eta_x * eta_y, so its
     # coefficient there is at least 1/q; checked where the table has it today
     small = range(-2, 3)
     for x, y in itertools.product(itertools.product((1, 2), small, small), repeat=2):
-        assert classify(eta_matrix(*x, 2) * eta_matrix(*y, 2)) == _weyl_label(x, y), (x, y)
+        assert classify(eta_matrix(*x, 2) * eta_matrix(*y, 2)) == weyl_mul(x, y), (x, y)
     checked = 0
     for x, y in itertools.product(itertools.product((1, 2), range(-3, 4), small), repeat=2):
         if y[2] == 0 or (x[0] == 1 and x[2] * y[2] >= 0):
-            t = _weyl_label(x, y)
+            t = weyl_mul(x, y)
             assert not mul_basis(x, y).coefficient_at((t.a, t.j), t.i).is_zero(), (x, y, t)
             checked += 1
     assert checked == 2156
@@ -454,7 +447,7 @@ def test_the_table_misses_the_eta_product_label_by_level_class():
     # sheet and level class; the classes with no miss are the 2156 pairs checked above
     tally = Counter()
     for x, y in itertools.product(itertools.product((1, 2), range(-3, 4), range(-2, 3)), repeat=2):
-        t = _weyl_label(x, y)
+        t = weyl_mul(x, y)
         missed = mul_basis(x, y).coefficient_at((t.a, t.j), t.i).is_zero()
         tally[x[0], _level_class(x[2], y[2]), missed] += 1
     assert tally == {
@@ -568,6 +561,8 @@ _LABEL_ENTRY_POINTS = {
     "chi": (lambda x: chi(*x), ShapeError, _TRIPLES),
     "mul_basis-left": (lambda x: mul_basis(x, _ONE), ShapeError, list(_BAD_LABELS)),
     "mul_basis-right": (lambda x: mul_basis(_ONE, x), ShapeError, list(_BAD_LABELS)),
+    "weyl_mul-left": (lambda x: weyl_mul(x, _ONE), ShapeError, list(_BAD_LABELS)),
+    "weyl_mul-right": (lambda x: weyl_mul(_ONE, x), ShapeError, list(_BAD_LABELS)),
     "coeff_of_product": (lambda x: coeff_of_product(chi(*_ONE), chi(*_ONE), x), ShapeError, list(_BAD_LABELS)),
     "eta_matrix": (lambda x: eta_matrix(*x, 2), ShapeError, _TRIPLES),
     "counted_product-left": (lambda x: oracle.counted_product(x, _ONE), EnumerationError, list(_BAD_LABELS)),

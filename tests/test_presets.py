@@ -11,7 +11,6 @@ from hecke2d import (
     IndexPoly,
     ShapeError,
     Strip,
-    WeylElement,
     chi,
     iota,
     mul,
@@ -142,6 +141,25 @@ def test_phi_word_reproduces_phi2():
     assert w == phi(2)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: theta(1.0, 0), "theta is defined for (+-1,0) and (0,+-1), got (1.0, 0)"),
+        (lambda: theta(True, 0), "theta is defined for (+-1,0) and (0,+-1), got (True, 0)"),
+        (lambda: theta(0, -1.0), "theta is defined for (+-1,0) and (0,+-1), got (0, -1.0)"),
+        (lambda: theta(0, False), "theta is defined for (+-1,0) and (0,+-1), got (0, False)"),
+        (lambda: phi(True), "phi index must be 0, 1 or 2, got True"),
+        (lambda: phi(1.0), "phi index must be 0, 1 or 2, got 1.0"),
+    ],
+    ids=["theta-1.0", "theta-True", "theta-(-1.0)", "theta-False", "phi-True", "phi-1.0"],
+)
+def test_theta_and_phi_refuse_a_bool_or_float_index(build, message):
+    # True and 1.0 equal 1, but chi refuses them too
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
 def test_phi_bad_index():
     with pytest.raises(ValueError):
         phi(3)
@@ -185,17 +203,10 @@ def test_every_word_has_an_inverse(w):
     assert weyl_word(w + list(reversed(w))) == weyl_identity()
 
 
-def test_weyl_label_map_is_injective_on_a_window():
-    grid = [
-        WeylElement(flip, i, j)
-        for flip in (False, True)
-        for i in range(-3, 4)
-        for j in range(-3, 4)
-    ]
-    labels = {w.basis_index() for w in grid}
-    assert len(labels) == len(grid)
-    assert weyl_identity().basis_index() == BasisIndex(1, 0, 0)
-    assert weyl_word(["s0"]).basis_index() == BasisIndex(2, 0, 0)
+def test_the_identity_and_s0_are_labels():
+    # the group's elements are the labels, sheet 2 antidiagonal
+    assert weyl_identity() == BasisIndex(1, 0, 0)
+    assert weyl_word(["s0"]) == BasisIndex(2, 0, 0)
 
 
 def test_weyl_word_rejects_unknown_letters():

@@ -106,12 +106,12 @@ def test_negative_control_catches_perturbation():
     assert any("(1,-2,0)" in case for case, _, _ in bent.failures)
 
 
-def test_alias_matches_primary_name():
-    direct = run_suite("table_oracle", index_bound=1, qs=(2,))
-    aliased = run_suite("appendix_oracle", index_bound=1, qs=(2,))
-    assert aliased.suite == direct.suite
-    assert aliased.cases == direct.cases
-    assert aliased.passed == direct.passed
+def test_an_unknown_suite_lists_exactly_the_suite_names():
+    with pytest.raises(ValueError) as err:
+        run_suite("appendix_oracle")
+    text = str(err.value)
+    assert text.startswith("unknown suite 'appendix_oracle'; valid names: ")
+    assert text.split("valid names: ")[1].split(", ") == sorted(SUITES)
 
 
 def test_seed_determinism():
